@@ -14,9 +14,8 @@ from .model import (Controls, FullState, Params, ReducedState, f_of_alpha,
 from .connection import (body_velocity_from_momenta, curvature_at,
                          curvature_fd, ehresmann_at, momenta_from_body_velocity,
                          nonholo_connection)
-from .dynamics_full import (FullRhs, SingularMassMatrixError, accelerations_q6,
-                            full_rhs, mass_matrix, momenta_from_full,
-                            reconstruct_group_rates)
+from .dynamics_full import (FullRhs, accelerations_q6, full_rhs, mass_matrix,
+                            momenta_from_full, reconstruct_group_rates)
 from .dynamics_reduced import (ReducedRhs, full_to_reduced, momentum_rhs,
                                reduced_rhs, reduced_to_full, shape_rhs)
 from .oracle import (ConstraintViolationError, constraint_matrix,

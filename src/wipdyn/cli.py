@@ -14,13 +14,14 @@ Config layout (all blocks are strict: unknown keys are rejected)::
 
 The initial block is auto-converted to whatever representation the chosen
 model needs.  Exit codes: 0 success, 2 config error, 3 simulation failure,
-4 tolerance exceeded / structural check failure.
+4 tolerance exceeded / structural check failure, 5 output cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .model import FullState, Params, ReducedState
@@ -93,17 +94,18 @@ def _build_initial(cfg: dict, p: Params) -> tuple[FullState, ReducedState]:
     block = cfg["initial"]
     if not isinstance(block, dict):
         raise ConfigError("initial block must be an object")
-    if "p1" in block or "phi" in block:
-        vals = _strict_floats(block, _REDUCED_KEYS, "initial (reduced form)")
-        red = ReducedState(**vals)
-        full = reduced_to_full(red, p, theta_0=red.theta)
-    else:
-        vals = _strict_floats(block, _FULL_KEYS, "initial (full form)")
-        full = FullState.constrained(
-            vals["x"], vals["y"], vals["theta"], vals["alpha"],
-            vals["phi1"], vals["phi2"], vals["alpha_dot"],
-            vals["phi1_dot"], vals["phi2_dot"], p)
-        red = full_to_reduced(full, p)
+    reduced_form = "p1" in block or "phi" in block
+    keys, form = (_REDUCED_KEYS, "reduced") if reduced_form else (_FULL_KEYS, "full")
+    vals = _strict_floats(block, keys, f"initial ({form} form)")
+    try:
+        if reduced_form:
+            red = ReducedState(**vals)
+            full = reduced_to_full(red, p, theta_0=red.theta)
+        else:
+            full = FullState.constrained(**vals, p=p)
+            red = full_to_reduced(full, p)
+    except ValueError as exc:
+        raise ConfigError(f"initial block: {exc}") from exc
     return full, red
 
 
@@ -127,22 +129,25 @@ def _build_sim(cfg: dict) -> tuple[float, float, str]:
     block = cfg["sim"]
     if not isinstance(block, dict):
         raise ConfigError("sim block must be an object")
-    unknown = sorted(set(block) - {"T", "dt", "model"})
-    if unknown:
-        raise ConfigError(f"sim block: unknown keys: {', '.join(unknown)}")
-    for key in ("T", "dt"):
-        if key not in block:
-            raise ConfigError(f"sim block: missing keys: {key}")
+    times = _strict_floats({k: v for k, v in block.items() if k != "model"},
+                           ("T", "dt"), "sim")
+    T, dt = times["T"], times["dt"]
     model = block.get("model", "full")
     if model not in MODELS:
         raise ConfigError(f"sim block: unknown model {model!r}")
-    try:
-        T, dt = float(block["T"]), float(block["dt"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sim block: {exc}") from exc
-    if dt <= 0.0 or T < 0.0:
-        raise ConfigError("sim block: need dt > 0 and T >= 0")
+    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0.0 or T < 0.0:
+        raise ConfigError("sim block: need finite dt > 0 and T >= 0")
     return T, dt, model
+
+
+def _build_tolerance(cfg: dict) -> float:
+    block = cfg.get("tolerances")
+    if not isinstance(block, dict):
+        raise ConfigError("compare needs a tolerances block with a max_abs entry")
+    tol = _strict_floats(block, ("max_abs",), "tolerances")["max_abs"]
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tolerances block: max_abs must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
@@ -163,6 +168,11 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cannot write output {path}: {exc}", file=sys.stderr)
+    return 5
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     p = _build_params(cfg)
@@ -177,7 +187,10 @@ def cmd_simulate(args) -> int:
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 3
-    write_trajectory_csv(traj, p, args.out)
+    try:
+        write_trajectory_csv(traj, p, args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     _say(args, f"wrote {len(traj)} samples of the {model} model to {args.out}")
     return 0
 
@@ -188,10 +201,7 @@ def cmd_compare(args) -> int:
     full0, red0 = _build_initial(cfg, p)
     profile = _build_profile(cfg)
     T, dt, _ = _build_sim(cfg)
-    tol_block = cfg.get("tolerances")
-    if not isinstance(tol_block, dict) or "max_abs" not in tol_block:
-        raise ConfigError("compare needs a tolerances block with a max_abs entry")
-    tol = float(tol_block["max_abs"])
+    tol = _build_tolerance(cfg)
 
     try:
         runs = {model: simulate(model, red0 if model == "reduced" else full0,
@@ -209,8 +219,11 @@ def cmd_compare(args) -> int:
             lines.append(f"full-{other},{name},{_fmt(st.max_abs)},{_fmt(st.rms)}")
             if st.max_abs > tol:
                 ok = False
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     _say(args, "\n".join(lines))
     _say(args, f"tolerance max_abs = {tol:g}: {'OK' if ok else 'EXCEEDED'}")
     return 0 if ok else 4
@@ -254,9 +267,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

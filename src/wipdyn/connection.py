@@ -15,8 +15,9 @@ e4 (mean wheel roll), stored at index positions 0..3.
 
 The coefficients of ``A(alpha)`` are fixed by requiring consistency with the
 momenta p1 = h xi4 + m_b b r cos(alpha) alpha_dot and p2 = f(alpha) xi3; the
-commonly printed variant drops one factor of r in each component and then
-fails to invert the momenta (see docs/discrepancies.md).
+commonly printed variant drops one factor of r in each component, e.g.
+A4 = m_b b cos(alpha)/h instead of m_b b r cos(alpha)/h, and then inverts the
+momenta only when r = 1.
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ leaves the reduced Euler-Lagrange equations
     M(alpha) (alpha_dd, phi1_dd, phi2_dd)^T = F + (0, tau1, tau2)^T
 
 with the mass matrix and force vector derived once from the constrained
-Lagrangian (see docs/derivation_notes.md for the closed forms).  The group
-rates are reconstructed kinematically, s_dot = -A(theta) r_dot, so every
-trajectory of this module satisfies the constraints identically.
+Lagrangian.  M(alpha) = [[c, k, k], [k, a1, a3], [k, a3, a1]] decouples in
+the wheel sum and difference: the difference row is the scalar equation
+(a1 - a3)(phi2_dd - phi1_dd) = f2 - f1, and the (alpha, phi1_dd + phi2_dd)
+block has determinant c (a1 + a3) - 2 k^2 = h m(alpha)/2, so the system is
+solved in closed form.  The group rates are reconstructed kinematically,
+s_dot = -A(theta) r_dot, so every trajectory of this module satisfies the
+constraints identically.
 
-Everything here is scalar ``math`` code on purpose: these functions sit in
-the innermost integration loop.
+The acceleration core is scalar ``math`` code on purpose: it sits in the
+innermost integration loop.
 """
 
 from __future__ import annotations
@@ -21,27 +25,18 @@ from math import cos, sin
 
 import numpy as np
 
-from .model import Controls, FullState, Params, h_const, f_of_alpha
+from .model import Controls, FullState, Params, f_of_alpha, h_const, rolling_rates
 
 __all__ = [
     "FullRhs",
-    "SingularMassMatrixError",
     "mass_matrix",
-    "force_vector",
+    "ode_rhs",
     "full_rhs",
     "reconstruct_group_rates",
+    "momenta",
     "momenta_from_full",
     "accelerations_q6",
-    "solve3",
 ]
-
-
-class SingularMassMatrixError(RuntimeError):
-    """Raised when the 3x3 constrained mass matrix cannot be inverted.
-
-    Unreachable for a valid :class:`~wipdyn.model.Params`, whose construction
-    already checks positivity of the shape-space mass.
-    """
 
 
 @dataclass(frozen=True)
@@ -54,38 +49,6 @@ class FullRhs:
     x_dot: float
     y_dot: float
     theta_dot: float
-
-
-def solve3(A, rhs):
-    """Solve a 3x3 linear system by Gaussian elimination with partial pivoting.
-
-    A is a list of three row-lists and rhs a list of three floats; both are
-    consumed destructively.  Raises :class:`SingularMassMatrixError` on a
-    vanishing pivot.
-    """
-    for col in range(3):
-        piv = col
-        best = abs(A[col][col])
-        for row in range(col + 1, 3):
-            mag = abs(A[row][col])
-            if mag > best:
-                best, piv = mag, row
-        if best <= 1e-300:
-            raise SingularMassMatrixError("singular mass matrix")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1.0 / A[col][col]
-        for row in range(col + 1, 3):
-            fac = A[row][col] * inv
-            if fac != 0.0:
-                for k in range(col + 1, 3):
-                    A[row][k] -= fac * A[col][k]
-                rhs[row] -= fac * rhs[col]
-    x2 = rhs[2] / A[2][2]
-    x1 = (rhs[1] - A[1][2] * x2) / A[1][1]
-    x0 = (rhs[0] - A[0][1] * x1 - A[0][2] * x2) / A[0][0]
-    return [x0, x1, x2]
 
 
 def _coeffs(alpha: float, p: Params):
@@ -108,48 +71,38 @@ def mass_matrix(alpha: float, p: Params) -> np.ndarray:
     return np.array([[c, k, k], [k, a1, a3], [k, a3, a1]])
 
 
-def force_vector(alpha: float, alpha_dot: float, phi1_dot: float, phi2_dot: float,
-                 tau1: float, tau2: float, p: Params) -> np.ndarray:
-    """Right-hand side F + (0, tau1, tau2) of the reduced Euler-Lagrange system.
-
-    Collects the dL_c/dalpha term, the Coriolis terms and the curvature
-    forcing -(dL/ds_dot) B r_dot; the tilt equation is unactuated.
-    """
-    sa = sin(alpha)
-    ithp = (p.I_Bxx + p.m_b * p.b * p.b - p.I_Bz) * sin(2.0 * alpha)
-    rr_dd = p.r * p.r / (p.d * p.d)
-    mbb = p.m_b * p.b
-    th_d = p.r / p.d * (phi2_dot - phi1_dot)
-    curv = mbb * (p.r * p.r / p.d) * sa * th_d
-    cor = rr_dd * ithp * alpha_dot * (phi2_dot - phi1_dot)
-    quad = 0.5 * p.r * mbb * sa * alpha_dot * alpha_dot
-    f_alpha = 0.5 * ithp * rr_dd * (phi2_dot - phi1_dot) ** 2 + mbb * p.g * sa
-    f_1 = tau1 + curv * phi2_dot + cor + quad
-    f_2 = tau2 - curv * phi1_dot - cor + quad
-    return np.array([f_alpha, f_1, f_2])
-
-
 def _accelerations(alpha, alpha_dot, phi1_dot, phi2_dot, tau1, tau2, p: Params):
-    """Scalar core: solve M(alpha) a = F for (alpha_dd, phi1_dd, phi2_dd)."""
+    """Scalar core: solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)."""
     sa, ca, a1, a3, k, c, rr_dd = _coeffs(alpha, p)
     ithp = (p.I_Bxx + p.m_b * p.b * p.b - p.I_Bz) * 2.0 * sa * ca
     mbb = p.m_b * p.b
     dphi = phi2_dot - phi1_dot
-    th_d = p.r / p.d * dphi
-    curv = mbb * (p.r * p.r / p.d) * sa * th_d
+    curv = mbb * p.r * rr_dd * sa * dphi
     cor = rr_dd * ithp * alpha_dot * dphi
     quad = 0.5 * p.r * mbb * sa * alpha_dot * alpha_dot
     f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + mbb * p.g * sa
     f_1 = tau1 + curv * phi2_dot + cor + quad
     f_2 = tau2 - curv * phi1_dot - cor + quad
-    return solve3([[c, k, k], [k, a1, a3], [k, a3, a1]], [f_alpha, f_1, f_2])
+    diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
+    f_s = f_1 + f_2
+    det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2, which Params keeps positive
+    add = ((a1 + a3) * f_alpha - k * f_s) / det
+    s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
+    return add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff)
 
 
 def reconstruct_group_rates(state: FullState, p: Params) -> tuple[float, float, float]:
     """Group rates from the rolling constraints, s_dot = -A(theta) r_dot."""
-    v = 0.5 * p.r * (state.phi1_dot + state.phi2_dot)
-    return (v * cos(state.theta), v * sin(state.theta),
-            p.r / p.d * (state.phi2_dot - state.phi1_dot))
+    return tuple(float(v) for v in
+                 rolling_rates(state.theta, state.phi1_dot, state.phi2_dot, p))
+
+
+def ode_rhs(y, tau1: float, tau2: float, p: Params) -> np.ndarray:
+    """Time derivative of the integrated state vector
+    y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot)."""
+    ald, f1d, f2d = y[6], y[7], y[8]
+    add, f1dd, f2dd = _accelerations(y[3], ald, f1d, f2d, tau1, tau2, p)
+    return np.array([*rolling_rates(y[2], f1d, f2d, p), ald, f1d, f2d, add, f1dd, f2dd])
 
 
 def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:
@@ -161,17 +114,22 @@ def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:
     return FullRhs(add, f1dd, f2dd, xd, yd, thd)
 
 
-def momenta_from_full(state: FullState, p: Params) -> tuple[float, float]:
-    """Nonholonomic momenta (p1, p2) of a constrained full state.
+def momenta(alpha, alpha_dot, phi1_dot, phi2_dot, p: Params):
+    """Nonholonomic momenta (p1, p2) of a constrained state; broadcasts.
 
     p1 = h phi_dot + r m_b b cos(alpha) alpha_dot with phi_dot the mean wheel
-    rate; p2 = f(alpha) theta_dot with theta_dot taken from the wheel rates
-    (enforced representation).
+    rate; p2 = f(alpha) theta_dot with theta_dot the rolling yaw rate, which
+    does not depend on the heading.
     """
-    phi_dot = 0.5 * (state.phi1_dot + state.phi2_dot)
-    theta_dot = p.r / p.d * (state.phi2_dot - state.phi1_dot)
-    p1 = h_const(p) * phi_dot + p.r * p.m_b * p.b * cos(state.alpha) * state.alpha_dot
-    p2 = float(f_of_alpha(state.alpha, p)) * theta_dot
+    theta_dot = rolling_rates(0.0, phi1_dot, phi2_dot, p)[2]
+    p1 = (h_const(p) * (0.5 * (phi1_dot + phi2_dot))
+          + p.r * p.m_b * p.b * np.cos(alpha) * alpha_dot)
+    return p1, f_of_alpha(alpha, p) * theta_dot
+
+
+def momenta_from_full(state: FullState, p: Params) -> tuple[float, float]:
+    """Nonholonomic momenta (p1, p2) of a constrained full state."""
+    p1, p2 = momenta(state.alpha, state.alpha_dot, state.phi1_dot, state.phi2_dot, p)
     return float(p1), float(p2)
 
 

@@ -25,12 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, sin
 
-from .model import (Controls, FullState, Params, ReducedState, f_of_alpha,
-                    f_prime, h_const, shape_mass)
+import numpy as np
+
+from .model import (FullState, Params, ReducedState, f_of_alpha, f_prime,
+                    h_const, shape_mass)
 from .dynamics_full import momenta_from_full
 
 __all__ = [
     "ReducedRhs",
+    "ode_rhs",
     "momentum_rhs",
     "shape_rhs",
     "reduced_rhs",
@@ -52,60 +55,56 @@ class ReducedRhs:
     phi_dot: float
 
 
+def ode_rhs(y, u1: float, u2: float, p: Params) -> np.ndarray:
+    """Time derivative of the integrated state vector
+    y = (x, y, theta, phi, alpha, alpha_dot, p1, p2).
+
+    The group rates follow from xi = -A(alpha) alpha_dot + Gamma(alpha) p by
+    left translation: x_dot = xi1 cos(theta), y_dot = xi1 sin(theta),
+    theta_dot = xi3, phi_dot = xi4 (xi2 is identically zero).  Raises
+    ValueError on a non-positive shape mass (unreachable for a valid
+    :class:`~wipdyn.model.Params`).
+    """
+    th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
+    sa, ca = sin(al), cos(al)
+    h = h_const(p)
+    fa = float(f_of_alpha(al, p))
+    m_al = float(shape_mass(al, p))
+    if m_al <= 0.0:
+        raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
+    mbbr = p.m_b * p.b * p.r
+    xi3 = p2 / fa
+    xi4 = (p1 - mbbr * ca * ald) / h
+    xi1 = p.r * xi4
+    alpha_dd = (-(mbbr * mbbr) * sa * ca / h * ald * ald
+                + 0.5 * (float(f_prime(al, p)) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
+                + p.m_b * p.g * p.b * sa
+                - mbbr * ca / h * u1) / m_al
+    return np.array([xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
+                     mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2])
+
+
 def momentum_rhs(alpha: float, alpha_dot: float, p1: float, p2: float,
                  u1: float, u2: float, p: Params) -> tuple[float, float]:
-    """Nonholonomic momentum dynamics (p1_dot, p2_dot)."""
-    sa = sin(alpha)
-    fa = float(f_of_alpha(alpha, p))
-    mbbr = p.m_b * p.b * p.r
-    p1_dot = mbbr * sa * p2 * p2 / (fa * fa) + u1
-    p2_dot = -(mbbr * sa * p2 / (fa * h_const(p))) * (p1 - mbbr * cos(alpha) * alpha_dot) + u2
-    return p1_dot, p2_dot
-
-
-def _shape_accel(alpha, alpha_dot, p2, u1, p: Params) -> float:
-    sa, ca = sin(alpha), cos(alpha)
-    h = h_const(p)
-    fa = float(f_of_alpha(alpha, p))
-    fap = float(f_prime(alpha, p))
-    mbbr = p.m_b * p.b * p.r
-    m_al = p.m_b * p.b * p.b + p.I_Byy - (mbbr * ca) ** 2 / h
-    if m_al <= 0.0:
-        raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {alpha}")
-    xi3 = p2 / fa
-    num = (-(mbbr * mbbr) * sa * ca / h * alpha_dot * alpha_dot
-           + 0.5 * (fap - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
-           + p.m_b * p.g * p.b * sa
-           - mbbr * ca / h * u1)
-    return num / m_al
+    """Nonholonomic momentum dynamics (p1_dot, p2_dot) of :func:`ode_rhs`."""
+    out = ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, p1, p2), u1, u2, p)
+    return float(out[6]), float(out[7])
 
 
 def shape_rhs(alpha: float, alpha_dot: float, p2: float, p: Params) -> float:
-    """Unforced tilt acceleration alpha_dd(alpha, alpha_dot, p2).
+    """Unforced tilt acceleration alpha_dd(alpha, alpha_dot, p2) of :func:`ode_rhs`.
 
     Raises ValueError on a non-positive shape mass (unreachable for a valid
     :class:`~wipdyn.model.Params`).
     """
-    return _shape_accel(alpha, alpha_dot, p2, 0.0, p)
+    return float(ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, 0.0, p2), 0.0, 0.0, p)[5])
 
 
 def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:
-    """Complete reduced right-hand side including group reconstruction.
-
-    The group rates follow from xi = -A(alpha) alpha_dot + Gamma(alpha) p by
-    left translation: x_dot = xi1 cos(theta), y_dot = xi1 sin(theta),
-    theta_dot = xi3, phi_dot = xi4 (xi2 is identically zero).
-    """
-    al, ald = state.alpha, state.alpha_dot
-    h = h_const(p)
-    kappa = p.m_b * p.b * p.r * cos(al)
-    xi4 = (state.p1 - kappa * ald) / h
-    xi1 = p.r * xi4
-    xi3 = state.p2 / float(f_of_alpha(al, p))
-    p1_dot, p2_dot = momentum_rhs(al, ald, state.p1, state.p2, u1, u2, p)
-    alpha_dd = _shape_accel(al, ald, state.p2, u1, p)
-    return ReducedRhs(p1_dot, p2_dot, alpha_dd,
-                      xi1 * cos(state.theta), xi1 * sin(state.theta), xi3, xi4)
+    """Complete reduced right-hand side including group reconstruction."""
+    out = ode_rhs((state.x, state.y, state.theta, state.phi, state.alpha,
+                   state.alpha_dot, state.p1, state.p2), u1, u2, p)
+    return ReducedRhs(*out[[6, 7, 5, 0, 1, 2, 3]].tolist())
 
 
 def full_to_reduced(state: FullState, p: Params) -> ReducedState:

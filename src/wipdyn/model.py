@@ -40,6 +40,8 @@ __all__ = [
     "f_prime",
     "h_const",
     "shape_mass",
+    "rolling_rates",
+    "rolling_residuals",
     "lagrangian_full",
     "lagrangian_case2",
     "reduced_constrained_lagrangian",
@@ -186,10 +188,8 @@ class FullState:
     def constrained(cls, x, y, theta, alpha, phi1, phi2,
                     alpha_dot, phi1_dot, phi2_dot, p: Params) -> "FullState":
         """Build a state with (x_dot, y_dot, theta_dot) derived from rolling."""
-        s = p.r / 2.0 * (phi1_dot + phi2_dot)
         return cls(x, y, theta, alpha, phi1, phi2,
-                   s * math.cos(theta), s * math.sin(theta),
-                   p.r / p.d * (phi2_dot - phi1_dot),
+                   *rolling_rates(theta, phi1_dot, phi2_dot, p),
                    alpha_dot, phi1_dot, phi2_dot)
 
     @property
@@ -285,9 +285,24 @@ def shape_mass(alpha, p: Params):
     return p.m_b * p.b ** 2 + p.I_Byy - kappa * kappa / h_const(p)
 
 
-def shape_mass_prime(alpha, p: Params):
-    """d/dalpha of :func:`shape_mass`."""
-    return (p.m_b * p.b * p.r) ** 2 * np.sin(2.0 * alpha) / h_const(p)
+# ---------------------------------------------------------------------------
+# rolling constraint
+
+
+def rolling_rates(theta, phi1_dot, phi2_dot, p: Params):
+    """Group rates (x_dot, y_dot, theta_dot) that rolling without slipping
+    assigns to the wheel rates; broadcasts over array inputs."""
+    v = 0.5 * p.r * (phi1_dot + phi2_dot)
+    return v * np.cos(theta), v * np.sin(theta), p.r / p.d * (phi2_dot - phi1_dot)
+
+
+def rolling_residuals(q, q_dot, p: Params) -> np.ndarray:
+    """|s_dot - rolling_rates| for (x, y, theta); q and q_dot have a last
+    axis of size 6 and the result a last axis of size 3."""
+    q = np.asarray(q, dtype=float)
+    qd = np.asarray(q_dot, dtype=float)
+    rates = rolling_rates(q[..., 2], qd[..., 4], qd[..., 5], p)
+    return np.abs(qd[..., :3] - np.stack(rates, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics_full as dfull
+from . import dynamics_reduced as dred
 from . import oracle as _oracle
-from .model import (FullState, Params, ReducedState, f_of_alpha, h_const,
-                    reduced_energy, total_energy)
-from .dynamics_reduced import _shape_accel, momentum_rhs
+from .model import (FullState, Params, ReducedState, reduced_energy,
+                    rolling_rates, rolling_residuals, total_energy)
 
 __all__ = [
     "SimulationError",
@@ -49,9 +49,10 @@ def u_from_tau(tau1: float, tau2: float, p: Params) -> tuple[float, float]:
     """Generalized forces (u1, u2) conjugate to the rolling and yaw directions.
 
     u1 = tau1 + tau2 and u2 = (d / 2r)(tau2 - tau1).  These are the forcings
-    that enter the momentum equations additively; the pairing of the wheel
-    torques with the symmetry generators fixes them (see
-    docs/derivation_notes.md) and the power identity
+    that enter the momentum equations additively.  They pair the wheel
+    torques with the symmetry generators: the rolling generator turns both
+    wheels by one radian, and a unit turn of the yaw generator turns the
+    wheels by -d/(2r) and +d/(2r).  The power identity
     u1 phi_dot + u2 theta_dot = tau1 phi1_dot + tau2 phi2_dot checks them.
     """
     return tau1 + tau2, p.d / (2.0 * p.r) * (tau2 - tau1)
@@ -174,40 +175,19 @@ REDUCED_VARIABLES = ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2")
 
 
 def _full_ode(profile: TorqueProfile, p: Params):
-    accel = dfull._accelerations
-    r, d = p.r, p.d
     tau_at = profile.tau_at
 
     def rhs(t, y):
-        tau1, tau2 = tau_at(t)
-        ald, f1d, f2d = y[6], y[7], y[8]
-        add, f1dd, f2dd = accel(y[3], ald, f1d, f2d, tau1, tau2, p)
-        th = y[2]
-        v = 0.5 * r * (f1d + f2d)
-        return np.array([v * math.cos(th), v * math.sin(th), r / d * (f2d - f1d),
-                         ald, f1d, f2d, add, f1dd, f2dd])
+        return dfull.ode_rhs(y, *tau_at(t), p)
 
     return rhs
 
 
 def _reduced_ode(profile: TorqueProfile, p: Params):
-    h = h_const(p)
-    mbbr = p.m_b * p.b * p.r
-    r = p.r
     tau_at = profile.tau_at
-    d_2r = p.d / (2.0 * p.r)
 
     def rhs(t, y):
-        tau1, tau2 = tau_at(t)
-        u1, u2 = tau1 + tau2, d_2r * (tau2 - tau1)
-        th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
-        xi4 = (p1 - mbbr * math.cos(al) * ald) / h
-        xi1 = r * xi4
-        xi3 = p2 / float(f_of_alpha(al, p))
-        p1d, p2d = momentum_rhs(al, ald, p1, p2, u1, u2, p)
-        add = _shape_accel(al, ald, p2, u1, p)
-        return np.array([xi1 * math.cos(th), xi1 * math.sin(th), xi3, xi4,
-                         ald, add, p1d, p2d])
+        return dred.ode_rhs(y, *u_from_tau(*tau_at(t), p), p)
 
     return rhs
 
@@ -234,49 +214,27 @@ def _initial_vector(model: str, initial, p: Params) -> np.ndarray:
     if not isinstance(initial, FullState):
         raise TypeError(f"{model} model requires a FullState initial condition")
     s = initial
-    res = _state_residuals(s, p)
-    if max(res) > 1e-9:
-        raise ValueError(f"initial state violates the rolling constraints by {max(res):.3e}")
-    if model == "full":
-        return np.array([s.x, s.y, s.theta, s.alpha, s.phi1, s.phi2,
-                         s.alpha_dot, s.phi1_dot, s.phi2_dot])
-    return np.concatenate([s.q, s.q_dot])
-
-
-def _state_residuals(s: FullState, p: Params) -> tuple[float, float, float]:
-    v = 0.5 * p.r * (s.phi1_dot + s.phi2_dot)
-    return (abs(s.x_dot - v * math.cos(s.theta)),
-            abs(s.y_dot - v * math.sin(s.theta)),
-            abs(s.theta_dot - p.r / p.d * (s.phi2_dot - s.phi1_dot)))
+    res = float(np.max(rolling_residuals(s.q, s.q_dot, p)))
+    if res > 1e-9:
+        raise ValueError(f"initial state violates the rolling constraints by {res:.3e}")
+    # the full model integrates only the wheel and tilt rates
+    return np.concatenate([s.q, s.q_dot[3:] if model == "full" else s.q_dot])
 
 
 def _diagnostics(model: str, Y: np.ndarray, p: Params):
     if model == "reduced":
         energy = reduced_energy((Y[:, 4], Y[:, 5], Y[:, 6], Y[:, 7]), p)
         return energy, Y[:, 6].copy(), Y[:, 7].copy(), np.zeros((len(Y), 3))
+    q = Y[:, :6]
     if model == "full":
-        th, al = Y[:, 2], Y[:, 3]
-        ald, f1d, f2d = Y[:, 6], Y[:, 7], Y[:, 8]
-        v = 0.5 * p.r * (f1d + f2d)
-        qd = np.stack([v * np.cos(th), v * np.sin(th), p.r / p.d * (f2d - f1d),
-                       ald, f1d, f2d], axis=1)
-        q = np.concatenate([Y[:, :6]], axis=1)
+        f1d, f2d = Y[:, 7], Y[:, 8]
+        qd = np.stack([*rolling_rates(Y[:, 2], f1d, f2d, p), Y[:, 6], f1d, f2d], axis=1)
         res = np.zeros((len(Y), 3))
     else:
-        q, qd = Y[:, :6], Y[:, 6:]
-        th = q[:, 2]
-        al = q[:, 3]
-        ald, f1d, f2d = qd[:, 3], qd[:, 4], qd[:, 5]
-        v = 0.5 * p.r * (f1d + f2d)
-        res = np.stack([np.abs(qd[:, 0] - v * np.cos(th)),
-                        np.abs(qd[:, 1] - v * np.sin(th)),
-                        np.abs(qd[:, 2] - p.r / p.d * (f2d - f1d))], axis=1)
-    energy = total_energy((q, qd), p)
-    phi_dot = 0.5 * (f1d + f2d)
-    theta_dot = p.r / p.d * (f2d - f1d)
-    p1 = h_const(p) * phi_dot + p.r * p.m_b * p.b * np.cos(al) * ald
-    p2 = f_of_alpha(al, p) * theta_dot
-    return energy, p1, p2, res
+        qd = Y[:, 6:]
+        res = rolling_residuals(q, qd, p)
+    p1, p2 = dfull.momenta(q[:, 3], qd[:, 3], qd[:, 4], qd[:, 5], p)
+    return total_energy((q, qd), p), p1, p2, res
 
 
 def simulate(model: str, initial, profile: TorqueProfile,

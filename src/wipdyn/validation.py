@@ -16,7 +16,8 @@ import numpy as np
 from .connection import curvature_at, curvature_fd
 from .dynamics_full import momenta_from_full
 from .dynamics_reduced import full_to_reduced, momentum_rhs
-from .model import FullState, Params, ReducedState, lagrangian_case2
+from .model import (FullState, Params, ReducedState, lagrangian_case2,
+                    rolling_residuals)
 from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate
 
 __all__ = [
@@ -44,11 +45,7 @@ def constraint_residuals(subject, p: Params) -> np.ndarray:
     a single :class:`~wipdyn.model.FullState` (returns (3,)).
     """
     if isinstance(subject, FullState):
-        s = subject
-        v = 0.5 * p.r * (s.phi1_dot + s.phi2_dot)
-        return np.array([abs(s.x_dot - v * math.cos(s.theta)),
-                         abs(s.y_dot - v * math.sin(s.theta)),
-                         abs(s.theta_dot - p.r / p.d * (s.phi2_dot - s.phi1_dot))])
+        return rolling_residuals(subject.q, subject.q_dot, p)
     if subject.model == "reduced":
         raise ValueError("constraint residuals are defined for full/oracle trajectories")
     return subject.residuals.copy()

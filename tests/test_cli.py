@@ -168,6 +168,43 @@ def test_compare_requires_tolerances(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
 
 
+@pytest.mark.parametrize("tolerances", [
+    {"max_abs": 1e-6, "rtol": 1},
+    {"max_abs": float("nan")},
+    {"max_abs": float("inf")},
+    {"max_abs": -1e-6},
+])
+def test_compare_rejects_bad_tolerances_exit_2(tmp_path, capsys, tolerances):
+    cfg = _compare_config(tmp_path, 1e-4)
+    data = json.loads(cfg.read_text())
+    data["tolerances"] = tolerances
+    cfg.write_text(json.dumps(data))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "tolerances block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial, sim", [
+    ({"x": 0.0, "y": 0.0, "theta": 0.0, "phi": 0.0, "alpha": float("nan"),
+      "alpha_dot": 0.0, "p1": 0.0, "p2": 0.0}, None),
+    ({"x": 0.0, "y": 0.0, "theta": 0.0, "alpha": 0.1, "phi1": 0.0, "phi2": 0.0,
+      "alpha_dot": 0.0, "phi1_dot": float("nan"), "phi2_dot": 0.0}, None),
+    (None, {"T": float("nan"), "dt": 1e-3}),
+    (None, {"T": 0.1, "dt": float("inf")}),
+])
+def test_non_finite_config_values_exit_2(tmp_path, capsys, initial, sim):
+    cfg = write_config(tmp_path / "c.json", initial=initial, sim=sim)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_unwritable_output_exits_5(tmp_path, capsys, command):
+    cfg = _compare_config(tmp_path, 1e-4)
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 5
+    assert f"cannot write output {out}" in capsys.readouterr().err
+
+
 def test_check_passes_on_defaults(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     assert main(["check", "--config", str(cfg)]) == 0

@@ -7,7 +7,6 @@ from wipdyn import (Controls, FullState, TorqueProfile, accelerations_q6,
                     f_of_alpha, full_rhs, h_const, lagrange_dalembert_rhs,
                     mass_matrix, momenta_from_full, reconstruct_group_rates,
                     shape_mass, simulate, total_energy)
-from wipdyn.dynamics_full import SingularMassMatrixError, solve3
 from wipdyn.validation import power_balance_error
 
 
@@ -101,17 +100,6 @@ def test_counter_rotating_wheels_curvature_forcing(p):
     p1_dot = (h_const(p) * 0.5 * (out.phi1_ddot + out.phi2_ddot)
               + p.r * p.m_b * p.b * math.cos(0.4) * out.alpha_ddot)
     assert p1_dot == pytest.approx(p.m_b * p.r * p.b * math.sin(0.4) * thd ** 2, rel=1e-12)
-
-
-def test_solve3_matches_numpy_and_detects_singular(rng):
-    for _ in range(20):
-        A = rng.uniform(-2.0, 2.0, (3, 3))
-        A += 3.0 * np.eye(3)
-        b = rng.uniform(-2.0, 2.0, 3)
-        x = solve3([list(row) for row in A], list(b))
-        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=1e-12)
-    with pytest.raises(SingularMassMatrixError):
-        solve3([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0])
 
 
 def test_zero_torque_energy_constant(p):

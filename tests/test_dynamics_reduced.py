@@ -9,7 +9,6 @@ from wipdyn import (Controls, FullState, ReducedState, TorqueProfile,
                     full_to_reduced, h_const, momentum_rhs, reduced_rhs,
                     reduced_to_full, shape_mass, shape_rhs, simulate,
                     u_from_tau)
-from wipdyn.dynamics_reduced import _shape_accel
 from wipdyn.validation import constraint_residuals
 
 
@@ -83,7 +82,7 @@ def test_shape_rhs_signals_nonpositive_shape_mass(p):
     bad = SimpleNamespace(**p.to_dict())
     bad.I_Byy = -(p.m_b * p.b ** 2)
     with pytest.raises(ValueError, match="shape mass"):
-        _shape_accel(0.0, 0.0, 0.0, 0.0, bad)
+        shape_rhs(0.0, 0.0, 0.0, bad)
 
 
 def test_reduced_rhs_upright_rest_fixed_point(p):
