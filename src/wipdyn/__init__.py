@@ -1,9 +1,9 @@
 """wipdyn: wheeled inverted pendulum dynamics.
 
 Three equivalent formulations of the same mechanism -- the full constrained
-model, the symmetry-reduced momentum/shape model, and a finite-difference
-Lagrange-multiplier oracle -- plus fixed-step simulation, cross-validation
-and a scenario CLI.
+model, the symmetry-reduced momentum/shape model, and a Lagrange-multiplier
+oracle built from the unconstrained Lagrangian alone -- plus fixed-step
+simulation, cross-validation and a scenario CLI.
 """
 
 from .model import (Controls, FullState, Params, ReducedState, f_of_alpha,

@@ -314,10 +314,12 @@ def lagrangian_full(q, q_dot, p: Params):
 
     q and q_dot are arrays whose last axis holds
     (x, y, theta, alpha, phi1, phi2) and its velocities; broadcasting over
-    leading axes is supported (used heavily by the finite-difference oracle).
+    leading axes is supported (used heavily by the oracle).  Complex input
+    is evaluated as is, never cast to real: the oracle takes derivatives of
+    this function by complex step.
     """
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(q_dot, dtype=float)
+    q = np.asarray(q)
+    qd = np.asarray(q_dot)
     th, al = q[..., 2], q[..., 3]
     xd, yd, thd, ald, f1d, f2d = (qd[..., i] for i in range(6))
     m_t = p.m_b + 2.0 * p.m_W

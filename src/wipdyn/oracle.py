@@ -7,27 +7,43 @@ Lagrangian alone by solving the saddle system
     [ M(q)  C(q)^T ] [ q_dd ]   [ Q(q, q_dot) + tau ]
     [ C(q)  0      ] [ -lam ] = [ -C_dot q_dot      ]
 
-with M = d2L/dq_dot2, Q = dL/dq - (d2L/dq_dot dq) q_dot, every Lagrangian
-derivative taken by central finite differences; C_dot q_dot is taken from
-C(q) itself by complex step (Squire & Trapp 1998).  C(q) holds the three
-rolling constraint rows (two planar rows plus the yaw row); the yaw row is
-part of the rolling constraint set and must be imposed -- with only the two
-planar rows the wheel-difference momentum is conserved on its own and the
+with M = d2L/dq_dot2 and Q = dL/dq - (d2L/dq_dot dq) q_dot.  C(q) holds the
+three rolling constraint rows (two planar rows plus the yaw row); the yaw row
+is part of the rolling constraint set and must be imposed -- with only the
+two planar rows the wheel-difference momentum is conserved on its own and the
 yaw relation is not preserved, which describes a different mechanical system.
 
-Step-size policy (reproducible; see also the step-sweep test):
+Derivative policy: every derivative is exact to rounding, so there is no
+step size to tune.
 
-* velocity directions use an O(1) step scaled by coordinate magnitude --
-  the Lagrangian is exactly quadratic in the velocities, so the central
-  second-difference has no truncation error and a large step minimises
-  round-off;
-* position directions use a relative step of 1e-6 scaled by coordinate
-  magnitude (floored at 1), the usual central-difference compromise.
+* M by polarisation of the velocity quadratic form.  L is exactly quadratic
+  in q_dot, so with v = q_dot and steps h_i = max(1, |v_i|)
 
-This is deliberately not performance-tuned; it exists solely as referee.
+      M_ii = (L(v + h_i e_i) + L(v - h_i e_i) - 2 L(v)) / h_i^2
+      M_ij = (L(v + h_i e_i + h_j e_j) - L(v + h_i e_i) - L(v + h_j e_j)
+              + L(v)) / (h_i h_j)
+
+  have no truncation error: 1 + 2n + n(n-1)/2 rows, 28 for n = 6.
+* dL/dq by complex step (Squire & Trapp 1998, SIAM Rev. 40:110; Martins,
+  Sturdza & Alonso 2003, ACM TOMS 29:245), Im L(q + i h e_j, q_dot) / h with
+  h = CS_STEP: no subtractive cancellation, so h can be tiny.  n rows.
+* (d2L/dq_dot dq) q_dot as the central difference in q_dot, exact for the
+  same reason as M, of the complex-step derivative along q_dot,
+  Im L(q + i h q_dot, q_dot +- h_i e_i) / h.  2n rows.
+* C_dot q_dot from C(q) itself by complex step along q_dot.
+
+Each Lagrangian derivative has a half that builds its rows of arguments and
+a half that reduces the values at those rows; the unit offsets of the rows
+are built once per dimension.  :func:`velocity_hessian` and
+:func:`generalized_force` compose the halves for any f, and
+:func:`lagrange_dalembert_full` stacks the rows of both into one call of
+``lagrangian_full`` (46 rows).
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +54,11 @@ __all__ = [
     "constraint_matrix",
     "constraint_rate_term",
     "velocity_hessian",
-    "mixed_hessian",
-    "mixed_hessian_times",
-    "position_gradient",
+    "generalized_force",
     "lagrange_dalembert_rhs",
     "lagrange_dalembert_full",
 ]
 
-DEFAULT_POS_STEP = 1e-6
-DEFAULT_VEL_STEP = 1.0
 CS_STEP = 1e-30
 
 
@@ -84,114 +96,91 @@ def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndar
     return (constraint_matrix(q_cs, p) @ qd).imag / CS_STEP
 
 
-def _steps(z: np.ndarray, rel: float) -> np.ndarray:
-    return rel * np.maximum(1.0, np.abs(z))
+def _vel_steps(qd: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0, np.abs(qd))
 
 
-def velocity_hessian(f, q, q_dot, vel_step: float = DEFAULT_VEL_STEP) -> np.ndarray:
-    """Symmetric d2f/dq_dot2 by the four-point central formula.
+class _Pattern(NamedTuple):
+    """Unit offsets of the derivative rows for one dimension n, and the
+    polarisation weights; read-only, shared by every call."""
+
+    hess_vel: np.ndarray      # 0, +e_i, -e_i, then e_i + e_j for i < j
+    hess_weights: np.ndarray  # (n, n, rows): h_i h_j M_ij = weights_ij . L
+    force_pos: np.ndarray     # e_j, then 2n zero rows
+    force_along: np.ndarray   # n zeros, then 2n ones (column)
+    force_vel: np.ndarray     # n zero rows, then +e_i, -e_i
+
+
+@functools.cache
+def _pattern(n: int) -> _Pattern:
+    eye, zero = np.eye(n), np.zeros((n, n))
+    i, j = np.triu_indices(n, 1)
+    k = np.arange(n)
+    pair = np.arange(1 + 2 * n, 1 + 2 * n + i.size)
+    # the polarisation formulas of the module docstring, as weights on
+    # (L(v), L(v + h_i e_i), L(v - h_i e_i), L(v + h_i e_i + h_j e_j))
+    w = np.zeros((n, n, 1 + 2 * n + i.size))
+    w[k, k, 0] = -2.0
+    w[k, k, 1 + k] = w[k, k, 1 + n + k] = 1.0
+    for a, b in ((i, j), (j, i)):
+        w[a, b, 0] = w[a, b, pair] = 1.0
+        w[a, b, 1 + a] = w[a, b, 1 + b] = -1.0
+    pat = _Pattern(
+        hess_vel=np.concatenate([np.zeros((1, n)), eye, -eye, eye[i] + eye[j]]),
+        hess_weights=w,
+        force_pos=np.concatenate([eye, zero, zero]),
+        force_along=np.repeat([[0.0], [1.0], [1.0]], n, axis=0),
+        force_vel=np.concatenate([zero, eye, -eye]))
+    for a in pat:
+        a.setflags(write=False)
+    return pat
+
+
+def _hessian_rows(q, qd, h):
+    offs = _pattern(qd.size).hess_vel
+    return q[None].repeat(len(offs), 0), qd + offs * h
+
+
+def _hessian_reduce(vals, h):
+    return (_pattern(h.size).hess_weights @ vals) / np.outer(h, h)
+
+
+def _force_rows(q, qd, h):
+    pat = _pattern(qd.size)
+    return (q + (1j * CS_STEP) * (pat.force_pos + pat.force_along * qd),
+            qd + pat.force_vel * h)
+
+
+def _force_reduce(vals, h):
+    n = h.size
+    g = vals.imag / CS_STEP
+    return g[:n] - (g[n:2 * n] - g[2 * n:]) / (2.0 * h)
+
+
+def velocity_hessian(f, q, q_dot) -> np.ndarray:
+    """Symmetric d2f/dq_dot2 by polarisation, exact for f quadratic in q_dot.
 
     f(Q, QD) must accept stacked (N, n) arrays and return (N,).
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
-    n = qd.size
-    hs = _steps(qd, vel_step)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pert = np.zeros((4 * len(pairs), n))
-    for k, (i, j) in enumerate(pairs):
-        for m, (si, sj) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            row = pert[4 * k + m]
-            row[i] += si * hs[i]
-            row[j] += sj * hs[j]
-    vals = f(np.broadcast_to(q, (pert.shape[0], n)), qd + pert)
-    H = np.empty((n, n))
-    for k, (i, j) in enumerate(pairs):
-        a, b, c, d = vals[4 * k:4 * k + 4]
-        H[i, j] = H[j, i] = (a - b - c + d) / (4.0 * hs[i] * hs[j])
-    return H
+    h = _vel_steps(qd)
+    return _hessian_reduce(f(*_hessian_rows(q, qd, h)), h)
 
 
-def mixed_hessian(f, q, q_dot, pos_step: float = DEFAULT_POS_STEP,
-                  vel_step: float = DEFAULT_VEL_STEP) -> np.ndarray:
-    """K[i, j] = d2f/(dq_dot_i dq_j) by four-point central differences."""
-    q = np.asarray(q, float)
-    qd = np.asarray(q_dot, float)
-    n = qd.size
-    hv = _steps(qd, vel_step)
-    hq = _steps(q, pos_step)
-    nn = n * n
-    Qs = np.broadcast_to(q, (4 * nn, n)).copy()
-    QDs = np.broadcast_to(qd, (4 * nn, n)).copy()
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                QDs[k, i] += si * hv[i]
-                Qs[k, j] += sj * hq[j]
-                k += 1
-    vals = f(Qs, QDs)
-    K = np.empty((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = vals[k:k + 4]
-            K[i, j] = (a - b - c + d) / (4.0 * hv[i] * hq[j])
-            k += 4
-    return K
+def generalized_force(f, q, q_dot) -> np.ndarray:
+    """df/dq - (d2f/dq_dot dq) q_dot, exact to rounding for f analytic in q
+    and quadratic in q_dot.
 
-
-def mixed_hessian_times(f, q, q_dot, vec, pos_step: float = DEFAULT_POS_STEP,
-                        vel_step: float = DEFAULT_VEL_STEP) -> np.ndarray:
-    """(d2f/dq_dot dq) vec without assembling the full mixed Hessian.
-
-    The contraction is a directional derivative along vec in configuration
-    space, so one four-point difference per velocity slot suffices.
+    f(Q, QD) must accept stacked (N, n) arrays, Q complex, and return (N,).
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
-    vec = np.asarray(vec, float)
-    n = qd.size
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        return np.zeros(n)
-    u = vec / norm
-    hd = pos_step * max(1.0, float(np.max(np.abs(q))))
-    hv = _steps(qd, vel_step)
-    Qs = np.empty((4 * n, n))
-    QDs = np.empty((4 * n, n))
-    k = 0
-    for i in range(n):
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            QDs[k] = qd
-            QDs[k, i] += si * hv[i]
-            Qs[k] = q + (sj * hd) * u
-            k += 1
-    vals = f(Qs, QDs)
-    out = np.empty(n)
-    for i in range(n):
-        a, b, c, d = vals[4 * i:4 * i + 4]
-        out[i] = (a - b - c + d) / (4.0 * hv[i] * hd)
-    return out * norm
-
-
-def position_gradient(f, q, q_dot, pos_step: float = DEFAULT_POS_STEP) -> np.ndarray:
-    """df/dq by central differences."""
-    q = np.asarray(q, float)
-    qd = np.asarray(q_dot, float)
-    n = q.size
-    hq = _steps(q, pos_step)
-    Qs = np.broadcast_to(q, (2 * n, n)).copy()
-    for i in range(n):
-        Qs[2 * i, i] += hq[i]
-        Qs[2 * i + 1, i] -= hq[i]
-    vals = f(Qs, np.broadcast_to(qd, (2 * n, n)))
-    return (vals[0::2] - vals[1::2]) / (2.0 * hq)
+    h = _vel_steps(qd)
+    return _force_reduce(f(*_force_rows(q, qd, h)), h)
 
 
 def lagrange_dalembert_full(q, q_dot, tau, p: Params,
-                            pos_step: float = DEFAULT_POS_STEP,
-                            vel_step: float = DEFAULT_VEL_STEP,
                             check_constraints: bool = True):
     """Accelerations and multipliers of the constrained system.
 
@@ -201,9 +190,11 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
     sit O(dt^2) off the constraint manifold (C q_dot is a first integral of
     the returned field, so the drift stays at truncation level).
 
-    Returns (q_dd, lam).  Raises numpy.linalg.LinAlgError if the saddle
-    matrix is rank deficient; the rate term has one entry per row of
-    :func:`constraint_matrix`, so this holds for any constraint set.
+    M and Q come from one call of ``lagrangian_full`` on the stacked rows of
+    both derivative helpers.  Returns (q_dd, lam).  Raises
+    numpy.linalg.LinAlgError if the saddle matrix is rank deficient; the rate
+    term has one entry per row of :func:`constraint_matrix`, so this holds
+    for any constraint set.
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
@@ -215,12 +206,13 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
             raise ConstraintViolationError(
                 f"velocities violate the rolling constraints by {viol:.3e}")
 
-    def f(Q, QD):
-        return lagrangian_full(Q, QD, p)
-
-    M = velocity_hessian(f, q, qd, vel_step)
-    grad_q = position_gradient(f, q, qd, pos_step)
-    Q_vec = grad_q - mixed_hessian_times(f, q, qd, qd, pos_step, vel_step)
+    h = _vel_steps(qd)
+    Qh, QDh = _hessian_rows(q, qd, h)
+    Qf, QDf = _force_rows(q, qd, h)
+    vals = lagrangian_full(np.concatenate([Qh, Qf]), np.concatenate([QDh, QDf]), p)
+    k = len(Qh)
+    M = _hessian_reduce(vals[:k].real, h)
+    Q_vec = _force_reduce(vals[k:], h)
 
     m = C.shape[0]
     saddle = np.zeros((6 + m, 6 + m))
@@ -233,10 +225,7 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
 
 
 def lagrange_dalembert_rhs(q, q_dot, tau, p: Params,
-                           pos_step: float = DEFAULT_POS_STEP,
-                           vel_step: float = DEFAULT_VEL_STEP,
                            check_constraints: bool = True) -> np.ndarray:
     """Accelerations q_dd of the constrained system (see the sibling above)."""
-    qdd, _ = lagrange_dalembert_full(q, q_dot, tau, p, pos_step, vel_step,
-                                     check_constraints)
+    qdd, _ = lagrange_dalembert_full(q, q_dot, tau, p, check_constraints)
     return qdd

@@ -12,6 +12,7 @@ map-style; outputs are deterministic per scenario and no state is shared.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,7 @@ class TorqueProfile:
             if t <= prev:
                 raise ValueError("segment start times must be strictly increasing")
             prev = t
+        object.__setattr__(self, "_starts", tuple(t for t, _, _ in segs))
 
     @classmethod
     def zero(cls) -> "TorqueProfile":
@@ -96,12 +98,10 @@ class TorqueProfile:
         return cls(((t_start, tau1, tau2),))
 
     def tau_at(self, t: float) -> tuple[float, float]:
-        tau1 = tau2 = 0.0
-        for ts, a, b in self.segments:
-            if t >= ts:
-                tau1, tau2 = a, b
-            else:
-                break
+        k = bisect.bisect_right(self._starts, t)
+        if k == 0:
+            return 0.0, 0.0
+        _, tau1, tau2 = self.segments[k - 1]
         return tau1, tau2
 
     def u_at(self, t: float, p: Params) -> tuple[float, float]:

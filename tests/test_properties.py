@@ -63,7 +63,7 @@ def test_accelerations_match_oracle(c):
     tau = np.array([0.0, 0.0, 0.0, 0.0, ctl.tau1, ctl.tau2])
     ref = lagrange_dalembert_rhs(s.q, s.q_dot, tau, p)
     err = np.max(np.abs(accelerations_q6(s, ctl, p) - ref))
-    assert err <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+    assert err <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
 @property_settings

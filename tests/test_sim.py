@@ -54,6 +54,24 @@ def test_torque_profile_left_closed_lookup():
     assert prof.tau_at(2.0) == (0.0, 0.0)
 
 
+def test_torque_lookup_matches_linear_scan(rng):
+    def scan(segments, t):
+        tau = (0.0, 0.0)
+        for ts, a, b in segments:
+            if t < ts:
+                break
+            tau = (a, b)
+        return tau
+
+    starts = np.cumsum(rng.uniform(0.001, 0.05, 500)) - 0.5
+    prof = TorqueProfile(tuple((t, *rng.uniform(-1, 1, 2)) for t in starts))
+    ts = np.concatenate([rng.uniform(-1.0, starts[-1] + 1.0, 2000), starts,
+                         np.nextafter(starts, -np.inf), [-np.inf, np.inf]])
+    for t in ts:
+        assert prof.tau_at(float(t)) == scan(prof.segments, float(t))
+    assert TorqueProfile.zero().tau_at(1.0) == (0.0, 0.0)
+
+
 def test_rk4_step_zero_rhs_identity():
     y = np.array([1.0, -2.0, 3.0])
     out = rk4_step(lambda t, s: np.zeros(3), y, 0.0, 0.1)
