@@ -14,8 +14,9 @@ solved in closed form.  The group rates are reconstructed kinematically,
 s_dot = -A(theta) r_dot, so every trajectory of this module satisfies the
 constraints identically.
 
-The acceleration core is scalar ``math`` code on purpose: it sits in the
-innermost integration loop.
+The whole right-hand side, :func:`ode_rhs`, is scalar ``math`` code on
+purpose: it sits in the innermost integration loop, where numpy's per-call
+overhead on a handful of numbers costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -93,16 +94,16 @@ def _accelerations(alpha, alpha_dot, phi1_dot, phi2_dot, tau1, tau2, p: Params):
 
 def reconstruct_group_rates(state: FullState, p: Params) -> tuple[float, float, float]:
     """Group rates from the rolling constraints, s_dot = -A(theta) r_dot."""
-    return tuple(float(v) for v in
-                 rolling_rates(state.theta, state.phi1_dot, state.phi2_dot, p))
+    return rolling_rates(state.theta, state.phi1_dot, state.phi2_dot, p)
 
 
-def ode_rhs(y, tau1: float, tau2: float, p: Params) -> np.ndarray:
+def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
     """Time derivative of the integrated state vector
-    y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot)."""
+    y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot),
+    as a tuple of nine floats for float input."""
     ald, f1d, f2d = y[6], y[7], y[8]
     add, f1dd, f2dd = _accelerations(y[3], ald, f1d, f2d, tau1, tau2, p)
-    return np.array([*rolling_rates(y[2], f1d, f2d, p), ald, f1d, f2d, add, f1dd, f2dd])
+    return (*rolling_rates(y[2], f1d, f2d, p), ald, f1d, f2d, add, f1dd, f2dd)
 
 
 def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, sin
 
-import numpy as np
-
 from .model import (FullState, Params, ReducedState, f_of_alpha, f_prime,
                     h_const, shape_mass)
 from .dynamics_full import momenta_from_full
@@ -55,9 +53,10 @@ class ReducedRhs:
     phi_dot: float
 
 
-def ode_rhs(y, u1: float, u2: float, p: Params) -> np.ndarray:
+def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
     """Time derivative of the integrated state vector
-    y = (x, y, theta, phi, alpha, alpha_dot, p1, p2).
+    y = (x, y, theta, phi, alpha, alpha_dot, p1, p2), as a tuple of eight
+    floats for float input (scalar ``math`` code, like the full model's).
 
     The group rates follow from xi = -A(alpha) alpha_dot + Gamma(alpha) p by
     left translation: x_dot = xi1 cos(theta), y_dot = xi1 sin(theta),
@@ -68,8 +67,8 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> np.ndarray:
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
     sa, ca = sin(al), cos(al)
     h = h_const(p)
-    fa = float(f_of_alpha(al, p))
-    m_al = float(shape_mass(al, p))
+    fa = f_of_alpha(al, p)
+    m_al = shape_mass(al, p)
     if m_al <= 0.0:
         raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
     mbbr = p.m_b * p.b * p.r
@@ -77,18 +76,17 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> np.ndarray:
     xi4 = (p1 - mbbr * ca * ald) / h
     xi1 = p.r * xi4
     alpha_dd = (-(mbbr * mbbr) * sa * ca / h * ald * ald
-                + 0.5 * (float(f_prime(al, p)) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
+                + 0.5 * (f_prime(al, p) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
                 + p.m_b * p.g * p.b * sa
                 - mbbr * ca / h * u1) / m_al
-    return np.array([xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
-                     mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2])
+    return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
+            mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
 
 
 def momentum_rhs(alpha: float, alpha_dot: float, p1: float, p2: float,
                  u1: float, u2: float, p: Params) -> tuple[float, float]:
     """Nonholonomic momentum dynamics (p1_dot, p2_dot) of :func:`ode_rhs`."""
-    out = ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, p1, p2), u1, u2, p)
-    return float(out[6]), float(out[7])
+    return ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, p1, p2), u1, u2, p)[6:]
 
 
 def shape_rhs(alpha: float, alpha_dot: float, p2: float, p: Params) -> float:
@@ -97,14 +95,15 @@ def shape_rhs(alpha: float, alpha_dot: float, p2: float, p: Params) -> float:
     Raises ValueError on a non-positive shape mass (unreachable for a valid
     :class:`~wipdyn.model.Params`).
     """
-    return float(ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, 0.0, p2), 0.0, 0.0, p)[5])
+    return ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, 0.0, p2), 0.0, 0.0, p)[5]
 
 
 def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:
     """Complete reduced right-hand side including group reconstruction."""
-    out = ode_rhs((state.x, state.y, state.theta, state.phi, state.alpha,
-                   state.alpha_dot, state.p1, state.p2), u1, u2, p)
-    return ReducedRhs(*out[[6, 7, 5, 0, 1, 2, 3]].tolist())
+    xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(
+        (state.x, state.y, state.theta, state.phi, state.alpha,
+         state.alpha_dot, state.p1, state.p2), u1, u2, p)
+    return ReducedRhs(p1d, p2d, add, xd, yd, thd, phid)
 
 
 def full_to_reduced(state: FullState, p: Params) -> ReducedState:
@@ -131,7 +130,7 @@ def reduced_to_full(state: ReducedState, p: Params,
     phi2 = state.phi + 0.5 * delta
     kappa = p.m_b * p.b * p.r * cos(state.alpha)
     phi_dot = (state.p1 - kappa * state.alpha_dot) / h_const(p)
-    theta_dot = state.p2 / float(f_of_alpha(state.alpha, p))
+    theta_dot = state.p2 / f_of_alpha(state.alpha, p)
     half = 0.5 * p.d / p.r * theta_dot
     return FullState.constrained(state.x, state.y, state.theta, state.alpha,
                                  phi1, phi2, state.alpha_dot,

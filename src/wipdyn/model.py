@@ -250,16 +250,23 @@ class Controls:
 # inertia scalars
 
 
+def _cos_sin(x):
+    """(cos x, sin x): ``math`` for a float, so floats stay floats; numpy otherwise."""
+    if isinstance(x, float):
+        return math.cos(x), math.sin(x)
+    return np.cos(x), np.sin(x)
+
+
 def i_theta(alpha, p: Params):
     """Yaw inertia I_theta(alpha); smooth, even and pi-periodic."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    ca, sa = _cos_sin(alpha)
     return (2.0 * p.I_Wzz + p.I_Bz * ca * ca + 2.0 * p.m_W * p.d ** 2
             + (p.I_Bxx + p.m_b * p.b ** 2) * sa * sa)
 
 
 def i_theta_prime(alpha, p: Params):
     """d/dalpha of :func:`i_theta`."""
-    return (p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz) * np.sin(2.0 * alpha)
+    return (p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz) * _cos_sin(2.0 * alpha)[1]
 
 
 def f_of_alpha(alpha, p: Params):
@@ -281,7 +288,7 @@ def shape_mass(alpha, p: Params):
     This is the Schur complement of the constrained mass matrix, so
     m(alpha) > 0 is exactly its invertibility condition.
     """
-    kappa = p.m_b * p.b * p.r * np.cos(alpha)
+    kappa = p.m_b * p.b * p.r * _cos_sin(alpha)[0]
     return p.m_b * p.b ** 2 + p.I_Byy - kappa * kappa / h_const(p)
 
 
@@ -291,9 +298,11 @@ def shape_mass(alpha, p: Params):
 
 def rolling_rates(theta, phi1_dot, phi2_dot, p: Params):
     """Group rates (x_dot, y_dot, theta_dot) that rolling without slipping
-    assigns to the wheel rates; broadcasts over array inputs."""
+    assigns to the wheel rates; floats for float input, and broadcasts over
+    array inputs."""
     v = 0.5 * p.r * (phi1_dot + phi2_dot)
-    return v * np.cos(theta), v * np.sin(theta), p.r / p.d * (phi2_dot - phi1_dot)
+    c, s = _cos_sin(theta)
+    return v * c, v * s, p.r / p.d * (phi2_dot - phi1_dot)
 
 
 def rolling_residuals(q, q_dot, p: Params) -> np.ndarray:

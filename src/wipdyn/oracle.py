@@ -30,7 +30,9 @@ step size to tune.
 * (d2L/dq_dot dq) q_dot as the central difference in q_dot, exact for the
   same reason as M, of the complex-step derivative along q_dot,
   Im L(q + i h q_dot, q_dot +- h_i e_i) / h.  2n rows.
-* C_dot q_dot from C(q) itself by complex step along q_dot.
+* C_dot q_dot from C(q) itself by complex step along q_dot.  C(q) is the
+  real part of the same matrix C(q + i h q_dot), bit for bit: it carries
+  cos(theta) cosh(h theta_dot), and the cosh rounds to exactly 1.
 
 Each Lagrangian derivative has a half that builds its rows of arguments and
 a half that reduces the values at those rows; the unit offsets of the rows
@@ -70,8 +72,8 @@ def constraint_matrix(q: np.ndarray, p: Params) -> np.ndarray:
     """C(q) with admissible velocities C(q) q_dot = 0; shape (3, 6).
 
     Rows: the two planar rolling rows and the yaw row
-    theta_dot - (r/d)(phi2_dot - phi1_dot) = 0.  q may be complex (used by
-    :func:`constraint_rate_term`).
+    theta_dot - (r/d)(phi2_dot - phi1_dot) = 0.  q may be complex: the
+    oracle evaluates C once per call, at q + i h q_dot.
     """
     th = q[2]
     c, s = np.cos(th), np.sin(th)
@@ -83,6 +85,12 @@ def constraint_matrix(q: np.ndarray, p: Params) -> np.ndarray:
     ])
 
 
+def _constraint_and_rate(q: np.ndarray, qd: np.ndarray, p: Params):
+    """(C(q), C_dot q_dot) from one complex call C(q + i h q_dot)."""
+    C = constraint_matrix(q + (1j * CS_STEP) * qd, p)
+    return C.real, (C @ qd).imag / CS_STEP
+
+
 def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndarray:
     """C_dot q_dot, one entry per row of :func:`constraint_matrix`.
 
@@ -91,9 +99,7 @@ def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndar
     subtractive cancellation, so h can be tiny and the result is exact to
     rounding, whatever rows the constraint set has.
     """
-    qd = np.asarray(q_dot, float)
-    q_cs = np.asarray(q, float) + (1j * CS_STEP) * qd
-    return (constraint_matrix(q_cs, p) @ qd).imag / CS_STEP
+    return _constraint_and_rate(np.asarray(q, float), np.asarray(q_dot, float), p)[1]
 
 
 def _vel_steps(qd: np.ndarray) -> np.ndarray:
@@ -191,7 +197,8 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
     the returned field, so the drift stays at truncation level).
 
     M and Q come from one call of ``lagrangian_full`` on the stacked rows of
-    both derivative helpers.  Returns (q_dd, lam).  Raises
+    both derivative helpers, C and C_dot q_dot from one complex call of
+    :func:`constraint_matrix`.  Returns (q_dd, lam).  Raises
     numpy.linalg.LinAlgError if the saddle matrix is rank deficient; the rate
     term has one entry per row of :func:`constraint_matrix`, so this holds
     for any constraint set.
@@ -199,7 +206,7 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
     tau = np.asarray(tau, float)
-    C = constraint_matrix(q, p)
+    C, rate = _constraint_and_rate(q, qd, p)
     if check_constraints:
         viol = np.max(np.abs(C @ qd))
         if viol > 1e-10:
@@ -219,7 +226,7 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
     saddle[:6, :6] = M
     saddle[:6, 6:] = C.T
     saddle[6:, :6] = C
-    rhs = np.concatenate([Q_vec + tau, -constraint_rate_term(q, qd, p)])
+    rhs = np.concatenate([Q_vec + tau, -rate])
     sol = np.linalg.solve(saddle, rhs)
     return sol[:6], -sol[6:]
 

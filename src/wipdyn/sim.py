@@ -6,6 +6,10 @@ model integrates its group coordinates as ordinary ODE components (no exact
 exponential update); the O(dt^4) error that costs is covered by the
 comparison tolerances.
 
+RK4 runs on Python floats: on 8 or 9 components, lists and the float tuples
+of the full and reduced right-hand sides cost a fraction of numpy arrays.
+Only the sampled trajectory is an array; the oracle converts at its boundary.
+
 simulate() is pure per call.  Independent scenarios may be run concurrently
 map-style; outputs are deterministic per scenario and no state is shared.
 """
@@ -108,21 +112,27 @@ class TorqueProfile:
         return u_from_tau(*self.tau_at(t), p)
 
 
-def rk4_step(rhs, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step.
+def rk4_step(rhs, y, t: float, dt: float) -> list[float]:
+    """One classical fourth-order Runge-Kutta step on a sequence of floats.
 
-    rhs(t, y) -> dy/dt.  Raises ValueError if any stage derivative is not
-    finite; dt must be positive.
+    rhs(t, y) takes a list of floats and returns dy/dt as a sequence of the
+    same length; stage states and the result are lists, combined per element
+    as y + (dt/6)(((k1 + 2 k2) + 2 k3) + k4), the array formula's order.
+    dt must be positive.  Raises ValueError if the new state is not finite
+    (an overflowing stage may raise first, in the rhs's ``math`` calls).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    h = 0.5 * dt
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite derivative in RK4 step")
+    k2 = rhs(t + h, [a + h * b for a, b in zip(y, k1)])
+    k3 = rhs(t + h, [a + h * b for a, b in zip(y, k2)])
+    k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
+    w = dt / 6.0
+    out = [a + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
+        raise ValueError("non-finite state in RK4 step")
     return out
 
 
@@ -200,7 +210,7 @@ def _oracle_ode(profile: TorqueProfile, p: Params):
         tau[4], tau[5] = tau_at(t)
         qdd = _oracle.lagrange_dalembert_rhs(y[:6], y[6:], tau, p,
                                              check_constraints=False)
-        return np.concatenate([y[6:], qdd])
+        return [*y[6:], *qdd.tolist()]
 
     return rhs
 
@@ -243,18 +253,18 @@ def simulate(model: str, initial, profile: TorqueProfile,
 
     The initial state must satisfy the rolling constraints for the full and
     oracle models; T >= 0 (T = 0 gives a single-sample trajectory) and
-    dt > 0.  RHS failures are re-raised as SimulationError with the failing
-    timestamp.
+    dt > 0, both finite.  RHS failures are re-raised as SimulationError with
+    the failing timestamp.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if T < 0.0:
-        raise ValueError("T must be non-negative")
-    y = _initial_vector(model, initial, p)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be non-negative and finite, got {T!r}")
+    y = _initial_vector(model, initial, p).tolist()
     steps = n_samples(T, dt) - 1
-    Y = np.empty((steps + 1, y.size))
+    Y = np.empty((steps + 1, len(y)))
     Y[0] = y
     rhs = {"full": _full_ode, "reduced": _reduced_ode, "oracle": _oracle_ode}[model](profile, p)
     t = 0.0

@@ -55,19 +55,21 @@ _GENERATORS = {1: lambda th, p: np.array([p.r * math.cos(th), p.r * math.sin(th)
                2: lambda th, p: np.array([0.0, 0.0, 1.0, 0.0, 0.0])}
 
 
-def momentum_pairing(state: FullState, i: int, p: Params, step: float = 1e-6) -> float:
+def momentum_pairing(state: FullState, i: int, p: Params) -> float:
     """Numeric momentum <dL/dq_dot, generator_i> in the mean-wheel coordinates.
 
     The velocity gradient of the five-coordinate Lagrangian is taken by
-    central finite differences; i = 1 pairs with the rolling generator,
-    i = 2 with the yaw generator.
+    central differences with steps h_k = max(1, |q_dot_k|); L is quadratic
+    in q_dot, so these have no truncation error and large steps keep the
+    round-off small.  i = 1 pairs with the rolling generator, i = 2 with the
+    yaw generator.
     """
     if i not in (1, 2):
         raise ValueError("section index must be 1 or 2")
     q = np.array([state.x, state.y, state.theta, state.alpha, state.phi])
     qd = np.array([state.x_dot, state.y_dot, state.theta_dot,
                    state.alpha_dot, state.phi_dot])
-    hs = step * np.maximum(1.0, np.abs(qd))
+    hs = np.maximum(1.0, np.abs(qd))
     QD = np.broadcast_to(qd, (10, 5)).copy()
     for k in range(5):
         QD[2 * k, k] += hs[k]

@@ -128,3 +128,13 @@ def test_full_energy_against_total_energy_diagnostic(p, random_constrained):
     s = random_constrained()
     traj = simulate("full", s, TorqueProfile.zero(), 0.0, 1e-3, p)
     assert traj.energy[0] == pytest.approx(float(total_energy(s, p)), rel=1e-14)
+
+
+def test_ode_rhs_returns_plain_floats(p, rng):
+    # a numpy scalar leaking into the integrated rhs roughly doubles its cost
+    from wipdyn.dynamics_full import ode_rhs
+    for _ in range(10):
+        y = rng.uniform(-2.0, 2.0, 9).tolist()
+        out = ode_rhs(y, *rng.uniform(-1.0, 1.0, 2).tolist(), p)
+        assert len(out) == 9
+        assert all(type(v) is float for v in out)

@@ -167,3 +167,13 @@ def test_model_equivalence_short_horizon(p):
     tr = simulate("reduced", red0, profile, 1.0, 1e-3, p)
     stats = compare_trajectories(tf, tr, p)
     assert max(st.max_abs for st in stats.values()) <= 1e-7
+
+
+def test_ode_rhs_returns_plain_floats(p, rng):
+    # a numpy scalar leaking into the integrated rhs roughly doubles its cost
+    from wipdyn.dynamics_reduced import ode_rhs
+    for _ in range(10):
+        y = rng.uniform(-2.0, 2.0, 8).tolist()
+        out = ode_rhs(y, *rng.uniform(-1.0, 1.0, 2).tolist(), p)
+        assert len(out) == 8
+        assert all(type(v) is float for v in out)

@@ -51,6 +51,22 @@ def test_one_stacked_lagrangian_call_per_rhs(p, rng, monkeypatch):
     assert rows == [(46,)]
 
 
+def test_one_constraint_matrix_call_per_rhs(p, rng, monkeypatch):
+    # C(q) and the rate term both come from C(q + i h q_dot)
+    import wipdyn.oracle as oracle_mod
+    orig = oracle_mod.constraint_matrix
+    calls = []
+
+    def counting(q, params):
+        calls.append(np.iscomplexobj(q))
+        return orig(q, params)
+
+    monkeypatch.setattr(oracle_mod, "constraint_matrix", counting)
+    q, qd = _admissible(p, rng)
+    oracle_mod.lagrange_dalembert_rhs(q, qd, np.zeros(6), p)
+    assert calls == [True]
+
+
 def test_lagrangian_complex_step_matches_velocity_gradient(p, rng):
     for _ in range(20):
         q = rng.uniform(-2.0, 2.0, 6)

@@ -108,7 +108,29 @@ def test_rk4_rejects_bad_inputs():
     with pytest.raises(ValueError):
         rk4_step(lambda t, s: s, np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        rk4_step(lambda t, s: s * 1e308, np.array([1e308]), 0.0, 1.0)
+        rk4_step(lambda t, s: [v * 1e308 for v in s], [1e308], 0.0, 1.0)
+
+
+def test_rk4_step_on_lists_matches_array_formula(rng):
+    # a seeded nonlinear rhs: the list kernel must reproduce the array
+    # formula y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) bit for bit
+    A = rng.uniform(-1.0, 1.0, (9, 9))
+    c = rng.uniform(-1.0, 1.0, 9)
+
+    def f(t, s):
+        return np.sin(A @ np.asarray(s)) + c * math.cos(t)
+
+    for _ in range(20):
+        y = rng.uniform(-2.0, 2.0, 9)
+        t, dt = rng.uniform(0.0, 5.0), rng.uniform(1e-4, 0.1)
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+        k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+        k4 = f(t + dt, y + dt * k3)
+        expected = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = rk4_step(lambda tt, s: f(tt, s).tolist(), y.tolist(), t, dt)
+        assert type(out) is list
+        assert np.array_equal(np.array(out), expected)
 
 
 def test_n_samples_grid():
@@ -157,6 +179,16 @@ def test_simulate_validates_inputs(p):
     violating = FullState(0, 0, 0, 0.1, 0, 0, 1.0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="constraints"):
         simulate("full", violating, TorqueProfile.zero(), 1.0, 1e-3, p)
+
+
+@pytest.mark.parametrize("T, dt, name", [
+    (math.inf, 1e-3, "T"), (math.nan, 1e-3, "T"),
+    (1.0, math.inf, "dt"), (1.0, math.nan, "dt"),
+])
+def test_simulate_rejects_non_finite_duration_and_step(p, T, dt, name):
+    s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        simulate("full", s, TorqueProfile.zero(), T, dt, p)
 
 
 def test_simulate_failure_carries_timestamp(p):
