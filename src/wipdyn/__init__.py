@@ -11,13 +11,12 @@ from .model import (Controls, FullState, Params, ReducedState, f_of_alpha,
                     lagrangian_case2, lagrangian_full,
                     reduced_constrained_lagrangian, reduced_energy,
                     shape_mass, total_energy)
-from .connection import (body_velocity_from_momenta, curvature_at,
-                         curvature_fd, ehresmann_at, momenta_from_body_velocity,
+from .connection import (curvature_at, curvature_fd, ehresmann_at,
                          nonholo_connection)
 from .dynamics_full import (FullRhs, accelerations_q6, full_rhs, mass_matrix,
-                            momenta_from_full, reconstruct_group_rates)
-from .dynamics_reduced import (ReducedRhs, full_to_reduced, momentum_rhs,
-                               reduced_rhs, reduced_to_full, shape_rhs)
+                            momenta_from_full)
+from .dynamics_reduced import (ReducedRhs, full_to_reduced, reduced_rhs,
+                               reduced_to_full)
 from .oracle import (ConstraintViolationError, constraint_matrix,
                      lagrange_dalembert_full, lagrange_dalembert_rhs)
 from .sim import (SimulationError, TorqueProfile, Trajectory, rk4_step,

@@ -73,7 +73,7 @@ def load_config(path: str) -> dict:
 def _build_params(cfg: dict) -> Params:
     try:
         return Params.from_dict(cfg["params"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"params block: {exc}") from exc
 
 
@@ -84,9 +84,12 @@ def _strict_floats(block: dict, keys: tuple[str, ...], name: str) -> dict:
     missing = sorted(set(keys) - set(block))
     if missing:
         raise ConfigError(f"{name} block: missing keys: {', '.join(missing)}")
+    for k in keys:
+        if isinstance(block[k], bool) or not isinstance(block[k], (int, float)):
+            raise ConfigError(f"{name} block: {k} must be a number, got {block[k]!r}")
     try:
         return {k: float(block[k]) for k in keys}
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"{name} block: {exc}") from exc
 
 

@@ -6,7 +6,8 @@ Two objects live here:
   admissible-velocity distribution, together with its curvature, and
 * the local form of the nonholonomic connection of the symmetry-reduced
   description: the shape one-form ``A(alpha)`` and the momentum-to-velocity
-  map ``Gamma(alpha)``.
+  map ``Gamma(alpha)``.  The reduced model's ``ode_rhs`` is the one place the
+  reconstruction xi = -A alpha_dot + Gamma p is computed; tests check it here.
 
 Index conventions: group coordinates s = (x, y, theta) are rows 0..2, shape
 coordinates r = (alpha, phi1, phi2) are columns 0..2.  The Lie-algebra basis
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Params, f_of_alpha, h_const
+from .oracle import CS_STEP
 
 __all__ = [
     "ehresmann_at",
@@ -34,8 +36,6 @@ __all__ = [
     "curvature_fd",
     "NonholoConnectionLocal",
     "nonholo_connection",
-    "body_velocity_from_momenta",
-    "momenta_from_body_velocity",
 ]
 
 
@@ -73,47 +73,23 @@ def curvature_at(theta: float, p: Params) -> np.ndarray:
     return B
 
 
-def curvature_fd(theta: float, p: Params, step: float = 1e-5,
-                 x: float = 0.0, y: float = 0.0) -> np.ndarray:
-    """Curvature by central differences of the full defining formula.
+def curvature_fd(theta: float, p: Params, x: float = 0.0, y: float = 0.0) -> np.ndarray:
+    """Curvature from the full defining formula, with numeric derivatives.
 
     Evaluates  B^b_{beta gamma} = dA^b_beta/dr^gamma - dA^b_gamma/dr^beta
-    + A^a_beta dA^b_gamma/ds^a - A^a_gamma dA^b_beta/ds^a  with every
-    derivative taken numerically, including the structurally vanishing
-    r-derivatives and the x/y derivatives (x and y are dummy inputs that
-    let callers confirm the result does not depend on them).
+    + A^a_beta dA^b_gamma/ds^a - A^a_gamma dA^b_beta/ds^a  with A differentiated
+    along all six coordinates q = (x, y, theta, alpha, phi1, phi2), the
+    structurally vanishing directions included, by complex step
+    Im A(q + i h e_k)/h, exact to rounding.  x and y are dummy inputs that let
+    callers confirm the result does not depend on them.
     """
-    def A_conf(s_vec, r_vec):
-        # A depends on the configuration only through theta = s_vec[2]
-        return ehresmann_at(s_vec[2], p)
-
-    s0 = np.array([x, y, theta])
-    r0 = np.zeros(3)
-    A0 = A_conf(s0, r0)
-
-    dA_dr = np.zeros((3, 3, 3))  # [gamma][b, beta]
-    for gamma in range(3):
-        rp, rm = r0.copy(), r0.copy()
-        rp[gamma] += step
-        rm[gamma] -= step
-        dA_dr[gamma] = (A_conf(s0, rp) - A_conf(s0, rm)) / (2.0 * step)
-
-    dA_ds = np.zeros((3, 3, 3))  # [a][b, beta]
-    for a in range(3):
-        sp, sm = s0.copy(), s0.copy()
-        sp[a] += step
-        sm[a] -= step
-        dA_ds[a] = (A_conf(sp, r0) - A_conf(sm, r0)) / (2.0 * step)
-
-    B = np.zeros((3, 3, 3))
-    for b in range(3):
-        for beta in range(3):
-            for gamma in range(3):
-                val = dA_dr[gamma][b, beta] - dA_dr[beta][b, gamma]
-                for a in range(3):
-                    val += A0[a, beta] * dA_ds[a][b, gamma] - A0[a, gamma] * dA_ds[a][b, beta]
-                B[b, beta, gamma] = val
-    return B
+    q = np.array([x, y, theta, 0.0, 0.0, 0.0], dtype=complex)
+    # A depends on the configuration only through theta = q[2]
+    dA = np.array([ehresmann_at((q + 1j * CS_STEP * e)[2], p).imag
+                   for e in np.eye(6)]) / CS_STEP  # [k][b, beta]
+    # T[b, beta, gamma] = dA^b_beta/dr^gamma + A^a_beta dA^b_gamma/ds^a
+    T = dA[3:].transpose(1, 2, 0) + np.einsum("ac,abg->bcg", ehresmann_at(theta, p), dA[:3])
+    return T - T.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -144,25 +120,3 @@ def nonholo_connection(alpha: float, p: Params) -> NonholoConnectionLocal:
         [1.0 / h, 0.0],
     ])
     return NonholoConnectionLocal(A=A, Gamma=Gamma)
-
-
-def body_velocity_from_momenta(alpha: float, alpha_dot: float,
-                               p1: float, p2: float, p: Params) -> np.ndarray:
-    """Body velocity xi = -A(alpha) alpha_dot + Gamma(alpha) p.
-
-    Assembled so that the constraint surface is hit exactly: the surge
-    component is computed as r times the roll component, never through a
-    separately rounded product.
-    """
-    h = h_const(p)
-    xi4 = (p1 - p.m_b * p.b * p.r * np.cos(alpha) * alpha_dot) / h
-    xi3 = p2 / f_of_alpha(alpha, p)
-    return np.array([p.r * xi4, 0.0, xi3, xi4])
-
-
-def momenta_from_body_velocity(alpha: float, alpha_dot: float,
-                               xi3: float, xi4: float, p: Params) -> tuple[float, float]:
-    """Inverse of :func:`body_velocity_from_momenta` on the constraint surface."""
-    p1 = h_const(p) * xi4 + p.m_b * p.b * p.r * np.cos(alpha) * alpha_dot
-    p2 = f_of_alpha(alpha, p) * xi3
-    return float(p1), float(p2)

@@ -10,9 +10,11 @@ Lagrangian.  M(alpha) = [[c, k, k], [k, a1, a3], [k, a3, a1]] decouples in
 the wheel sum and difference: the difference row is the scalar equation
 (a1 - a3)(phi2_dd - phi1_dd) = f2 - f1, and the (alpha, phi1_dd + phi2_dd)
 block has determinant c (a1 + a3) - 2 k^2 = h m(alpha)/2, so the system is
-solved in closed form.  The group rates are reconstructed kinematically,
-s_dot = -A(theta) r_dot, so every trajectory of this module satisfies the
-constraints identically.
+solved in closed form.  The group rates are reconstructed kinematically by
+``model.rolling_rates``, s_dot = -A(theta) r_dot, so every trajectory of
+this module satisfies the constraints identically.  :func:`momenta` is the
+one map from a constrained state to the nonholonomic momenta (p1, p2); the
+reduced model's ``ode_rhs`` holds its inverse.
 
 The whole right-hand side, :func:`ode_rhs`, is scalar ``math`` code on
 purpose: it sits in the innermost integration loop, where numpy's per-call
@@ -33,7 +35,6 @@ __all__ = [
     "mass_matrix",
     "ode_rhs",
     "full_rhs",
-    "reconstruct_group_rates",
     "momenta",
     "momenta_from_full",
     "accelerations_q6",
@@ -56,6 +57,7 @@ def _coeffs(alpha: float, p: Params):
     """Mass-matrix entries of the constrained Lagrangian at a tilt angle."""
     sa, ca = sin(alpha), cos(alpha)
     m_t = p.m_b + 2.0 * p.m_W
+    # i_theta inline: calling model.i_theta made a full simulate step about 8 % slower
     i_th = (2.0 * p.I_Wzz + p.I_Bz * ca * ca + 2.0 * p.m_W * p.d * p.d
             + (p.I_Bxx + p.m_b * p.b * p.b) * sa * sa)
     rr_dd = p.r * p.r / (p.d * p.d)
@@ -92,11 +94,6 @@ def _accelerations(alpha, alpha_dot, phi1_dot, phi2_dot, tau1, tau2, p: Params):
     return add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff)
 
 
-def reconstruct_group_rates(state: FullState, p: Params) -> tuple[float, float, float]:
-    """Group rates from the rolling constraints, s_dot = -A(theta) r_dot."""
-    return rolling_rates(state.theta, state.phi1_dot, state.phi2_dot, p)
-
-
 def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
     """Time derivative of the integrated state vector
     y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot),
@@ -111,8 +108,8 @@ def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:
     add, f1dd, f2dd = _accelerations(state.alpha, state.alpha_dot,
                                      state.phi1_dot, state.phi2_dot,
                                      controls.tau1, controls.tau2, p)
-    xd, yd, thd = reconstruct_group_rates(state, p)
-    return FullRhs(add, f1dd, f2dd, xd, yd, thd)
+    return FullRhs(add, f1dd, f2dd,
+                   *rolling_rates(state.theta, state.phi1_dot, state.phi2_dot, p))
 
 
 def momenta(alpha, alpha_dot, phi1_dot, phi2_dot, p: Params):

@@ -18,11 +18,15 @@ dropping it breaks equivalence with the full model whenever torque is applied.
 Trajectories of this system reproduce the full model exactly (it is the same
 mechanical system in different coordinates); that equivalence is the central
 cross-check of the test suite.
+
+:func:`ode_rhs` is the one place these equations live, the map from momenta
+to body velocity xi included; :func:`reduced_rhs`, :func:`reduced_to_full`
+and the momentum-rate check read it.  Its inverse is ``dynamics_full.momenta``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import cos, sin
 
 from .model import (FullState, Params, ReducedState, f_of_alpha, f_prime,
@@ -32,8 +36,6 @@ from .dynamics_full import momenta_from_full
 __all__ = [
     "ReducedRhs",
     "ode_rhs",
-    "momentum_rhs",
-    "shape_rhs",
     "reduced_rhs",
     "full_to_reduced",
     "reduced_to_full",
@@ -83,21 +85,6 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
             mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
 
 
-def momentum_rhs(alpha: float, alpha_dot: float, p1: float, p2: float,
-                 u1: float, u2: float, p: Params) -> tuple[float, float]:
-    """Nonholonomic momentum dynamics (p1_dot, p2_dot) of :func:`ode_rhs`."""
-    return ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, p1, p2), u1, u2, p)[6:]
-
-
-def shape_rhs(alpha: float, alpha_dot: float, p2: float, p: Params) -> float:
-    """Unforced tilt acceleration alpha_dd(alpha, alpha_dot, p2) of :func:`ode_rhs`.
-
-    Raises ValueError on a non-positive shape mass (unreachable for a valid
-    :class:`~wipdyn.model.Params`).
-    """
-    return ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, 0.0, p2), 0.0, 0.0, p)[5]
-
-
 def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:
     """Complete reduced right-hand side including group reconstruction."""
     xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(
@@ -121,16 +108,15 @@ def reduced_to_full(state: ReducedState, p: Params,
     """Inverse change of representation.
 
     The wheel difference is recovered from the integrated yaw relation
-    phi2 - phi1 = (d/r)(theta - theta_0) + (phi2_0 - phi1_0); the velocities
-    come from the body velocity of the reduced state, so the result satisfies
-    the rolling constraints exactly.
+    phi2 - phi1 = (d/r)(theta - theta_0) + (phi2_0 - phi1_0); the wheel rates
+    come from the body velocity (theta_dot, phi_dot) = (xi3, xi4) that
+    :func:`ode_rhs` reconstructs, so the result satisfies the rolling
+    constraints exactly.
     """
     delta = p.d / p.r * (state.theta - theta_0) + (phi2_0 - phi1_0)
     phi1 = state.phi - 0.5 * delta
     phi2 = state.phi + 0.5 * delta
-    kappa = p.m_b * p.b * p.r * cos(state.alpha)
-    phi_dot = (state.p1 - kappa * state.alpha_dot) / h_const(p)
-    theta_dot = state.p2 / f_of_alpha(state.alpha, p)
+    theta_dot, phi_dot = ode_rhs(astuple(state), 0.0, 0.0, p)[2:4]
     half = 0.5 * p.d / p.r * theta_dot
     return FullState.constrained(state.x, state.y, state.theta, state.alpha,
                                  phi1, phi2, state.alpha_dot,

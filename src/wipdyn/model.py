@@ -93,7 +93,7 @@ class Params:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"parameter {f.name!r} must be a finite number, got {v!r}")
             object.__setattr__(self, f.name, float(v))
             if getattr(self, f.name) <= 0.0:
@@ -148,11 +148,13 @@ class Params:
         return cls.from_dict(json.loads(text))
 
 
-def _check_finite(obj):
+def _coerce_finite(obj):
+    """Store every field of a frozen dataclass as a float; reject non-finite values."""
     for f in fields(obj):
-        v = getattr(obj, f.name)
+        v = float(getattr(obj, f.name))
         if not math.isfinite(v):
             raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {v!r}")
+        object.__setattr__(obj, f.name, v)
 
 
 @dataclass(frozen=True)
@@ -178,11 +180,7 @@ class FullState:
     phi2_dot: float
 
     def __post_init__(self):
-        for name in ("x", "y", "theta", "alpha", "phi1", "phi2",
-                     "x_dot", "y_dot", "theta_dot", "alpha_dot",
-                     "phi1_dot", "phi2_dot"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _check_finite(self)
+        _coerce_finite(self)
 
     @classmethod
     def constrained(cls, x, y, theta, alpha, phi1, phi2,
@@ -228,9 +226,7 @@ class ReducedState:
     p2: float
 
     def __post_init__(self):
-        for name in ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _check_finite(self)
+        _coerce_finite(self)
 
 
 @dataclass(frozen=True)
@@ -241,9 +237,7 @@ class Controls:
     tau2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "tau1", float(self.tau1))
-        object.__setattr__(self, "tau2", float(self.tau2))
-        _check_finite(self)
+        _coerce_finite(self)
 
 
 # ---------------------------------------------------------------------------

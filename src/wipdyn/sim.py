@@ -43,11 +43,12 @@ MODELS = ("full", "reduced", "oracle")
 
 
 class SimulationError(RuntimeError):
-    """Integration failure; carries the failing timestamp in .t."""
+    """Integration failure in one RK4 step: its index in .step, its start
+    time in .t and its start state, the last finite one, in .state."""
 
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} (t = {t:.6g} s)")
-        self.t = t
+    def __init__(self, exc: Exception, step: int, t: float, state):
+        super().__init__(f"step {step} (t = {t:.6g} s) failed: {type(exc).__name__}: {exc}")
+        self.step, self.t, self.state = step, t, np.array(state)
 
 
 def u_from_tau(tau1: float, tau2: float, p: Params) -> tuple[float, float]:
@@ -254,7 +255,7 @@ def simulate(model: str, initial, profile: TorqueProfile,
     The initial state must satisfy the rolling constraints for the full and
     oracle models; T >= 0 (T = 0 gives a single-sample trajectory) and
     dt > 0, both finite.  RHS failures are re-raised as SimulationError with
-    the failing timestamp.
+    the failing step, its timestamp and the last finite state.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -274,7 +275,7 @@ def simulate(model: str, initial, profile: TorqueProfile,
             try:
                 y = rk4_step(rhs, y, t, dt)
             except Exception as exc:
-                raise SimulationError(str(exc), t) from exc
+                raise SimulationError(exc, k, t, y) from exc
             t = (k + 1) * dt
             Y[k + 1] = y
     energy, p1, p2, res = _diagnostics(model, Y, p)

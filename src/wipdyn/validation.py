@@ -15,7 +15,7 @@ import numpy as np
 
 from .connection import curvature_at, curvature_fd
 from .dynamics_full import momenta_from_full
-from .dynamics_reduced import full_to_reduced, momentum_rhs
+from .dynamics_reduced import full_to_reduced, ode_rhs
 from .model import (FullState, Params, ReducedState, lagrangian_case2,
                     rolling_residuals)
 from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate
@@ -131,7 +131,7 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
         fd1 = (p1[k + 1] - p1[k - 1]) / (2.0 * dt)
         fd2 = (p2[k + 1] - p2[k - 1]) / (2.0 * dt)
         u1, u2 = profile.u_at(t[k], p)
-        cf1, cf2 = momentum_rhs(red[k, 4], red[k, 5], p1[k], p2[k], u1, u2, p)
+        cf1, cf2 = ode_rhs(red[k], u1, u2, p)[6:]
         worst = max(worst, abs(fd1 - cf1), abs(fd2 - cf2))
     return worst
 
@@ -248,7 +248,7 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     for th in rng.uniform(-math.pi, math.pi, 50):
         B, Bfd = curvature_at(th, p), curvature_fd(th, p)
         worst = max(worst, float(np.max(np.abs(B - Bfd)) / np.max(np.abs(B))))
-    results.append(CheckResult("curvature closed form vs finite differences", worst, 1e-7))
+    results.append(CheckResult("curvature closed form vs defining formula", worst, 1e-13))
     B = curvature_at(rng.uniform(-math.pi, math.pi), p)
     worst = float(max(np.max(np.abs(B[:, 0, :])), np.max(np.abs(B[:, :, 0]))))
     results.append(CheckResult("curvature tilt slots exactly zero", worst, 0.0))
@@ -259,7 +259,7 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
         p1, p2 = momenta_from_full(s, p)
         worst = max(worst, abs(momentum_pairing(s, 1, p) - p1),
                     abs(momentum_pairing(s, 2, p) - p2))
-    results.append(CheckResult("momentum pairing vs closed form", worst, 1e-7))
+    results.append(CheckResult("momentum pairing vs closed form", worst, 1e-12))
 
     initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
     profile = TorqueProfile(((0.0, 0.05, -0.02),))

@@ -130,7 +130,8 @@ def test_simulation_failure_exits_3(tmp_path, capsys):
                        torques=[{"t_start": 0.0, "tau1": 1e305, "tau2": 1e305}],
                        sim={"T": 0.5, "dt": 1e-2, "model": "full"})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 3
-    assert "t =" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "step 0 (t = 0 s) failed: ValueError" in err
 
 
 def _compare_config(tmp_path, tol):
@@ -195,6 +196,35 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, initial, sim):
     cfg = write_config(tmp_path / "c.json", initial=initial, sim=sim)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _with_params(**changes):
+    return {**Params.default().to_dict(), **changes}
+
+
+# JSON booleans and strings are not numbers, even where float() would take
+# them; JSON integers are, but one beyond the float range is rejected too
+@pytest.mark.parametrize("params, torques, sim", [
+    (None, (), {"T": 0.01, "dt": True}),
+    (None, (), {"T": "0.01", "dt": 1e-3}),
+    (None, ({"t_start": 0, "tau1": True, "tau2": 0},), None),
+    (_with_params(m_b=True), (), None),
+    (_with_params(m_b=10 ** 400), (), None),
+    (None, (), {"T": 10 ** 400, "dt": 1e-3}),
+], ids=["dt-true", "T-string", "tau1-true", "m_b-true", "m_b-huge-int", "T-huge-int"])
+def test_non_numeric_config_values_exit_2(tmp_path, capsys, params, torques, sim):
+    cfg = write_config(tmp_path / "c.json", params=params, torques=torques, sim=sim)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_integer_config_values_are_numbers(tmp_path):
+    cfg = write_config(tmp_path / "c.json", params=_with_params(m_b=5),
+                       torques=({"t_start": 0, "tau1": 0, "tau2": 0},),
+                       sim={"T": 1, "dt": 1e-3})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                 "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -5,8 +5,9 @@ import pytest
 
 from wipdyn import (Controls, FullState, TorqueProfile, accelerations_q6,
                     f_of_alpha, full_rhs, h_const, lagrange_dalembert_rhs,
-                    mass_matrix, momenta_from_full, reconstruct_group_rates,
-                    shape_mass, simulate, total_energy)
+                    mass_matrix, momenta_from_full, shape_mass, simulate,
+                    total_energy)
+from wipdyn.model import rolling_rates
 from wipdyn.validation import power_balance_error
 
 
@@ -27,12 +28,11 @@ def test_small_tilt_is_unstable(p):
 
 
 def test_reconstruct_group_rates_straight_and_spin(p):
-    roll = FullState.constrained(0, 0, 0.0, 0.1, 0, 0, 0, 2.0, 2.0, p)
-    assert reconstruct_group_rates(roll, p) == pytest.approx((2.0 * p.r, 0.0, 0.0))
+    assert rolling_rates(0.0, 2.0, 2.0, p) == pytest.approx((2.0 * p.r, 0.0, 0.0))
     spin = FullState.constrained(0, 0, 0.7, 0.1, 0, 0, 0, -1.5, 1.5, p)
-    xd, yd, thd = reconstruct_group_rates(spin, p)
-    assert (xd, yd) == (0.0, 0.0)
-    assert thd == pytest.approx(2.0 * 1.5 * p.r / p.d)
+    out = full_rhs(spin, Controls(0.0, 0.0), p)
+    assert (out.x_dot, out.y_dot) == (0.0, 0.0)
+    assert out.theta_dot == pytest.approx(2.0 * 1.5 * p.r / p.d)
 
 
 def test_momenta_from_full_examples(p):

@@ -6,22 +6,32 @@ import pytest
 
 from wipdyn import (Controls, FullState, ReducedState, TorqueProfile,
                     compare_trajectories, f_of_alpha, full_rhs,
-                    full_to_reduced, h_const, momentum_rhs, reduced_rhs,
-                    reduced_to_full, shape_mass, shape_rhs, simulate,
-                    u_from_tau)
+                    full_to_reduced, h_const, reduced_rhs, reduced_to_full,
+                    shape_mass, simulate, u_from_tau)
+from wipdyn.dynamics_reduced import ode_rhs
 from wipdyn.validation import constraint_residuals
 
 
+def momentum_rates(alpha, alpha_dot, p1, p2, u1, u2, p):
+    """(p1_dot, p2_dot) of the reduced rhs; they do not depend on the group."""
+    return ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, p1, p2), u1, u2, p)[6:]
+
+
+def tilt_accel(alpha, alpha_dot, p2, p):
+    """Unforced alpha_dd of the reduced rhs; it does not depend on p1."""
+    return ode_rhs((0.0, 0.0, 0.0, 0.0, alpha, alpha_dot, 0.0, p2), 0.0, 0.0, p)[5]
+
+
 def test_momentum_rhs_upright_passes_through_forcing(p):
-    assert momentum_rhs(0.0, 0.3, 1.0, 2.0, 0.7, -0.4, p) == (0.7, -0.4)
+    assert momentum_rates(0.0, 0.3, 1.0, 2.0, 0.7, -0.4, p) == (0.7, -0.4)
 
 
 def test_momentum_rhs_straight_line_conserved(p):
-    assert momentum_rhs(0.5, 0.2, 1.3, 0.0, 0.0, 0.0, p) == (0.0, 0.0)
+    assert momentum_rates(0.5, 0.2, 1.3, 0.0, 0.0, 0.0, p) == (0.0, 0.0)
 
 
 def test_momentum_rhs_horizontal_tilt_example(p):
-    p1d, p2d = momentum_rhs(math.pi / 2, 0.0, 0.0, 1.0, 0.0, 0.0, p)
+    p1d, p2d = momentum_rates(math.pi / 2, 0.0, 0.0, 1.0, 0.0, 0.0, p)
     f_h = float(f_of_alpha(math.pi / 2, p))
     assert p1d == pytest.approx(p.m_b * p.r * p.b / f_h ** 2, rel=1e-14)
     assert p2d == 0.0
@@ -45,18 +55,18 @@ def test_momentum_rhs_matches_full_model(p, random_constrained, rng):
                   + (p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz) * math.sin(2 * s.alpha)
                   * s.alpha_dot * thd)
         u1, u2 = u_from_tau(c.tau1, c.tau2, p)
-        cf1, cf2 = momentum_rhs(s.alpha, s.alpha_dot, red.p1, red.p2, u1, u2, p)
+        cf1, cf2 = momentum_rates(s.alpha, s.alpha_dot, red.p1, red.p2, u1, u2, p)
         assert cf1 == pytest.approx(p1_dot, abs=1e-11)
         assert cf2 == pytest.approx(p2_dot, abs=1e-11)
 
 
 def test_shape_rhs_equilibria_and_instability(p):
-    assert shape_rhs(0.0, 0.0, 0.37, p) == 0.0
+    assert tilt_accel(0.0, 0.0, 0.37, p) == 0.0
     # sin(math.pi) = 1.2e-16, not 0: allow a few ulps of m_b g b / m(pi)
     ulps = 4 * np.finfo(float).eps * p.m_b * p.g * p.b / shape_mass(math.pi, p)
-    assert shape_rhs(math.pi, 0.0, 0.0, p) == pytest.approx(0.0, abs=ulps)
-    assert shape_rhs(0.1, 0.0, 0.0, p) > 0.0
-    assert shape_rhs(-0.1, 0.0, 0.0, p) < 0.0
+    assert tilt_accel(math.pi, 0.0, 0.0, p) == pytest.approx(0.0, abs=ulps)
+    assert tilt_accel(0.1, 0.0, 0.0, p) > 0.0
+    assert tilt_accel(-0.1, 0.0, 0.0, p) < 0.0
 
 
 def test_shape_rhs_matches_full_model_and_ignores_wheel_rate(p, rng):
@@ -71,7 +81,7 @@ def test_shape_rhs_matches_full_model_and_ignores_wheel_rate(p, rng):
                                       phid - half, phid + half, p)
             accels.append(full_rhs(s, Controls(0.0, 0.0), p).alpha_ddot)
         p2 = float(f_of_alpha(al, p)) * thd
-        expected = shape_rhs(al, ald, p2, p)
+        expected = tilt_accel(al, ald, p2, p)
         for a in accels:
             assert a == pytest.approx(expected, rel=1e-11, abs=1e-12)
 
@@ -82,7 +92,7 @@ def test_shape_rhs_signals_nonpositive_shape_mass(p):
     bad = SimpleNamespace(**p.to_dict())
     bad.I_Byy = -(p.m_b * p.b ** 2)
     with pytest.raises(ValueError, match="shape mass"):
-        shape_rhs(0.0, 0.0, 0.0, bad)
+        tilt_accel(0.0, 0.0, 0.0, bad)
 
 
 def test_reduced_rhs_upright_rest_fixed_point(p):

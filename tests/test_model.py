@@ -276,6 +276,12 @@ def test_params_rejects_non_finite(p):
         Params.from_dict(data)
 
 
+@pytest.mark.parametrize("value", [True, "0.2"])
+def test_params_rejects_booleans_and_strings(p, value):
+    with pytest.raises(ValueError, match="'b' must be a finite number"):
+        Params.from_dict({**p.to_dict(), "b": value})
+
+
 def test_params_dict_roundtrip_and_strictness(p):
     assert Params.from_dict(p.to_dict()) == p
     extra = p.to_dict()
@@ -305,6 +311,14 @@ def test_states_reject_non_finite():
         FullState(0, 0, 0, 0, 0, 0, 0, 0, 0, float("nan"), 0, 0)
     with pytest.raises(ValueError):
         Controls(float("nan"), 0.0)
+
+
+def test_states_store_plain_floats():
+    for cls, n in ((FullState, 12), (ReducedState, 8), (Controls, 2)):
+        s = cls(1, np.float32(0.5), *[np.int64(2)] * (n - 2))
+        values = [getattr(s, f) for f in cls.__dataclass_fields__]
+        assert all(type(v) is float for v in values)
+        assert values == [1.0, 0.5] + [2.0] * (n - 2)
 
 
 def test_constrained_constructor_satisfies_rolling(p, random_constrained):

@@ -199,6 +199,23 @@ def test_simulate_failure_carries_timestamp(p):
     assert err.value.t >= 0.0
 
 
+@pytest.mark.parametrize("model", ["full", "reduced", "oracle"])
+def test_simulation_failure_names_step_cause_and_last_state(p, model):
+    # from rest the first step under 1e305 N m overflows; a run that first
+    # finishes some steps names the later step and the state it reached
+    s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    prof = TorqueProfile(((0.0, 0.0, 0.0), (0.025, 1e305, 1e305)))
+    with pytest.raises(SimulationError) as err:
+        simulate(model, initial, prof, 1.0, 1e-2, p)
+    e = err.value
+    assert (e.step, e.t) == (2, 0.02)
+    assert isinstance(e.__cause__, ValueError)
+    assert str(e).startswith("step 2 (t = 0.02 s) failed: ValueError: ")
+    first = simulate(model, initial, prof, 0.02, 1e-2, p)
+    assert np.array_equal(e.state, first.states[-1])
+
+
 def test_full_vs_reduced_error_shrinks_fourth_order(p):
     from wipdyn import reduced_to_full
     red0 = ReducedState(0, 0, 0, 0, 0.12, 0.0, 0.25 * h_const(p), 0.0)
