@@ -24,6 +24,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .model import FullState, Params, ReducedState
 from .dynamics_reduced import full_to_reduced, reduced_to_full
 from .sim import MODELS, SimulationError, TorqueProfile, simulate
@@ -33,6 +35,7 @@ from .validation import (compare_trajectories, render_check_lines,
 __all__ = ["main", "entry", "ConfigError", "load_config", "write_trajectory_csv"]
 
 CSV_HEADER = "t,x,y,theta,alpha,phi,alpha_dot,p1,p2,E,res_x,res_y,res_theta"
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 _REDUCED_KEYS = ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2")
 _FULL_KEYS = ("x", "y", "theta", "alpha", "phi1", "phi2",
@@ -41,10 +44,6 @@ _FULL_KEYS = ("x", "y", "theta", "alpha", "phi1", "phi2",
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def load_config(path: str) -> dict:
@@ -156,14 +155,11 @@ def _build_tolerance(cfg: dict) -> float:
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
     """Fixed-header CSV, one row per sample, 17 significant digits, LF endings."""
     red = traj.reduced_series(p)
+    cols = np.column_stack((traj.t, red[:, [0, 1, 2, 4, 3, 5]], traj.p1, traj.p2,
+                            traj.energy, traj.residuals))
+    rows = "".join([_CSV_ROW % tuple(row) for row in cols.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for k in range(len(traj)):
-            row = (traj.t[k], red[k, 0], red[k, 1], red[k, 2], red[k, 4],
-                   red[k, 3], red[k, 5], traj.p1[k], traj.p2[k],
-                   traj.energy[k], traj.residuals[k, 0], traj.residuals[k, 1],
-                   traj.residuals[k, 2])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(CSV_HEADER + "\n" + rows)
 
 
 def _say(args, message: str) -> None:
@@ -219,7 +215,7 @@ def cmd_compare(args) -> int:
     for other in ("reduced", "oracle"):
         stats = compare_trajectories(runs["full"], runs[other], p)
         for name, st in stats.items():
-            lines.append(f"full-{other},{name},{_fmt(st.max_abs)},{_fmt(st.rms)}")
+            lines.append(f"full-{other},{name},{st.max_abs:.17g},{st.rms:.17g}")
             if st.max_abs > tol:
                 ok = False
     try:

@@ -11,19 +11,21 @@ the wheel sum and difference: the difference row is the scalar equation
 (a1 - a3)(phi2_dd - phi1_dd) = f2 - f1, and the (alpha, phi1_dd + phi2_dd)
 block has determinant c (a1 + a3) - 2 k^2 = h m(alpha)/2, so the system is
 solved in closed form.  The group rates are reconstructed kinematically by
-``model.rolling_rates``, s_dot = -A(theta) r_dot, so every trajectory of
-this module satisfies the constraints identically.  :func:`momenta` is the
-one map from a constrained state to the nonholonomic momenta (p1, p2); the
-reduced model's ``ode_rhs`` holds its inverse.
+the rolling relation of ``model.rolling_rates``, s_dot = -A(theta) r_dot,
+so every trajectory of this module satisfies the constraints identically.
+:func:`momenta` is the one map from a constrained state to the nonholonomic
+momenta (p1, p2); the reduced model's ``ode_rhs`` holds its inverse.
 
-The whole right-hand side, :func:`ode_rhs`, is scalar ``math`` code on
-purpose: it sits in the innermost integration loop, where numpy's per-call
-overhead on a handful of numbers costs more than the arithmetic.
+The right-hand side is scalar ``math`` code built once per parameter set by
+``_kernel(p)``, with every parameter-only subexpression bound as a constant:
+in the innermost integration loop, numpy's per-call overhead on a handful of
+numbers and re-reading ``Params`` on every call cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, sin
 
 import numpy as np
@@ -53,63 +55,74 @@ class FullRhs:
     theta_dot: float
 
 
-def _coeffs(alpha: float, p: Params):
-    """Mass-matrix entries of the constrained Lagrangian at a tilt angle."""
-    sa, ca = sin(alpha), cos(alpha)
-    m_t = p.m_b + 2.0 * p.m_W
-    # i_theta inline: calling model.i_theta made a full simulate step about 8 % slower
-    i_th = (2.0 * p.I_Wzz + p.I_Bz * ca * ca + 2.0 * p.m_W * p.d * p.d
-            + (p.I_Bxx + p.m_b * p.b * p.b) * sa * sa)
-    rr_dd = p.r * p.r / (p.d * p.d)
-    a1 = 0.25 * m_t * p.r * p.r + i_th * rr_dd + p.I_Wyy
-    a3 = 0.25 * m_t * p.r * p.r - i_th * rr_dd
-    k = 0.5 * p.r * p.m_b * p.b * ca
+@lru_cache(maxsize=32)
+def _kernel(p: Params):
+    """(ode, coeffs): ode(y, tau1, tau2) is :func:`ode_rhs`, coeffs(alpha) gives
+    (sin, cos, a1, a3, k, c).  Each constant keeps its expression's evaluation
+    order, so results are bit-identical to the formulas evaluated in full."""
+    m_t, mbb = p.m_b + 2.0 * p.m_W, p.m_b * p.b
+    # I_theta = i_wz + I_Bz cos^2 + i_wd + i_bx sin^2, inline: calling
+    # model.i_theta made a full simulate step about 8 % slower
+    i_wz, I_Bz, i_wd = 2.0 * p.I_Wzz, p.I_Bz, 2.0 * p.m_W * p.d * p.d
+    i_bx, rr_dd = p.I_Bxx + p.m_b * p.b * p.b, p.r * p.r / (p.d * p.d)
+    a_0, I_Wyy, k_0 = 0.25 * m_t * p.r * p.r, p.I_Wyy, 0.5 * p.r * p.m_b * p.b
     c = p.m_b * p.b * p.b + p.I_Byy
-    return sa, ca, a1, a3, k, c, rr_dd
+    ithp_0 = (p.I_Bxx + p.m_b * p.b * p.b - p.I_Bz) * 2.0  # I_theta' / (sin cos)
+    curv_0, quad_0, grav = mbb * p.r * rr_dd, 0.5 * p.r * mbb, mbb * p.g
+    v_0, r_d = 0.5 * p.r, p.r / p.d  # model.rolling_rates, inline
+
+    def coeffs(alpha):
+        sa, ca = sin(alpha), cos(alpha)
+        i_th = i_wz + I_Bz * ca * ca + i_wd + i_bx * sa * sa
+        return sa, ca, a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd, k_0 * ca, c
+
+    def ode(y, tau1, tau2):
+        th, ald, f1d, f2d = y[2], y[6], y[7], y[8]
+        sa, ca, a1, a3, k, c = coeffs(y[3])
+        # solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)
+        ithp = ithp_0 * sa * ca
+        dphi = f2d - f1d
+        curv = curv_0 * sa * dphi
+        cor = rr_dd * ithp * ald * dphi
+        quad = quad_0 * sa * ald * ald
+        f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + grav * sa
+        f_1 = tau1 + curv * f2d + cor + quad
+        f_2 = tau2 - curv * f1d - cor + quad
+        diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
+        f_s = f_1 + f_2
+        det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2, which Params keeps positive
+        add = ((a1 + a3) * f_alpha - k * f_s) / det
+        s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
+        v = v_0 * (f1d + f2d)
+        return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
+                add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
+
+    return ode, coeffs
 
 
 def mass_matrix(alpha: float, p: Params) -> np.ndarray:
     """Constrained mass matrix M(alpha) in coordinates (alpha, phi1, phi2)."""
-    _, _, a1, a3, k, c, _ = _coeffs(alpha, p)
+    _, _, a1, a3, k, c = _kernel(p)[1](alpha)
     return np.array([[c, k, k], [k, a1, a3], [k, a3, a1]])
-
-
-def _accelerations(alpha, alpha_dot, phi1_dot, phi2_dot, tau1, tau2, p: Params):
-    """Scalar core: solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)."""
-    sa, ca, a1, a3, k, c, rr_dd = _coeffs(alpha, p)
-    ithp = (p.I_Bxx + p.m_b * p.b * p.b - p.I_Bz) * 2.0 * sa * ca
-    mbb = p.m_b * p.b
-    dphi = phi2_dot - phi1_dot
-    curv = mbb * p.r * rr_dd * sa * dphi
-    cor = rr_dd * ithp * alpha_dot * dphi
-    quad = 0.5 * p.r * mbb * sa * alpha_dot * alpha_dot
-    f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + mbb * p.g * sa
-    f_1 = tau1 + curv * phi2_dot + cor + quad
-    f_2 = tau2 - curv * phi1_dot - cor + quad
-    diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
-    f_s = f_1 + f_2
-    det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2, which Params keeps positive
-    add = ((a1 + a3) * f_alpha - k * f_s) / det
-    s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
-    return add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff)
 
 
 def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
     """Time derivative of the integrated state vector
     y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot),
     as a tuple of nine floats for float input."""
-    ald, f1d, f2d = y[6], y[7], y[8]
-    add, f1dd, f2dd = _accelerations(y[3], ald, f1d, f2d, tau1, tau2, p)
-    return (*rolling_rates(y[2], f1d, f2d, p), ald, f1d, f2d, add, f1dd, f2dd)
+    return _kernel(p)[0](y, tau1, tau2)
+
+
+def _ode_at(state: FullState, controls: Controls, p: Params) -> tuple:
+    return ode_rhs((state.x, state.y, state.theta, state.alpha, state.phi1,
+                    state.phi2, state.alpha_dot, state.phi1_dot, state.phi2_dot),
+                   controls.tau1, controls.tau2, p)
 
 
 def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:
     """Accelerations of the full model plus reconstructed group rates."""
-    add, f1dd, f2dd = _accelerations(state.alpha, state.alpha_dot,
-                                     state.phi1_dot, state.phi2_dot,
-                                     controls.tau1, controls.tau2, p)
-    return FullRhs(add, f1dd, f2dd,
-                   *rolling_rates(state.theta, state.phi1_dot, state.phi2_dot, p))
+    xd, yd, thd, _, _, _, add, f1dd, f2dd = _ode_at(state, controls, p)
+    return FullRhs(add, f1dd, f2dd, xd, yd, thd)
 
 
 def momenta(alpha, alpha_dot, phi1_dot, phi2_dot, p: Params):
@@ -136,13 +149,10 @@ def accelerations_q6(state: FullState, controls: Controls, p: Params) -> np.ndar
 
     (x_dd, y_dd, theta_dd) follow by differentiating the reconstruction.
     """
-    add, f1dd, f2dd = _accelerations(state.alpha, state.alpha_dot,
-                                     state.phi1_dot, state.phi2_dot,
-                                     controls.tau1, controls.tau2, p)
+    _, _, th_d, _, _, _, add, f1dd, f2dd = _ode_at(state, controls, p)
     th = state.theta
     s_rate = state.phi1_dot + state.phi2_dot
     s_acc = f1dd + f2dd
-    th_d = p.r / p.d * (state.phi2_dot - state.phi1_dot)
     xdd = 0.5 * p.r * (-sin(th) * th_d * s_rate + cos(th) * s_acc)
     ydd = 0.5 * p.r * (cos(th) * th_d * s_rate + sin(th) * s_acc)
     thdd = p.r / p.d * (f2dd - f1dd)

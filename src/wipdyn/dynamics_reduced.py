@@ -19,18 +19,19 @@ Trajectories of this system reproduce the full model exactly (it is the same
 mechanical system in different coordinates); that equivalence is the central
 cross-check of the test suite.
 
-:func:`ode_rhs` is the one place these equations live, the map from momenta
-to body velocity xi included; :func:`reduced_rhs`, :func:`reduced_to_full`
-and the momentum-rate check read it.  Its inverse is ``dynamics_full.momenta``.
+``_kernel(p)``, built once per parameter set like the full model's, is the
+one place these equations live, the map from momenta to body velocity xi
+included; :func:`ode_rhs`, :func:`reduced_rhs`, :func:`reduced_to_full`, the
+momentum-rate check and ``sim`` read it.  Its inverse is ``dynamics_full.momenta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 from math import cos, sin
 
-from .model import (FullState, Params, ReducedState, f_of_alpha, f_prime,
-                    h_const, shape_mass)
+from .model import FullState, Params, ReducedState, h_const
 from .dynamics_full import momenta_from_full
 
 __all__ = [
@@ -55,10 +56,46 @@ class ReducedRhs:
     phi_dot: float
 
 
+@lru_cache(maxsize=32)
+def _kernel(p: Params):
+    """ode(y, u1, u2), which is :func:`ode_rhs`.  Each constant keeps its
+    expression's evaluation order, so results are bit-identical to ``model``'s."""
+    h, r, mbbr = h_const(p), p.r, p.m_b * p.b * p.r
+    # f_of_alpha, f_prime and shape_mass inline: calling them, each re-reading
+    # Params and taking its own cosine or sine, kept this rhs at about 3 us per
+    # call against about 1.2 us inline (timeit, best of 9).
+    # f(alpha) = f_wz + I_Bz cos^2 + f_wd + f_bx sin^2 + f_wy
+    f_wz, I_Bz, f_wd = 2.0 * p.I_Wzz, p.I_Bz, 2.0 * p.m_W * p.d ** 2
+    f_bx, f_wy = p.I_Bxx + p.m_b * p.b ** 2, p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy
+    fp_0 = p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz  # f'(alpha) / sin(2 alpha)
+    m_0 = p.m_b * p.b ** 2 + p.I_Byy  # m(alpha) = m_0 - kappa^2 / h
+    neg_mbbr2, mbbr2x2, grav = -(mbbr * mbbr), 2.0 * mbbr * mbbr, p.m_b * p.g * p.b
+
+    def ode(y, u1, u2):
+        th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
+        sa, ca = sin(al), cos(al)
+        fa = f_wz + I_Bz * ca * ca + f_wd + f_bx * sa * sa + f_wy
+        kappa = mbbr * ca
+        m_al = m_0 - kappa * kappa / h
+        if m_al <= 0.0:
+            raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
+        xi3 = p2 / fa
+        xi4 = (p1 - kappa * ald) / h
+        xi1 = r * xi4
+        alpha_dd = (neg_mbbr2 * sa * ca / h * ald * ald
+                    + 0.5 * (fp_0 * sin(2.0 * al) - mbbr2x2 * sa * ca / h) * xi3 * xi3
+                    + grav * sa
+                    - kappa / h * u1) / m_al
+        return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
+                mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
+
+    return ode
+
+
 def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
     """Time derivative of the integrated state vector
     y = (x, y, theta, phi, alpha, alpha_dot, p1, p2), as a tuple of eight
-    floats for float input (scalar ``math`` code, like the full model's).
+    floats for float input.
 
     The group rates follow from xi = -A(alpha) alpha_dot + Gamma(alpha) p by
     left translation: x_dot = xi1 cos(theta), y_dot = xi1 sin(theta),
@@ -66,23 +103,7 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
     ValueError on a non-positive shape mass (unreachable for a valid
     :class:`~wipdyn.model.Params`).
     """
-    th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
-    sa, ca = sin(al), cos(al)
-    h = h_const(p)
-    fa = f_of_alpha(al, p)
-    m_al = shape_mass(al, p)
-    if m_al <= 0.0:
-        raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
-    mbbr = p.m_b * p.b * p.r
-    xi3 = p2 / fa
-    xi4 = (p1 - mbbr * ca * ald) / h
-    xi1 = p.r * xi4
-    alpha_dd = (-(mbbr * mbbr) * sa * ca / h * ald * ald
-                + 0.5 * (f_prime(al, p) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
-                + p.m_b * p.g * p.b * sa
-                - mbbr * ca / h * u1) / m_al
-    return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
-            mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
+    return _kernel(p)(y, u1, u2)
 
 
 def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:

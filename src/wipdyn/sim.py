@@ -8,6 +8,7 @@ comparison tolerances.
 
 RK4 runs on Python floats: on 8 or 9 components, lists and the float tuples
 of the full and reduced right-hand sides cost a fraction of numpy arrays.
+Each run fetches its model's per-``Params`` rhs kernel (``_kernel(p)``) once.
 Only the sampled trajectory is an array; the oracle converts at its boundary.
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
@@ -187,18 +188,20 @@ REDUCED_VARIABLES = ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2")
 
 def _full_ode(profile: TorqueProfile, p: Params):
     tau_at = profile.tau_at
+    ode = dfull._kernel(p)[0]
 
     def rhs(t, y):
-        return dfull.ode_rhs(y, *tau_at(t), p)
+        return ode(y, *tau_at(t))
 
     return rhs
 
 
 def _reduced_ode(profile: TorqueProfile, p: Params):
     tau_at = profile.tau_at
+    ode = dred._kernel(p)
 
     def rhs(t, y):
-        return dred.ode_rhs(y, *u_from_tau(*tau_at(t), p), p)
+        return ode(y, *u_from_tau(*tau_at(t), p))
 
     return rhs
 

@@ -29,3 +29,21 @@ def random_constrained(p, rng):
             p)
 
     return make
+
+
+@pytest.fixture()
+def kernel_fetches(monkeypatch):
+    """watch(module) records every fetch of the module's per-Params rhs kernel."""
+
+    def watch(module):
+        calls = []
+        kernel = module._kernel
+
+        def counting(params):
+            calls.append(params)
+            return kernel(params)
+
+        monkeypatch.setattr(module, "_kernel", counting)
+        return calls
+
+    return watch

@@ -62,6 +62,32 @@ def test_simulate_csv_format(tmp_path):
     assert out2.read_bytes() == raw
 
 
+@pytest.mark.parametrize("model", ["full", "reduced", "oracle"])
+def test_csv_cells_are_the_trajectory_values(tmp_path, p, model):
+    # every cell parses back to exactly the Trajectory value its header names
+    from wipdyn import FullState, TorqueProfile, full_to_reduced, simulate
+    from wipdyn.cli import write_trajectory_csv
+    from wipdyn.sim import REDUCED_VARIABLES
+    s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    traj = simulate(model, initial, TorqueProfile.constant(0.02, -0.01), 0.02, 1e-3, p)
+    out = tmp_path / "t.csv"
+    write_trajectory_csv(traj, p, str(out))
+    header, data = read_csv(out)
+    expected = dict(zip(REDUCED_VARIABLES, traj.reduced_series(p).T))
+    expected.update(t=traj.t, p1=traj.p1, p2=traj.p2, E=traj.energy,
+                    res_x=traj.residuals[:, 0], res_y=traj.residuals[:, 1],
+                    res_theta=traj.residuals[:, 2])
+    names = header.split(",")
+    assert sorted(names) == sorted(expected)
+    assert data.shape == (len(traj), len(names))
+    for j, name in enumerate(names):
+        assert data[:, j].tolist() == expected[name].tolist(), name
+    # and byte for byte what formatting each cell on its own gives
+    rows = [",".join(f"{expected[n][k]:.17g}" for n in names) for k in range(len(traj))]
+    assert out.read_text() == "\n".join([CSV_HEADER, *rows, ""])
+
+
 def test_simulate_steady_roll_travels_r_times_T(tmp_path, p):
     from wipdyn import h_const
     cfg = write_config(

@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -88,9 +88,10 @@ def test_shape_rhs_matches_full_model_and_ignores_wheel_rate(p, rng):
 
 def test_shape_rhs_signals_nonpositive_shape_mass(p):
     # unreachable through Params (construction rejects such sets); exercised
-    # with a raw attribute bag
-    bad = SimpleNamespace(**p.to_dict())
-    bad.I_Byy = -(p.m_b * p.b ** 2)
+    # with a raw attribute bag, hashable like Params because the rhs kernel
+    # is cached per parameter set
+    values = dict(p.to_dict(), I_Byy=-(p.m_b * p.b ** 2))
+    bad = namedtuple("Bag", values)(**values)
     with pytest.raises(ValueError, match="shape mass"):
         tilt_accel(0.0, 0.0, 0.0, bad)
 

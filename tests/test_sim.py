@@ -231,3 +231,15 @@ def test_full_vs_reduced_error_shrinks_fourth_order(p):
     gaps = [gap(dt) for dt in (4e-3, 2e-3, 1e-3)]
     for g1, g2 in zip(gaps, gaps[1:]):
         assert g1 / g2 > 8.0  # consistent with O(dt^4)
+
+
+@pytest.mark.parametrize("model", ["full", "reduced"])
+def test_simulate_fetches_rhs_kernel_once(p, kernel_fetches, model):
+    # the per-Params kernel is fetched once per run, not once per rhs call
+    from wipdyn import dynamics_full, dynamics_reduced
+    calls = kernel_fetches(dynamics_full if model == "full" else dynamics_reduced)
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    traj = simulate(model, initial, TorqueProfile.constant(0.01, -0.02), 1.0, 1e-3, p)
+    assert len(traj) == 1001
+    assert calls == [p]

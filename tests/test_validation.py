@@ -106,6 +106,16 @@ def test_holonomic_residual_rejects_reduced(p):
         holonomic_residual(traj, p)
 
 
+def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
+    from wipdyn import dynamics_reduced
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
+    profile = TorqueProfile.constant(0.01, -0.02)
+    traj = simulate("full", s, profile, 0.2, 1e-3, p)
+    calls = kernel_fetches(dynamics_reduced)
+    assert momentum_rate_error(traj, profile, p) <= 1e-4
+    assert calls == [p]
+
+
 def test_shift_full_state_rotates_velocities(p):
     s = FullState.constrained(1.0, 0.0, 0.0, 0.1, 0, 0, 0.0, 1.0, 1.0, p)
     moved = shift_full_state(s, 0.0, 0.0, math.pi / 2, 0.3)
