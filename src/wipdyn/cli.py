@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import FullState, Params, ReducedState
 from .dynamics_reduced import full_to_reduced, reduced_to_full
-from .sim import MODELS, SimulationError, TorqueProfile, simulate
+from .sim import MODELS, SimulationError, TorqueProfile, n_samples, simulate
 from .validation import (compare_trajectories, render_check_lines,
                          run_structural_checks)
 
@@ -139,6 +139,10 @@ def _build_sim(cfg: dict) -> tuple[float, float, str]:
         raise ConfigError(f"sim block: unknown model {model!r}")
     if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0.0 or T < 0.0:
         raise ConfigError("sim block: need finite dt > 0 and T >= 0")
+    try:
+        n_samples(T, dt)
+    except ValueError as exc:
+        raise ConfigError(f"sim block: {exc}") from exc
     return T, dt, model
 
 
@@ -154,7 +158,7 @@ def _build_tolerance(cfg: dict) -> float:
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
     """Fixed-header CSV, one row per sample, 17 significant digits, LF endings."""
-    red = traj.reduced_series(p)
+    red = traj.reduced_series()
     cols = np.column_stack((traj.t, red[:, [0, 1, 2, 4, 3, 5]], traj.p1, traj.p2,
                             traj.energy, traj.residuals))
     rows = "".join([_CSV_ROW % tuple(row) for row in cols.tolist()])

@@ -350,10 +350,11 @@ def lagrangian_case2(q, q_dot, p: Params):
     """Lagrangian in the five mean-wheel coordinates (x, y, theta, alpha, phi).
 
     Equals :func:`lagrangian_full` after eliminating the wheel difference via
-    the integrated yaw relation phi2 - phi1 = (d/r) theta + const.
+    the integrated yaw relation phi2 - phi1 = (d/r) theta + const.  Complex
+    input is evaluated as is, as in :func:`lagrangian_full`.
     """
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(q_dot, dtype=float)
+    q = np.asarray(q)
+    qd = np.asarray(q_dot)
     th, al = q[..., 2], q[..., 3]
     xd, yd, thd, ald, phid = (qd[..., i] for i in range(5))
     m_t = p.m_b + 2.0 * p.m_W

@@ -34,18 +34,18 @@ step size to tune.
   real part of the same matrix C(q + i h q_dot), bit for bit: it carries
   cos(theta) cosh(h theta_dot), and the cosh rounds to exactly 1.
 
-Each Lagrangian derivative has a half that builds its rows of arguments and
-a half that reduces the values at those rows; the unit offsets of the rows
-are built once per dimension.  :func:`velocity_hessian` and
-:func:`generalized_force` compose the halves for any f, and
-:func:`lagrange_dalembert_full` stacks the rows of both into one call of
-``lagrangian_full`` (46 rows).
+All of these rows form one table, built once per dimension: the velocity
+offset, complex-step direction and q_dot multiplier of each row, and the
+polarisation weights.  :func:`lagrangian_derivatives` evaluates f once on
+every row of the table and reduces M from the real part of the
+polarisation block and Q from the imaginary part of the rest;
+:func:`lagrange_dalembert_full` calls it on ``lagrangian_full`` (46 rows for
+n = 6).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ __all__ = [
     "ConstraintViolationError",
     "constraint_matrix",
     "constraint_rate_term",
-    "velocity_hessian",
-    "generalized_force",
+    "lagrangian_derivatives",
     "lagrange_dalembert_rhs",
     "lagrange_dalembert_full",
 ]
@@ -102,88 +101,54 @@ def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndar
     return _constraint_and_rate(np.asarray(q, float), np.asarray(q_dot, float), p)[1]
 
 
-def _vel_steps(qd: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, np.abs(qd))
-
-
-class _Pattern(NamedTuple):
-    """Unit offsets of the derivative rows for one dimension n, and the
-    polarisation weights; read-only, shared by every call."""
-
-    hess_vel: np.ndarray      # 0, +e_i, -e_i, then e_i + e_j for i < j
-    hess_weights: np.ndarray  # (n, n, rows): h_i h_j M_ij = weights_ij . L
-    force_pos: np.ndarray     # e_j, then 2n zero rows
-    force_along: np.ndarray   # n zeros, then 2n ones (column)
-    force_vel: np.ndarray     # n zero rows, then +e_i, -e_i
-
-
 @functools.cache
-def _pattern(n: int) -> _Pattern:
+def _rows(n: int):
+    """Row table for dimension n: (w, vel, pos, along), read-only, shared.
+
+    Row r is evaluated at (q + i h (pos_r + along_r q_dot), q_dot + vel_r h_v)
+    with the velocity steps h_v = max(1, |q_dot|).  The first m = 1 + 2n + n(n-1)/2 rows are
+    the polarisation rows (velocity offsets 0, +e_i, -e_i, then e_i + e_j
+    for i < j), reduced by h_i h_j M_ij = w_ij . values; then n rows along
+    e_j, and 2n rows along q_dot at velocity offsets +e_i, -e_i.
+    """
     eye, zero = np.eye(n), np.zeros((n, n))
     i, j = np.triu_indices(n, 1)
     k = np.arange(n)
-    pair = np.arange(1 + 2 * n, 1 + 2 * n + i.size)
+    m = 1 + 2 * n + i.size
+    pair = np.arange(1 + 2 * n, m)
     # the polarisation formulas of the module docstring, as weights on
     # (L(v), L(v + h_i e_i), L(v - h_i e_i), L(v + h_i e_i + h_j e_j))
-    w = np.zeros((n, n, 1 + 2 * n + i.size))
+    w = np.zeros((n, n, m))
     w[k, k, 0] = -2.0
     w[k, k, 1 + k] = w[k, k, 1 + n + k] = 1.0
     for a, b in ((i, j), (j, i)):
         w[a, b, 0] = w[a, b, pair] = 1.0
         w[a, b, 1 + a] = w[a, b, 1 + b] = -1.0
-    pat = _Pattern(
-        hess_vel=np.concatenate([np.zeros((1, n)), eye, -eye, eye[i] + eye[j]]),
-        hess_weights=w,
-        force_pos=np.concatenate([eye, zero, zero]),
-        force_along=np.repeat([[0.0], [1.0], [1.0]], n, axis=0),
-        force_vel=np.concatenate([zero, eye, -eye]))
-    for a in pat:
+    vel = np.concatenate([np.zeros((1, n)), eye, -eye, eye[i] + eye[j], zero, eye, -eye])
+    pos = np.concatenate([np.zeros((m, n)), eye, zero, zero])
+    along = np.concatenate([np.zeros((m + n, 1)), np.ones((2 * n, 1))])
+    for a in (w, vel, pos, along):
         a.setflags(write=False)
-    return pat
+    return w, vel, pos, along
 
 
-def _hessian_rows(q, qd, h):
-    offs = _pattern(qd.size).hess_vel
-    return q[None].repeat(len(offs), 0), qd + offs * h
+def lagrangian_derivatives(f, q, q_dot):
+    """(M, Q): M = d2f/dq_dot2 and Q = df/dq - (d2f/dq_dot dq) q_dot.
 
-
-def _hessian_reduce(vals, h):
-    return (_pattern(h.size).hess_weights @ vals) / np.outer(h, h)
-
-
-def _force_rows(q, qd, h):
-    pat = _pattern(qd.size)
-    return (q + (1j * CS_STEP) * (pat.force_pos + pat.force_along * qd),
-            qd + pat.force_vel * h)
-
-
-def _force_reduce(vals, h):
-    n = h.size
-    g = vals.imag / CS_STEP
-    return g[:n] - (g[n:2 * n] - g[2 * n:]) / (2.0 * h)
-
-
-def velocity_hessian(f, q, q_dot) -> np.ndarray:
-    """Symmetric d2f/dq_dot2 by polarisation, exact for f quadratic in q_dot.
-
-    f(Q, QD) must accept stacked (N, n) arrays and return (N,).
+    Exact to rounding for f analytic in q and quadratic in q_dot.  f(Q, QD)
+    must accept stacked (N, n) arrays, Q complex, and return (N,); it is
+    called once, on all 1 + 2n + n(n-1)/2 + 3n rows of the table.
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
-    h = _vel_steps(qd)
-    return _hessian_reduce(f(*_hessian_rows(q, qd, h)), h)
-
-
-def generalized_force(f, q, q_dot) -> np.ndarray:
-    """df/dq - (d2f/dq_dot dq) q_dot, exact to rounding for f analytic in q
-    and quadratic in q_dot.
-
-    f(Q, QD) must accept stacked (N, n) arrays, Q complex, and return (N,).
-    """
-    q = np.asarray(q, float)
-    qd = np.asarray(q_dot, float)
-    h = _vel_steps(qd)
-    return _force_reduce(f(*_force_rows(q, qd, h)), h)
+    n = qd.size
+    w, vel, pos, along = _rows(n)
+    h = np.maximum(1.0, np.abs(qd))
+    vals = f(q + (1j * CS_STEP) * (pos + along * qd), qd + vel * h)
+    m = w.shape[-1]
+    M = (w @ vals[:m].real) / np.outer(h, h)
+    g = vals[m:].imag / CS_STEP
+    return M, g[:n] - (g[n:2 * n] - g[2 * n:]) / (2.0 * h)
 
 
 def lagrange_dalembert_full(q, q_dot, tau, p: Params,
@@ -196,8 +161,8 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
     sit O(dt^2) off the constraint manifold (C q_dot is a first integral of
     the returned field, so the drift stays at truncation level).
 
-    M and Q come from one call of ``lagrangian_full`` on the stacked rows of
-    both derivative helpers, C and C_dot q_dot from one complex call of
+    M and Q come from one call of ``lagrangian_full`` through
+    :func:`lagrangian_derivatives`, C and C_dot q_dot from one complex call of
     :func:`constraint_matrix`.  Returns (q_dd, lam).  Raises
     numpy.linalg.LinAlgError if the saddle matrix is rank deficient; the rate
     term has one entry per row of :func:`constraint_matrix`, so this holds
@@ -213,13 +178,7 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
             raise ConstraintViolationError(
                 f"velocities violate the rolling constraints by {viol:.3e}")
 
-    h = _vel_steps(qd)
-    Qh, QDh = _hessian_rows(q, qd, h)
-    Qf, QDf = _force_rows(q, qd, h)
-    vals = lagrangian_full(np.concatenate([Qh, Qf]), np.concatenate([QDh, QDf]), p)
-    k = len(Qh)
-    M = _hessian_reduce(vals[:k].real, h)
-    Q_vec = _force_reduce(vals[k:], h)
+    M, Q_vec = lagrangian_derivatives(lambda Q, QD: lagrangian_full(Q, QD, p), q, qd)
 
     m = C.shape[0]
     saddle = np.zeros((6 + m, 6 + m))

@@ -110,9 +110,6 @@ class TorqueProfile:
         _, tau1, tau2 = self.segments[k - 1]
         return tau1, tau2
 
-    def u_at(self, t: float, p: Params) -> tuple[float, float]:
-        return u_from_tau(*self.tau_at(t), p)
-
 
 def rk4_step(rhs, y, t: float, dt: float) -> list[float]:
     """One classical fourth-order Runge-Kutta step on a sequence of floats.
@@ -139,8 +136,14 @@ def rk4_step(rhs, y, t: float, dt: float) -> list[float]:
 
 
 def n_samples(T: float, dt: float) -> int:
-    """Samples on the uniform grid: floor(T/dt) + 1 (tolerant of rounding)."""
-    return int(math.floor(T / dt + 1e-9)) + 1
+    """Samples on the uniform grid: floor(T/dt) + 1 (tolerant of rounding).
+
+    Raises ValueError if T/dt overflows to infinity.
+    """
+    steps = T / dt + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"T/dt = {T!r}/{dt!r} overflows: no finite step count")
+    return int(math.floor(steps)) + 1
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def reduced_series(self, p: Params) -> np.ndarray:
+    def reduced_series(self) -> np.ndarray:
         """Shared observables (x, y, theta, phi, alpha, alpha_dot, p1, p2), (N, 8)."""
         Y = self.states
         if self.model == "reduced":
@@ -257,8 +260,9 @@ def simulate(model: str, initial, profile: TorqueProfile,
 
     The initial state must satisfy the rolling constraints for the full and
     oracle models; T >= 0 (T = 0 gives a single-sample trajectory) and
-    dt > 0, both finite.  RHS failures are re-raised as SimulationError with
-    the failing step, its timestamp and the last finite state.
+    dt > 0, both finite, and T/dt finite.  RHS failures are re-raised as
+    SimulationError with the failing step, its timestamp and the last finite
+    state.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")

@@ -9,7 +9,7 @@ through the mean angle and the integrated yaw relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .dynamics_full import momenta_from_full
 from . import dynamics_reduced as dred
 from .model import (FullState, Params, ReducedState, lagrangian_case2,
                     rolling_residuals)
-from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate
+from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate,
+                  u_from_tau)
 
 __all__ = [
     "constraint_residuals",
@@ -30,7 +31,6 @@ __all__ = [
     "power_balance_error",
     "holonomic_residual",
     "shift_full_state",
-    "shift_reduced_state",
     "equivariance_error",
     "CheckResult",
     "run_structural_checks",
@@ -90,7 +90,7 @@ def compare_trajectories(a: Trajectory, b: Trajectory, p: Params,
     """Per-variable max-abs and RMS error between two runs on the same grid."""
     if len(a) != len(b) or not np.allclose(a.t, b.t, rtol=0.0, atol=1e-12):
         raise ValueError("trajectories are on different time grids")
-    ra, rb = a.reduced_series(p), b.reduced_series(p)
+    ra, rb = a.reduced_series(), b.reduced_series()
     out = {}
     for name in variables:
         i = REDUCED_VARIABLES.index(name)
@@ -106,13 +106,11 @@ def energy_drift(traj: Trajectory) -> tuple[float, float]:
     return drift, drift / abs(float(traj.energy[0]))
 
 
-def _interior_mask(t: np.ndarray, profile: TorqueProfile) -> np.ndarray:
-    """Samples whose central-difference stencil stays inside one torque segment."""
-    mask = np.zeros(len(t), dtype=bool)
-    mask[1:-1] = True
-    for k in range(1, len(t) - 1):
-        if profile.tau_at(t[k - 1]) != profile.tau_at(t[k + 1]):
-            mask[k] = False
+def _interior_mask(taus: list) -> np.ndarray:
+    """Samples whose central-difference stencil stays inside one torque
+    segment, from the torques sampled at every t."""
+    mask = np.zeros(len(taus), dtype=bool)
+    mask[1:-1] = [a == b for a, b in zip(taus, taus[2:])]
     return mask
 
 
@@ -124,14 +122,14 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     """
     t, dt = traj.t, traj.dt
     p1, p2 = traj.p1, traj.p2
-    red = traj.reduced_series(p)
-    mask = _interior_mask(t, profile)
+    red = traj.reduced_series()
+    taus = [profile.tau_at(tk) for tk in t.tolist()]
     ode = dred._kernel(p)
     worst = 0.0
-    for k in np.nonzero(mask)[0]:
+    for k in np.nonzero(_interior_mask(taus))[0]:
         fd1 = (p1[k + 1] - p1[k - 1]) / (2.0 * dt)
         fd2 = (p2[k + 1] - p2[k - 1]) / (2.0 * dt)
-        u1, u2 = profile.u_at(t[k], p)
+        u1, u2 = u_from_tau(*taus[k], p)
         cf1, cf2 = ode(red[k], u1, u2)[6:]
         worst = max(worst, abs(fd1 - cf1), abs(fd2 - cf2))
     return worst
@@ -140,7 +138,8 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
     """Max |dE/dt - (tau1 phi1_dot + tau2 phi2_dot)| / max(1, |power|).
 
-    dE/dt by central differences on interior samples of each torque segment.
+    dE/dt by central differences on interior samples of each torque segment;
+    0.0 if no sample is interior (T < 2 dt), as for the momentum rate.
     """
     if traj.model not in ("full", "oracle"):
         raise ValueError("power balance check expects a full/oracle trajectory")
@@ -149,9 +148,12 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     Y = traj.states
     f1d = Y[:, 7] if traj.model == "full" else Y[:, 10]
     f2d = Y[:, 8] if traj.model == "full" else Y[:, 11]
-    mask = _interior_mask(t, profile)
-    taus = np.array([profile.tau_at(tk) for tk in t])
-    power = taus[:, 0] * f1d + taus[:, 1] * f2d
+    taus = [profile.tau_at(tk) for tk in t.tolist()]
+    mask = _interior_mask(taus)
+    if not mask.any():
+        return 0.0
+    tau = np.array(taus)
+    power = tau[:, 0] * f1d + tau[:, 1] * f2d
     fd = np.empty_like(E)
     fd[1:-1] = (E[2:] - E[:-2]) / (2.0 * dt)
     resid = np.abs(fd[mask] - power[mask])
@@ -181,14 +183,6 @@ def shift_full_state(s: FullState, gx: float, gy: float, gth: float, gphi: float
         phi1_dot=s.phi1_dot, phi2_dot=s.phi2_dot)
 
 
-def shift_reduced_state(s: ReducedState, gx: float, gy: float, gth: float,
-                        gphi: float) -> ReducedState:
-    c, si = math.cos(gth), math.sin(gth)
-    return ReducedState(x=c * s.x - si * s.y + gx, y=si * s.x + c * s.y + gy,
-                        theta=s.theta + gth, phi=s.phi + gphi,
-                        alpha=s.alpha, alpha_dot=s.alpha_dot, p1=s.p1, p2=s.p2)
-
-
 def _shift_series(red: np.ndarray, gx, gy, gth, gphi) -> np.ndarray:
     c, si = math.cos(gth), math.sin(gth)
     out = red.copy()
@@ -203,14 +197,15 @@ def equivariance_error(model: str, initial, profile: TorqueProfile,
                        T: float, dt: float, p: Params,
                        shifts) -> float:
     """Max pointwise error between shift-then-simulate and simulate-then-shift."""
-    base = simulate(model, initial, profile, T, dt, p).reduced_series(p)
+    base = simulate(model, initial, profile, T, dt, p).reduced_series()
     worst = 0.0
     for gx, gy, gth, gphi in shifts:
         if model == "reduced":
-            shifted0 = shift_reduced_state(initial, gx, gy, gth, gphi)
+            row = np.array([astuple(initial)])
+            shifted0 = ReducedState(*_shift_series(row, gx, gy, gth, gphi)[0].tolist())
         else:
             shifted0 = shift_full_state(initial, gx, gy, gth, gphi)
-        moved = simulate(model, shifted0, profile, T, dt, p).reduced_series(p)
+        moved = simulate(model, shifted0, profile, T, dt, p).reduced_series()
         worst = max(worst, float(np.max(np.abs(moved - _shift_series(base, gx, gy, gth, gphi)))))
     return worst
 

@@ -74,7 +74,7 @@ def test_csv_cells_are_the_trajectory_values(tmp_path, p, model):
     out = tmp_path / "t.csv"
     write_trajectory_csv(traj, p, str(out))
     header, data = read_csv(out)
-    expected = dict(zip(REDUCED_VARIABLES, traj.reduced_series(p).T))
+    expected = dict(zip(REDUCED_VARIABLES, traj.reduced_series().T))
     expected.update(t=traj.t, p1=traj.p1, p2=traj.p2, E=traj.energy,
                     res_x=traj.residuals[:, 0], res_y=traj.residuals[:, 1],
                     res_theta=traj.residuals[:, 2])
@@ -222,6 +222,13 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, initial, sim):
     cfg = write_config(tmp_path / "c.json", initial=initial, sim=sim)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_overflowing_step_count_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", sim={"T": 1e300, "dt": 1e-10})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    assert "T/dt" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def _with_params(**changes):

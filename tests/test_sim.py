@@ -191,6 +191,15 @@ def test_simulate_rejects_non_finite_duration_and_step(p, T, dt, name):
         simulate("full", s, TorqueProfile.zero(), T, dt, p)
 
 
+def test_simulate_rejects_overflowing_step_count(p):
+    # both finite, but T/dt overflows: no grid, and a ValueError naming T/dt
+    s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
+    with pytest.raises(ValueError, match="T/dt"):
+        simulate("full", s, TorqueProfile.zero(), 1e300, 1e-10, p)
+    with pytest.raises(ValueError, match="T/dt"):
+        n_samples(1e300, 1e-10)
+
+
 def test_simulate_failure_carries_timestamp(p):
     s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
     prof = TorqueProfile(((0.0, 1e305, 1e305),))

@@ -7,7 +7,8 @@ from wipdyn import (FullState, ReducedState, TorqueProfile,
                     compare_trajectories, constraint_residuals, energy_drift,
                     equivariance_error, f_of_alpha, full_to_reduced, h_const,
                     holonomic_residual, momenta_from_full, momentum_pairing,
-                    momentum_rate_error, run_structural_checks, simulate)
+                    momentum_rate_error, power_balance_error,
+                    run_structural_checks, simulate)
 from wipdyn.validation import render_check_lines, shift_full_state
 
 
@@ -97,6 +98,16 @@ def test_momentum_rate_check_with_torque_pulse(p):
     profile = TorqueProfile(((0.1, 0.2, -0.1), (0.3, 0.0, 0.0)))
     traj = simulate("full", s, profile, 0.5, 1e-4, p)
     assert momentum_rate_error(traj, profile, p) <= 1e-4
+
+
+@pytest.mark.parametrize("T", [0.0, 1e-3])
+def test_rate_checks_without_interior_samples_are_zero(p, T):
+    # T < 2 dt leaves no sample with a central-difference stencil
+    s = FullState.constrained(0, 0, 0, 0.15, 0, 0, 0, 0.4, 0.5, p)
+    profile = TorqueProfile.constant(0.2, -0.1)
+    traj = simulate("full", s, profile, T, 1e-3, p)
+    assert power_balance_error(traj, profile, p) == 0.0
+    assert momentum_rate_error(traj, profile, p) == 0.0
 
 
 def test_holonomic_residual_rejects_reduced(p):
