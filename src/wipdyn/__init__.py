@@ -21,8 +21,8 @@ from .oracle import (ConstraintViolationError, constraint_matrix,
                      lagrange_dalembert_full, lagrange_dalembert_rhs)
 from .sim import (SimulationError, TorqueProfile, Trajectory, rk4_step,
                   simulate, tau_from_u, u_from_tau)
-from .validation import (compare_trajectories, constraint_residuals,
-                         energy_drift, equivariance_error, holonomic_residual,
+from .validation import (compare_trajectories, energy_drift,
+                         equivariance_error, holonomic_residual,
                          momentum_pairing, momentum_rate_error,
                          power_balance_error, run_structural_checks)
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .model import FullState, Params, ReducedState
 from .dynamics_reduced import full_to_reduced, reduced_to_full
-from .sim import MODELS, SimulationError, TorqueProfile, n_samples, simulate
+from .sim import (MODELS, REDUCED_VARIABLES, SimulationError, TorqueProfile,
+                  n_samples, simulate)
 from .validation import (compare_trajectories, render_check_lines,
                          run_structural_checks)
 
@@ -37,7 +38,6 @@ __all__ = ["main", "entry", "ConfigError", "load_config", "write_trajectory_csv"
 CSV_HEADER = "t,x,y,theta,alpha,phi,alpha_dot,p1,p2,E,res_x,res_y,res_theta"
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
-_REDUCED_KEYS = ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2")
 _FULL_KEYS = ("x", "y", "theta", "alpha", "phi1", "phi2",
               "alpha_dot", "phi1_dot", "phi2_dot")
 
@@ -97,7 +97,7 @@ def _build_initial(cfg: dict, p: Params) -> tuple[FullState, ReducedState]:
     if not isinstance(block, dict):
         raise ConfigError("initial block must be an object")
     reduced_form = "p1" in block or "phi" in block
-    keys, form = (_REDUCED_KEYS, "reduced") if reduced_form else (_FULL_KEYS, "full")
+    keys, form = (REDUCED_VARIABLES, "reduced") if reduced_form else (_FULL_KEYS, "full")
     vals = _strict_floats(block, keys, f"initial ({form} form)")
     try:
         if reduced_form:
@@ -137,8 +137,6 @@ def _build_sim(cfg: dict) -> tuple[float, float, str]:
     model = block.get("model", "full")
     if model not in MODELS:
         raise ConfigError(f"sim block: unknown model {model!r}")
-    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0.0 or T < 0.0:
-        raise ConfigError("sim block: need finite dt > 0 and T >= 0")
     try:
         n_samples(T, dt)
     except ValueError as exc:
@@ -176,14 +174,16 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return 5
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def _scenario(cfg: dict) -> tuple:
+    """(p, full initial, reduced initial, profile, T, dt, model) of a config."""
     p = _build_params(cfg)
     full0, red0 = _build_initial(cfg, p)
-    profile = _build_profile(cfg)
-    T, dt, model = _build_sim(cfg)
-    if args.model:
-        model = args.model
+    return (p, full0, red0, _build_profile(cfg), *_build_sim(cfg))
+
+
+def cmd_simulate(args) -> int:
+    p, full0, red0, profile, T, dt, model = _scenario(load_config(args.config))
+    model = args.model or model
     initial = red0 if model == "reduced" else full0
     try:
         traj = simulate(model, initial, profile, T, dt, p)
@@ -200,10 +200,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    p = _build_params(cfg)
-    full0, red0 = _build_initial(cfg, p)
-    profile = _build_profile(cfg)
-    T, dt, _ = _build_sim(cfg)
+    p, full0, red0, profile, T, dt, _ = _scenario(cfg)
     tol = _build_tolerance(cfg)
 
     try:

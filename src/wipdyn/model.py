@@ -23,7 +23,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -45,7 +44,6 @@ __all__ = [
     "lagrangian_full",
     "lagrangian_case2",
     "reduced_constrained_lagrangian",
-    "velocity_gradient_full",
     "total_energy",
     "reduced_energy",
 ]
@@ -145,13 +143,6 @@ class Params:
         if missing:
             raise ValueError(f"missing parameter keys: {', '.join(missing)}")
         return cls(**{k: data[k] for k in _PARAM_FIELDS})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Params":
-        return cls.from_dict(json.loads(text))
 
 
 def _coerce_finite(obj):
@@ -385,26 +376,11 @@ def reduced_constrained_lagrangian(alpha, alpha_dot, xi3, xi4, p: Params):
             - p.m_b * p.g * p.b * cal)
 
 
-def velocity_gradient_full(q, q_dot, p: Params):
-    """Analytic dL/dq_dot of :func:`lagrangian_full`; last axis of size 6."""
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(q_dot, dtype=float)
-    th, al = q[..., 2], q[..., 3]
-    xd, yd, thd, ald, f1d, f2d = (qd[..., i] for i in range(6))
-    m_t = p.m_b + 2.0 * p.m_W
-    mbb = p.m_b * p.b
-    sth, cth = np.sin(th), np.cos(th)
-    sal, cal = np.sin(al), np.cos(al)
-    g_x = m_t * xd - mbb * sal * sth * thd + mbb * cal * cth * ald
-    g_y = m_t * yd + mbb * sal * cth * thd + mbb * cal * sth * ald
-    g_th = i_theta(al, p) * thd + mbb * sal * (-sth * xd + cth * yd)
-    g_al = (p.m_b * p.b ** 2 + p.I_Byy) * ald + mbb * cal * (cth * xd + sth * yd)
-    return np.stack([g_x, g_y, g_th, g_al, p.I_Wyy * f1d, p.I_Wyy * f2d], axis=-1)
-
-
 def total_energy(state, p: Params):
-    """Total energy E = sum_i q_dot_i dL/dq_dot_i - L (kinetic + potential).
+    """Total energy E = q_dot . dL/dq_dot - L (kinetic + potential).
 
+    T is quadratic in q_dot, so by Euler's identity q_dot . dL/dq_dot = 2 T
+    and E = L(q, q_dot) - 2 L(q, 0), from :func:`lagrangian_full` alone.
     Accepts a :class:`FullState` or a pair of arrays via
     ``total_energy((q, q_dot), p)`` with the usual broadcasting.
     """
@@ -412,9 +388,7 @@ def total_energy(state, p: Params):
         q, qd = state.q, state.q_dot
     else:
         q, qd = state
-    grad = velocity_gradient_full(q, qd, p)
-    qd = np.asarray(qd, dtype=float)
-    return np.sum(qd * grad, axis=-1) - lagrangian_full(q, qd, p)
+    return lagrangian_full(q, qd, p) - 2.0 * lagrangian_full(q, np.zeros(6), p)
 
 
 def reduced_energy(state: ReducedState | tuple, p: Params):

@@ -138,11 +138,21 @@ def rk4_step(rhs, y, t: float, dt: float) -> list[float]:
 def n_samples(T: float, dt: float) -> int:
     """Samples on the uniform grid: floor(T/dt) + 1 (tolerant of rounding).
 
-    Raises ValueError if T/dt overflows to infinity.
+    The one check of a time grid.  Raises ValueError unless
+    * dt is finite and > 0,
+    * T is finite and >= 0,
+    * the step count T/dt is at most 2**53, the largest count whose step
+      indices k are all exact floats in t = k dt.  numpy can size every
+      trajectory array up to it; a count that exceeds memory still raises
+      MemoryError.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be non-negative and finite, got {T!r}")
     steps = T / dt + 1e-9
-    if not math.isfinite(steps):
-        raise ValueError(f"T/dt = {T!r}/{dt!r} overflows: no finite step count")
+    if not steps <= 2.0 ** 53:
+        raise ValueError(f"T/dt = {T!r}/{dt!r} exceeds 2**53 steps")
     return int(math.floor(steps)) + 1
 
 
@@ -259,19 +269,15 @@ def simulate(model: str, initial, profile: TorqueProfile,
     """Integrate the chosen model and return its diagnosed trajectory.
 
     The initial state must satisfy the rolling constraints for the full and
-    oracle models; T >= 0 (T = 0 gives a single-sample trajectory) and
-    dt > 0, both finite, and T/dt finite.  RHS failures are re-raised as
+    oracle models; T and dt must pass :func:`n_samples` (T = 0 gives a
+    single-sample trajectory).  RHS failures are re-raised as
     SimulationError with the failing step, its timestamp and the last finite
     state.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"T must be non-negative and finite, got {T!r}")
-    y = _initial_vector(model, initial, p).tolist()
     steps = n_samples(T, dt) - 1
+    y = _initial_vector(model, initial, p).tolist()
     Y = np.empty((steps + 1, len(y)))
     Y[0] = y
     rhs = {"full": _full_ode, "reduced": _reduced_ode, "oracle": _oracle_ode}[model](profile, p)

@@ -16,13 +16,11 @@ import numpy as np
 from .connection import curvature_at, curvature_fd
 from .dynamics_full import momenta_from_full
 from . import dynamics_reduced as dred
-from .model import (FullState, Params, ReducedState, lagrangian_case2,
-                    rolling_residuals)
+from .model import FullState, Params, ReducedState, lagrangian_case2
 from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate,
                   u_from_tau)
 
 __all__ = [
-    "constraint_residuals",
     "momentum_pairing",
     "ErrorStats",
     "compare_trajectories",
@@ -36,19 +34,6 @@ __all__ = [
     "run_structural_checks",
     "render_check_lines",
 ]
-
-
-def constraint_residuals(subject, p: Params) -> np.ndarray:
-    """Rolling-constraint residuals |s_dot + A(theta) r_dot| per sample.
-
-    Accepts a full/oracle :class:`~wipdyn.sim.Trajectory` (returns (N, 3)) or
-    a single :class:`~wipdyn.model.FullState` (returns (3,)).
-    """
-    if isinstance(subject, FullState):
-        return rolling_residuals(subject.q, subject.q_dot, p)
-    if subject.model == "reduced":
-        raise ValueError("constraint residuals are defined for full/oracle trajectories")
-    return subject.residuals.copy()
 
 
 _GENERATORS = {1: lambda th, p: np.array([p.r * math.cos(th), p.r * math.sin(th), 0.0, 0.0, 1.0]),
@@ -132,7 +117,7 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
         u1, u2 = u_from_tau(*taus[k], p)
         cf1, cf2 = ode(red[k], u1, u2)[6:]
         worst = max(worst, abs(fd1 - cf1), abs(fd2 - cf2))
-    return worst
+    return float(worst)
 
 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:

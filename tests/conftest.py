@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wipdyn import FullState, Params
+from wipdyn import FullState, Params, lagrangian_full
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +29,21 @@ def random_constrained(p, rng):
             p)
 
     return make
+
+
+@pytest.fixture()
+def velocity_gradient(p):
+    """dL/dq_dot of lagrangian_full by central differences with steps
+    h_i = max(1, |q_dot_i|): L is quadratic in q_dot, so they are exact up to
+    round-off."""
+
+    def grad(q, qd):
+        hs = np.maximum(1.0, np.abs(qd))
+        steps = np.diag(hs)
+        return (lagrangian_full(q, qd + steps, p)
+                - lagrangian_full(q, qd - steps, p)) / (2.0 * hs)
+
+    return grad
 
 
 @pytest.fixture()

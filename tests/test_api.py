@@ -1,11 +1,13 @@
-"""The public surface resolves: every exported name and every docstring
-cross-reference points at something that exists."""
+"""The public surface resolves: every exported name, every docstring
+cross-reference and every wipdyn name the benchmark reads points at something
+that exists."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +62,49 @@ def test_docstring_references_resolve(module):
                        for role, name in REFERENCE.findall(doc)
                        if not _resolves(module, role, name)})
     assert dangling == []
+
+
+def _dotted(node, modules):
+    """'wipdyn.mod.a.b' for an attribute chain rooted at an imported wipdyn
+    module, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in modules:
+        return ".".join([modules[node.id], *reversed(parts)])
+    return None
+
+
+def _bench_references(path):
+    """wipdyn names a bench script reads: ``from wipdyn.x import y`` names,
+    attribute reads on a module imported from wipdyn, and the attribute
+    string that follows such an object in a tuple or call (the bench's
+    ``(layer, owner, "attr", tag)`` targets and ``getattr`` calls)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "wipdyn":
+            modules.update({a.asname or a.name: f"wipdyn.{a.name}" for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wipdyn."):
+            refs.update(f"{node.module}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            refs.add(_dotted(node, modules))
+        items = (node.elts if isinstance(node, ast.Tuple)
+                 else node.args if isinstance(node, ast.Call) else [])
+        for owner, attr in zip(items, items[1:]):
+            base = _dotted(owner, modules)
+            if base and isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                refs.add(f"{base}.{attr.value}")
+    refs.discard(None)
+    return refs
+
+
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+PINNED = sorted(set().union(*map(_bench_references, BENCH)))
+
+
+def test_bench_reads_names_that_exist():
+    assert len(PINNED) >= 20
+    assert [name for name in PINNED if not _resolves(wipdyn, "", name)] == []

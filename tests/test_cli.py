@@ -231,6 +231,15 @@ def test_overflowing_step_count_exits_2(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("T", [1e15, 1e20])
+def test_step_count_beyond_2_pow_53_exits_2(tmp_path, capsys, T):
+    # T/dt = 1e18 or 1e23: finite, but numpy cannot size the trajectory
+    cfg = write_config(tmp_path / "c.json", sim={"T": T, "dt": 1e-3})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    assert "T/dt" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def _with_params(**changes):
     return {**Params.default().to_dict(), **changes}
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wipdyn import FullState, TorqueProfile, simulate
-from wipdyn.model import lagrangian_full, velocity_gradient_full
+from wipdyn.model import lagrangian_full
 from wipdyn.oracle import (CS_STEP, ConstraintViolationError,
                            constraint_matrix, constraint_rate_term,
                            lagrange_dalembert_full, lagrange_dalembert_rhs,
@@ -68,13 +68,13 @@ def test_one_constraint_matrix_call_per_rhs(p, rng, monkeypatch):
     assert calls == [True]
 
 
-def test_lagrangian_complex_step_matches_velocity_gradient(p, rng):
+def test_lagrangian_complex_step_matches_velocity_gradient(p, rng, velocity_gradient):
     for _ in range(20):
         q = rng.uniform(-2.0, 2.0, 6)
         qd = rng.uniform(-2.0, 2.0, 6)
         QD = qd + (1j * CS_STEP) * np.eye(6)
         cs = lagrangian_full(np.broadcast_to(q, (6, 6)), QD, p).imag / CS_STEP
-        grad = velocity_gradient_full(q, qd, p)
+        grad = velocity_gradient(q, qd)
         assert np.max(np.abs(cs - grad)) <= 1e-13
         assert lagrangian_full(q, qd, p).dtype == np.float64
 

@@ -137,6 +137,7 @@ def test_n_samples_grid():
     assert n_samples(0.0, 1e-3) == 1
     assert n_samples(0.3, 0.1) == 4
     assert n_samples(5.0, 1e-3) == 5001
+    assert n_samples(2.0 ** 53, 1.0) == 2 ** 53 + 1
 
 
 def test_simulate_zero_duration_single_sample(p):
@@ -198,6 +199,14 @@ def test_simulate_rejects_overflowing_step_count(p):
         simulate("full", s, TorqueProfile.zero(), 1e300, 1e-10, p)
     with pytest.raises(ValueError, match="T/dt"):
         n_samples(1e300, 1e-10)
+
+
+@pytest.mark.parametrize("T", [1e15, 1e20])
+def test_simulate_rejects_step_count_beyond_2_pow_53(p, T):
+    # T/dt = 1e18 or 1e23: finite, but numpy cannot size the trajectory
+    s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
+    with pytest.raises(ValueError, match="T/dt"):
+        simulate("full", s, TorqueProfile.zero(), T, 1e-3, p)
 
 
 def test_simulate_failure_carries_timestamp(p):

@@ -4,37 +4,32 @@ import numpy as np
 import pytest
 
 from wipdyn import (FullState, ReducedState, TorqueProfile,
-                    compare_trajectories, constraint_residuals, energy_drift,
+                    compare_trajectories, energy_drift,
                     equivariance_error, f_of_alpha, full_to_reduced, h_const,
                     holonomic_residual, momenta_from_full, momentum_pairing,
                     momentum_rate_error, power_balance_error,
                     run_structural_checks, simulate)
+from wipdyn.model import rolling_residuals
 from wipdyn.validation import render_check_lines, shift_full_state
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
     s = FullState.constrained(0, 0, 0.3, 0.1, 0, 0, 0.1, 0.4, 0.7, p)
     traj = simulate("full", s, TorqueProfile.zero(), 0.5, 1e-3, p)
-    assert np.max(constraint_residuals(traj, p)) == 0.0
+    assert traj.residuals.shape == (len(traj), 3)
+    assert np.max(traj.residuals) == 0.0
 
 
 def test_constraint_residuals_flag_violations(p):
     bad = FullState(0, 0, 0, 0.1, 0, 0, 0.7, -0.2, 0.1, 0, 0, 0)
-    res = constraint_residuals(bad, p)
+    res = rolling_residuals(bad.q, bad.q_dot, p)
     assert np.all(res > 0.0)
-
-
-def test_constraint_residuals_reject_reduced_trajectories(p):
-    red0 = ReducedState(0, 0, 0, 0, 0, 0, 0, 0)
-    traj = simulate("reduced", red0, TorqueProfile.zero(), 0.1, 1e-2, p)
-    with pytest.raises(ValueError):
-        constraint_residuals(traj, p)
 
 
 def test_oracle_trajectory_residuals_small(p):
     s = FullState.constrained(0, 0, 0.2, 0.15, 0, 0, 0.1, 0.5, 0.8, p)
     traj = simulate("oracle", s, TorqueProfile.zero(), 0.4, 1e-3, p)
-    assert np.max(constraint_residuals(traj, p)) <= 1e-8
+    assert np.max(traj.residuals) <= 1e-8
 
 
 def test_momentum_pairing_rest_state(p):
@@ -98,6 +93,9 @@ def test_momentum_rate_check_with_torque_pulse(p):
     profile = TorqueProfile(((0.1, 0.2, -0.1), (0.3, 0.0, 0.0)))
     traj = simulate("full", s, profile, 0.5, 1e-4, p)
     assert momentum_rate_error(traj, profile, p) <= 1e-4
+    # both rate checks give Python floats, the type of CheckResult.value
+    assert [type(check(traj, profile, p))
+            for check in (momentum_rate_error, power_balance_error)] == [float, float]
 
 
 @pytest.mark.parametrize("T", [0.0, 1e-3])
@@ -152,3 +150,4 @@ def test_structural_suite_passes_and_renders(p):
     lines = render_check_lines(results)
     assert len(lines) == len(results) >= 6
     assert all(line.startswith("PASS") for line in lines), "\n".join(lines)
+    assert [r.name for r in results if type(r.value) is not float] == []
