@@ -248,11 +248,15 @@ def _cos_sin(x):
     return np.cos(x), np.sin(x)
 
 
-def i_theta(alpha, p: Params):
-    """Yaw inertia I_theta(alpha); smooth, even and pi-periodic."""
-    ca, sa = _cos_sin(alpha)
+def _i_theta(ca, sa, p: Params):
+    """I_theta from cos(alpha) and sin(alpha), for callers that hold them."""
     return (2.0 * p.I_Wzz + p.I_Bz * ca * ca + 2.0 * p.m_W * p.d ** 2
             + (p.I_Bxx + p.m_b * p.b ** 2) * sa * sa)
+
+
+def i_theta(alpha, p: Params):
+    """Yaw inertia I_theta(alpha); smooth, even and pi-periodic."""
+    return _i_theta(*_cos_sin(alpha), p)
 
 
 def i_theta_prime(alpha, p: Params):
@@ -316,25 +320,22 @@ def lagrangian_full(q, q_dot, p: Params):
     (x, y, theta, alpha, phi1, phi2) and its velocities; broadcasting over
     leading axes is supported (used heavily by the oracle).  Complex input
     is evaluated as is, never cast to real: the oracle takes derivatives of
-    this function by complex step.
+    this function by complex step.  Few numpy calls, for the oracle's 46 rows:
+    sin/cos of (theta, alpha) once, I_theta from them via ``_i_theta`` (as
+    :func:`i_theta`), squared rates once, constant inertias as one weighted sum.
     """
     q = np.asarray(q)
     qd = np.asarray(q_dot)
-    th, al = q[..., 2], q[..., 3]
-    xd, yd, thd, ald, f1d, f2d = (qd[..., i] for i in range(6))
-    m_t = p.m_b + 2.0 * p.m_W
-    mbb = p.m_b * p.b
-    sth, cth = np.sin(th), np.cos(th)
-    sal, cal = np.sin(al), np.cos(al)
-    return (0.5 * m_t * (xd * xd + yd * yd)
-            + 0.5 * i_theta(al, p) * thd * thd
-            + 0.5 * (p.m_b * p.b ** 2 + p.I_Byy) * ald * ald
-            + 0.5 * p.I_Wyy * (f1d * f1d + f2d * f2d)
-            - mbb * sal * sth * xd * thd
-            + mbb * cal * cth * ald * xd
-            + mbb * sal * cth * thd * yd
-            + mbb * cal * sth * ald * yd
-            - mbb * p.g * cal)
+    sin, cos = np.sin(q[..., 2:4]), np.cos(q[..., 2:4])
+    sth, sal = sin[..., 0], sin[..., 1]
+    cth, cal = cos[..., 0], cos[..., 1]
+    xd, yd, thd, ald = (qd[..., i] for i in range(4))
+    v2 = qd * qd
+    m_t = 0.5 * (p.m_b + 2.0 * p.m_W)
+    w = (m_t, m_t, 0.0, 0.5 * (p.m_b * p.b ** 2 + p.I_Byy), 0.5 * p.I_Wyy, 0.5 * p.I_Wyy)
+    return (v2 @ w + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
+            + p.m_b * p.b * (sal * thd * (cth * yd - sth * xd)
+                             + cal * (ald * (cth * xd + sth * yd) - p.g)))
 
 
 def lagrangian_case2(q, q_dot, p: Params):

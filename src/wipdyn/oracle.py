@@ -34,13 +34,14 @@ step size to tune.
   real part of the same matrix C(q + i h q_dot), bit for bit: it carries
   cos(theta) cosh(h theta_dot), and the cosh rounds to exactly 1.
 
-All of these rows form one table, built once per dimension: the velocity
-offset, complex-step direction and q_dot multiplier of each row, and the
-polarisation weights.  :func:`lagrangian_derivatives` evaluates f once on
-every row of the table and reduces M from the real part of the
+All of these rows form one table, built once per dimension and stored ready
+to use (at 46 rows a numpy call costs more than its arithmetic): velocity
+offsets and complex-step directions, scaled by i h, coordinate-major,
+(n, rows), so each coordinate f reads is contiguous, and the polarisation
+weights as one (n^2, m) matrix.  :func:`lagrangian_derivatives` evaluates f
+once on every row and reduces M (one product) from the real part of the
 polarisation block and Q from the imaginary part of the rest;
-:func:`lagrange_dalembert_full` calls it on ``lagrangian_full`` (46 rows for
-n = 6).
+:func:`lagrange_dalembert_full` calls it on ``lagrangian_full`` (46 rows).
 """
 
 from __future__ import annotations
@@ -75,19 +76,16 @@ def constraint_matrix(q: np.ndarray, p: Params) -> np.ndarray:
     oracle evaluates C once per call, at q + i h q_dot.
     """
     th = q[2]
-    c, s = np.cos(th), np.sin(th)
-    hr = 0.5 * p.r
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0, -hr * c, -hr * c],
-        [0.0, 1.0, 0.0, 0.0, -hr * s, -hr * s],
-        [0.0, 0.0, 1.0, 0.0, p.r / p.d, -p.r / p.d],
-    ])
+    c, s = -0.5 * p.r * np.cos(th), -0.5 * p.r * np.sin(th)
+    return np.array([1.0, 0.0, 0.0, 0.0, c, c,
+                     0.0, 1.0, 0.0, 0.0, s, s,
+                     0.0, 0.0, 1.0, 0.0, p.r / p.d, -p.r / p.d]).reshape(3, 6)
 
 
 def _constraint_and_rate(q: np.ndarray, qd: np.ndarray, p: Params):
     """(C(q), C_dot q_dot) from one complex call C(q + i h q_dot)."""
     C = constraint_matrix(q + (1j * CS_STEP) * qd, p)
-    return C.real, (C @ qd).imag / CS_STEP
+    return C.real, C.imag @ qd / CS_STEP
 
 
 def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndarray:
@@ -103,13 +101,14 @@ def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndar
 
 @functools.cache
 def _rows(n: int):
-    """Row table for dimension n: (w, vel, pos, along), read-only, shared.
+    """Row table for dimension n: (W, vel, pos, along), read-only, shared.
 
-    Row r is evaluated at (q + i h (pos_r + along_r q_dot), q_dot + vel_r h_v)
-    with the velocity steps h_v = max(1, |q_dot|).  The first m = 1 + 2n + n(n-1)/2 rows are
-    the polarisation rows (velocity offsets 0, +e_i, -e_i, then e_i + e_j
-    for i < j), reduced by h_i h_j M_ij = w_ij . values; then n rows along
-    e_j, and 2n rows along q_dot at velocity offsets +e_i, -e_i.
+    Row r is evaluated at (q + pos_r + along_r q_dot, q_dot + vel_r h_v), with
+    h_v = max(1, |q_dot|); pos and along carry the factor i h.  The first
+    m = 1 + 2n + n(n-1)/2 rows are the polarisation rows (velocity offsets 0,
+    +e_i, -e_i, then e_i + e_j for i < j), reduced by h_i h_j M_ij =
+    W[n i + j] . values; then n rows along e_j, and 2n rows along q_dot at
+    velocity offsets +e_i, -e_i.
     """
     eye, zero = np.eye(n), np.zeros((n, n))
     i, j = np.triu_indices(n, 1)
@@ -126,29 +125,51 @@ def _rows(n: int):
         w[a, b, 1 + a] = w[a, b, 1 + b] = -1.0
     vel = np.concatenate([np.zeros((1, n)), eye, -eye, eye[i] + eye[j], zero, eye, -eye])
     pos = np.concatenate([np.zeros((m, n)), eye, zero, zero])
-    along = np.concatenate([np.zeros((m + n, 1)), np.ones((2 * n, 1))])
-    for a in (w, vel, pos, along):
+    along = np.concatenate([np.zeros(m + n), np.ones(2 * n)])
+    table = (w.reshape(n * n, m), vel.T.copy(), (1j * CS_STEP) * pos.T.copy(),
+             (1j * CS_STEP) * along)
+    for a in table:
         a.setflags(write=False)
-    return w, vel, pos, along
+    return table
 
 
 def lagrangian_derivatives(f, q, q_dot):
     """(M, Q): M = d2f/dq_dot2 and Q = df/dq - (d2f/dq_dot dq) q_dot.
 
     Exact to rounding for f analytic in q and quadratic in q_dot.  f(Q, QD)
-    must accept stacked (N, n) arrays, Q complex, and return (N,); it is
-    called once, on all 1 + 2n + n(n-1)/2 + 3n rows of the table.
+    must accept stacked (N, n) arrays (transposed views), Q complex, and
+    return (N,); it is called once, on all 1 + 2n + n(n-1)/2 + 3n rows.
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
     n = qd.size
-    w, vel, pos, along = _rows(n)
+    W, vel, pos, along = _rows(n)
     h = np.maximum(1.0, np.abs(qd))
-    vals = f(q + (1j * CS_STEP) * (pos + along * qd), qd + vel * h)
-    m = w.shape[-1]
-    M = (w @ vals[:m].real) / np.outer(h, h)
+    Q = q[:, None] + pos
+    Q += qd[:, None] * along
+    QD = vel * h[:, None]
+    QD += qd[:, None]
+    vals = f(Q.T, QD.T)
+    m = W.shape[-1]
+    M = (W @ vals[:m].real).reshape(n, n) / (h[:, None] * h)
     g = vals[m:].imag / CS_STEP
     return M, g[:n] - (g[n:2 * n] - g[2 * n:]) / (2.0 * h)
+
+
+# Column 1 of the saddle's right-hand sides is a fixed probe: golden-ratio
+# fractions, all distinct (all ones lies in the range of a saddle with a
+# duplicated row).  Its solution passes _SINGULAR only on a numerically
+# singular saddle: >= 7e15 with a duplicated row, <= 133 for the rolling one.
+_SINGULAR = 1e8
+
+
+@functools.cache
+def _rhs_template(k: int) -> np.ndarray:
+    """(k, 2) saddle right-hand sides: column 0 is filled per call, column 1 is the probe."""
+    b = np.zeros((k, 2))
+    b[:, 1] = np.arange(1, k + 1) * 0.6180339887498949 % 1.0 - 0.5
+    b.setflags(write=False)
+    return b
 
 
 def lagrange_dalembert_full(q, q_dot, tau, p: Params,
@@ -164,13 +185,13 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
     M and Q come from one call of ``lagrangian_full`` through
     :func:`lagrangian_derivatives`, C and C_dot q_dot from one complex call of
     :func:`constraint_matrix`.  Returns (q_dd, lam).  Raises
-    numpy.linalg.LinAlgError if the saddle matrix is rank deficient; the rate
-    term has one entry per row of :func:`constraint_matrix`, so this holds
-    for any constraint set.
+    numpy.linalg.LinAlgError if the saddle matrix is numerically singular,
+    for any constraint set: the solve also takes a fixed probe right-hand
+    side, whose solution a rank-deficient saddle blows up past 1e8
+    (``np.linalg.solve`` itself raises only on an exactly zero pivot).
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
-    tau = np.asarray(tau, float)
     C, rate = _constraint_and_rate(q, qd, p)
     if check_constraints:
         viol = np.max(np.abs(C @ qd))
@@ -180,14 +201,18 @@ def lagrange_dalembert_full(q, q_dot, tau, p: Params,
 
     M, Q_vec = lagrangian_derivatives(lambda Q, QD: lagrangian_full(Q, QD, p), q, qd)
 
-    m = C.shape[0]
-    saddle = np.zeros((6 + m, 6 + m))
-    saddle[:6, :6] = M
-    saddle[:6, 6:] = C.T
-    saddle[6:, :6] = C
-    rhs = np.concatenate([Q_vec + tau, -rate])
+    n, k = qd.size, qd.size + C.shape[0]
+    saddle = np.zeros((k, k))
+    saddle[:n, :n] = M
+    saddle[:n, n:] = C.T
+    saddle[n:, :n] = C
+    rhs = _rhs_template(k).copy()
+    np.add(Q_vec, tau, out=rhs[:n, 0])
+    np.negative(rate, out=rhs[n:, 0])
     sol = np.linalg.solve(saddle, rhs)
-    return sol[:6], -sol[6:]
+    if np.dot(sol[:, 1], sol[:, 1]) > _SINGULAR ** 2:
+        raise np.linalg.LinAlgError("saddle matrix is numerically singular")
+    return sol[:n, 0], -sol[n:, 0]
 
 
 def lagrange_dalembert_rhs(q, q_dot, tau, p: Params,

@@ -223,10 +223,8 @@ def _oracle_ode(profile: TorqueProfile, p: Params):
     tau_at = profile.tau_at
 
     def rhs(t, y):
-        tau = np.zeros(6)
-        tau[4], tau[5] = tau_at(t)
-        qdd = _oracle.lagrange_dalembert_rhs(y[:6], y[6:], tau, p,
-                                             check_constraints=False)
+        a = np.array([*y, 0.0, 0.0, 0.0, 0.0, *tau_at(t)])  # q, q_dot, generalized forces
+        qdd = _oracle.lagrange_dalembert_rhs(a[:6], a[6:12], a[12:], p, check_constraints=False)
         return [*y[6:], *qdd.tolist()]
 
     return rhs

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -85,6 +86,51 @@ def test_lagrangian_full_rest_values(p):
     assert lagrangian_full(q, qd, p) == pytest.approx(-p.m_b * p.b * p.g, rel=1e-15)
     q[3] = math.pi / 2
     assert abs(lagrangian_full(q, qd, p)) < 1e-15
+
+
+def _lagrangian_terms(q, qd, p, trig=math):
+    # the Lagrangian typed term by term from its textbook form, independent
+    # of lagrangian_full's factoring; trig=cmath takes complex q
+    x, y, th, al, f1, f2 = q
+    xd, yd, thd, ald, f1d, f2d = qd
+    sin, cos = trig.sin, trig.cos
+    i_th = (2 * p.I_Wzz + p.I_Bz * cos(al) ** 2 + 2 * p.m_W * p.d ** 2
+            + (p.I_Bxx + p.m_b * p.b ** 2) * sin(al) ** 2)
+    return (0.5 * (p.m_b + 2 * p.m_W) * (xd ** 2 + yd ** 2)
+            + 0.5 * i_th * thd ** 2
+            + 0.5 * (p.m_b * p.b ** 2 + p.I_Byy) * ald ** 2
+            + 0.5 * p.I_Wyy * (f1d ** 2 + f2d ** 2)
+            - p.m_b * p.b * sin(al) * sin(th) * xd * thd
+            + p.m_b * p.b * cos(al) * cos(th) * ald * xd
+            + p.m_b * p.b * sin(al) * cos(th) * thd * yd
+            + p.m_b * p.b * cos(al) * sin(th) * ald * yd
+            - p.m_b * p.g * p.b * cos(al))
+
+
+# (q, q_dot, L): L frozen from _lagrangian_terms evaluated in 40-digit
+# arithmetic (mpmath) at the default parameter set
+LAGRANGIAN_FROZEN = [
+    ((0.3, -0.7, 1.1, 0.4, 2.0, -1.5), (0.5, -0.2, 0.8, -0.6, 1.3, 0.9), -8.233922904889452),
+    ((-1.2, 0.5, -2.6, -0.9, 0.1, 0.3), (-1.1, 0.7, -0.3, 1.4, -2.0, 0.6), -0.4806662882075425),
+    ((0.0, 0.0, 3.0, 1.3, 0.0, 0.0), (0.05, 2.0, -1.7, 0.2, -0.4, -3.1), 13.298736560801558),
+]
+
+
+@pytest.mark.parametrize("q, qd, frozen", LAGRANGIAN_FROZEN)
+def test_lagrangian_full_frozen_values(p, q, qd, frozen):
+    assert _lagrangian_terms(q, qd, p) == pytest.approx(frozen, rel=1e-14)
+    assert lagrangian_full(np.array(q), np.array(qd), p) == pytest.approx(frozen, rel=1e-14)
+
+
+def test_lagrangian_full_frozen_complex_value(p):
+    # the oracle's complex-step rows: q + i h q_dot, h = 1e-30; the imaginary
+    # part is h dL/dq . q_dot
+    q, qd, _ = LAGRANGIAN_FROZEN[0]
+    qc = np.array(q) + 1e-30j * np.array(qd)
+    frozen = complex(-8.233922904889452, -1.873159871582715e-30)
+    for value in (_lagrangian_terms(qc, qd, p, cmath), lagrangian_full(qc, np.array(qd), p)):
+        assert value.real == pytest.approx(frozen.real, rel=1e-14)
+        assert value.imag == pytest.approx(frozen.imag, rel=1e-14)
 
 
 def test_lagrangian_full_is_velocity_quadratic_form(p, rng):
