@@ -31,6 +31,7 @@ from dataclasses import astuple, dataclass
 from functools import lru_cache
 from math import cos, sin
 
+from . import model
 from .model import FullState, Params, ReducedState, h_const
 from .dynamics_full import momenta_from_full
 
@@ -64,17 +65,17 @@ def _kernel(p: Params):
     # f_of_alpha, f_prime and shape_mass inline: calling them, each re-reading
     # Params and taking its own cosine or sine, kept this rhs at about 3 us per
     # call against about 1.2 us inline (timeit, best of 9).
-    # f(alpha) = f_wz + I_Bz cos^2 + f_wd + f_bx sin^2 + f_wy
-    f_wz, I_Bz, f_wd = 2.0 * p.I_Wzz, p.I_Bz, 2.0 * p.m_W * p.d ** 2
-    f_bx, f_wy = p.I_Bxx + p.m_b * p.b ** 2, p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy
-    fp_0 = p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz  # f'(alpha) / sin(2 alpha)
+    # f(alpha) = i_0 + i_c cos^2 + i_s sin^2 + f_wy and f' = fp_0 sin(2 alpha),
+    # I_theta's coefficients looked up on the model module as in dynamics_full
+    i_0, i_c, i_s = model._yaw_inertia(p)
+    f_wy, fp_0 = p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy, i_s - i_c
     m_0 = p.m_b * p.b ** 2 + p.I_Byy  # m(alpha) = m_0 - kappa^2 / h
     neg_mbbr2, mbbr2x2, grav = -(mbbr * mbbr), 2.0 * mbbr * mbbr, p.m_b * p.g * p.b
 
     def ode(y, u1, u2):
         th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
         sa, ca = sin(al), cos(al)
-        fa = f_wz + I_Bz * ca * ca + f_wd + f_bx * sa * sa + f_wy
+        fa = i_0 + i_c * ca * ca + i_s * sa * sa + f_wy
         kappa = mbbr * ca
         m_al = m_0 - kappa * kappa / h
         if m_al <= 0.0:

@@ -1,8 +1,9 @@
 """Physical model of the wheeled inverted pendulum (WIP).
 
-Parameters, state containers, inertia scalars and the Lagrangians that every
-other module builds on.  All functions are pure and all containers are frozen,
-so values can be shared freely between threads.
+Parameters, state containers, inertia scalars and the one hand-typed
+Lagrangian, :func:`lagrangian_full`, that every other module builds on.  All
+functions are pure and all containers are frozen, so values can be shared
+freely between threads.
 
 Conventions used throughout the package:
 
@@ -42,8 +43,6 @@ __all__ = [
     "rolling_rates",
     "rolling_residuals",
     "lagrangian_full",
-    "lagrangian_case2",
-    "reduced_constrained_lagrangian",
     "total_energy",
     "reduced_energy",
 ]
@@ -248,10 +247,23 @@ def _cos_sin(x):
     return np.cos(x), np.sin(x)
 
 
+def _yaw_inertia(p: Params):
+    """(i_0, i_c, i_s) with I_theta(alpha) = i_0 + i_c cos^2(alpha) + i_s sin^2(alpha).
+
+    The one statement of the yaw inertia: :func:`i_theta`, ``lagrangian_full``
+    and both rhs kernels read it.  i_0 is the wheels' own yaw inertia plus
+    2 m_W (d/2)^2 for wheel centres at +-d/2 from the axle midpoint (d is the
+    separation, as in :func:`rolling_rates`); i_c is the body's yaw inertia
+    and i_s its roll inertia shifted to the axle.
+    """
+    return (2.0 * p.I_Wzz + 0.5 * p.m_W * p.d * p.d, p.I_Bz,
+            p.I_Bxx + p.m_b * p.b * p.b)
+
+
 def _i_theta(ca, sa, p: Params):
     """I_theta from cos(alpha) and sin(alpha), for callers that hold them."""
-    return (2.0 * p.I_Wzz + p.I_Bz * ca * ca + 2.0 * p.m_W * p.d ** 2
-            + (p.I_Bxx + p.m_b * p.b ** 2) * sa * sa)
+    i_0, i_c, i_s = _yaw_inertia(p)
+    return i_0 + i_c * ca * ca + i_s * sa * sa
 
 
 def i_theta(alpha, p: Params):
@@ -261,7 +273,8 @@ def i_theta(alpha, p: Params):
 
 def i_theta_prime(alpha, p: Params):
     """d/dalpha of :func:`i_theta`."""
-    return (p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz) * _cos_sin(2.0 * alpha)[1]
+    _, i_c, i_s = _yaw_inertia(p)
+    return (i_s - i_c) * _cos_sin(2.0 * alpha)[1]
 
 
 def f_of_alpha(alpha, p: Params):
@@ -310,7 +323,7 @@ def rolling_residuals(q, q_dot, p: Params) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lagrangians
+# Lagrangian
 
 
 def lagrangian_full(q, q_dot, p: Params):
@@ -336,45 +349,6 @@ def lagrangian_full(q, q_dot, p: Params):
     return (v2 @ w + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
             + p.m_b * p.b * (sal * thd * (cth * yd - sth * xd)
                              + cal * (ald * (cth * xd + sth * yd) - p.g)))
-
-
-def lagrangian_case2(q, q_dot, p: Params):
-    """Lagrangian in the five mean-wheel coordinates (x, y, theta, alpha, phi).
-
-    Equals :func:`lagrangian_full` after eliminating the wheel difference via
-    the integrated yaw relation phi2 - phi1 = (d/r) theta + const.  Complex
-    input is evaluated as is, as in :func:`lagrangian_full`.
-    """
-    q = np.asarray(q)
-    qd = np.asarray(q_dot)
-    th, al = q[..., 2], q[..., 3]
-    xd, yd, thd, ald, phid = (qd[..., i] for i in range(5))
-    m_t = p.m_b + 2.0 * p.m_W
-    mbb = p.m_b * p.b
-    sth, cth = np.sin(th), np.cos(th)
-    sal, cal = np.sin(al), np.cos(al)
-    return (0.5 * m_t * (xd * xd + yd * yd)
-            + 0.5 * f_of_alpha(al, p) * thd * thd
-            + 0.5 * (p.m_b * p.b ** 2 + p.I_Byy) * ald * ald
-            + p.I_Wyy * phid * phid
-            + mbb * sal * thd * (-sth * xd + cth * yd)
-            + mbb * cal * ald * (cth * xd + sth * yd)
-            - mbb * p.g * cal)
-
-
-def reduced_constrained_lagrangian(alpha, alpha_dot, xi3, xi4, p: Params):
-    """Constrained reduced Lagrangian l_c(alpha, alpha_dot, xi3, xi4).
-
-    xi3 is the body yaw rate and xi4 the mean wheel rate; the rolling
-    constraint xi1 = r xi4, xi2 = 0 has been substituted.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    cal = np.cos(alpha)
-    return (0.5 * h_const(p) * xi4 * xi4
-            + p.r * p.m_b * p.b * cal * alpha_dot * xi4
-            + 0.5 * f_of_alpha(alpha, p) * xi3 * xi3
-            + 0.5 * (p.m_b * p.b ** 2 + p.I_Byy) * alpha_dot * alpha_dot
-            - p.m_b * p.g * p.b * cal)
 
 
 def total_energy(state, p: Params):

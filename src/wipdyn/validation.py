@@ -13,10 +13,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .connection import curvature_at, curvature_fd
+from .connection import curvature_at, curvature_fd, ehresmann_at
 from .dynamics_full import momenta_from_full
 from . import dynamics_reduced as dred
-from .model import FullState, Params, ReducedState, lagrangian_case2
+from .model import FullState, Params, ReducedState, lagrangian_full
 from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate,
                   u_from_tau)
 
@@ -36,32 +36,27 @@ __all__ = [
 ]
 
 
-_GENERATORS = {1: lambda th, p: np.array([p.r * math.cos(th), p.r * math.sin(th), 0.0, 0.0, 1.0]),
-               2: lambda th, p: np.array([0.0, 0.0, 1.0, 0.0, 0.0])}
-
-
 def momentum_pairing(state: FullState, i: int, p: Params) -> float:
-    """Numeric momentum <dL/dq_dot, generator_i> in the mean-wheel coordinates.
+    """Numeric momentum <dL/dq_dot, xi_i> of ``lagrangian_full``.
 
-    The velocity gradient of the five-coordinate Lagrangian is taken by
-    central differences with steps h_k = max(1, |q_dot_k|); L is quadratic
-    in q_dot, so these have no truncation error and large steps keep the
-    round-off small.  i = 1 pairs with the rolling generator, i = 2 with the
-    yaw generator.
+    The velocity gradient in all six coordinates is taken by central
+    differences with steps h_k = max(1, |q_dot_k|); L is quadratic in q_dot,
+    so these have no truncation error and large steps keep the round-off
+    small.  xi_1 (rolling) and xi_2 (yaw) generate the SE(2) x S1 symmetry:
+    the horizontal lifts (-A(theta) r_dot, r_dot) of the wheel rates
+    r_dot = (0, 1, 1) and (0, -d/2r, d/2r) by the kinematic connection
+    :func:`~wipdyn.connection.ehresmann_at`.
     """
     if i not in (1, 2):
         raise ValueError("section index must be 1 or 2")
-    q = np.array([state.x, state.y, state.theta, state.alpha, state.phi])
-    qd = np.array([state.x_dot, state.y_dot, state.theta_dot,
-                   state.alpha_dot, state.phi_dot])
+    qd = state.q_dot
     hs = np.maximum(1.0, np.abs(qd))
-    QD = np.broadcast_to(qd, (10, 5)).copy()
-    for k in range(5):
-        QD[2 * k, k] += hs[k]
-        QD[2 * k + 1, k] -= hs[k]
-    vals = lagrangian_case2(np.broadcast_to(q, (10, 5)), QD, p)
-    grad = (vals[0::2] - vals[1::2]) / (2.0 * hs)
-    return float(grad @ _GENERATORS[i](state.theta, p))
+    steps = np.diag(hs)
+    vals = lagrangian_full(state.q, np.concatenate([qd + steps, qd - steps]), p)
+    grad = (vals[:6] - vals[6:]) / (2.0 * hs)
+    half = 0.5 * p.d / p.r
+    r_dot = np.array([0.0, 1.0, 1.0] if i == 1 else [0.0, -half, half])
+    return float(grad @ np.concatenate([-ehresmann_at(state.theta, p) @ r_dot, r_dot]))
 
 
 @dataclass(frozen=True)

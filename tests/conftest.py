@@ -6,6 +6,41 @@ import pytest
 from wipdyn import FullState, Params, lagrangian_full
 
 
+def rigid_body_lagrangian(q, q_dot, p, sin=np.sin, cos=np.cos):
+    """L = T - V of the WIP assembled from its rigid bodies' geometry alone.
+
+    No inertia scalar of ``wipdyn.model`` is typed here.  The body pivots
+    about the axle through the midpoint (x, y, r); its centre of mass sits at
+    b along the body's yaw axis, which is tilted by alpha about the axle a.
+    The wheel centres sit on the axle at +-(d/2) a, and wheel i spins at
+    phi_i_dot about a.  Velocities of body-fixed points follow from
+    v_axle + omega x offset.  q and q_dot are sequences of six scalars:
+    floats, complex numbers or mpmath numbers, with sin and cos to match.
+    """
+    th, al = q[2], q[3]  # x, y and the wheel angles are cyclic
+    xd, yd, thd, ald, f1d, f2d = q_dot
+    ez = np.array([0.0, 0.0, 1.0])
+    fwd = np.array([cos(th), sin(th), 0.0])
+    axle = np.array([-sin(th), cos(th), 0.0])
+    # body principal axes: roll, pitch (the axle) and yaw
+    axes = (cos(al) * fwd - sin(al) * ez, axle, sin(al) * fwd + cos(al) * ez)
+    v_axle = np.array([xd, yd, 0.0])
+    omega_b = thd * ez + ald * axle
+    v_com = v_axle + np.cross(omega_b, p.b * axes[2])
+    T = (0.5 * p.m_b * (v_com @ v_com)
+         + 0.5 * sum(i * (omega_b @ e) ** 2
+                     for i, e in zip((p.I_Bxx, p.I_Byy, p.I_Bz), axes)))
+    for side, spin in ((-1.0, f1d), (1.0, f2d)):
+        v_w = v_axle + np.cross(omega_b, side * 0.5 * p.d * axle)
+        omega_w = thd * ez + spin * axle
+        w_spin = omega_w @ axle
+        w_perp = omega_w - w_spin * axle
+        T += (0.5 * p.m_W * (v_w @ v_w) + 0.5 * p.I_Wyy * w_spin ** 2
+              + 0.5 * p.I_Wzz * (w_perp @ w_perp))
+    # potential energy above the rest height of the axle (the wheels' is constant)
+    return T - p.m_b * p.g * (p.b * axes[2][2])
+
+
 @pytest.fixture(scope="session")
 def p():
     return Params.default()

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from wipdyn import (Controls, FullState, Params, ReducedState, f_of_alpha,
-                    f_prime, h_const, i_theta, i_theta_prime, lagrangian_case2,
-                    lagrangian_full, reduced_constrained_lagrangian,
+                    f_prime, h_const, i_theta, i_theta_prime, lagrangian_full,
                     reduced_energy, shape_mass, total_energy)
 from wipdyn.model import rolling_residuals
 from wipdyn.oracle import lagrangian_derivatives
+
+from conftest import rigid_body_lagrangian
 
 
 def _central(f, x, h=1e-6):
@@ -21,19 +22,23 @@ def _central(f, x, h=1e-6):
 # inertia scalars
 
 
+# I_theta(alpha) = 2 (L(q, e_theta) - L(q, 0)) of the rigid-body assembly at
+# q = (0, 0, 0, alpha, 0, 0), frozen from 40-digit mpmath at the default set;
+# it is 2 I_Wzz + m_W d^2 / 2 + I_Bz cos^2(alpha) + (I_Bxx + m_b b^2) sin^2(alpha)
+I_THETA_FROZEN = {0.0: 0.07120833333333335, math.pi / 2: 0.3352083333333334,
+                  0.3: 0.0942640321652558}
+
+
 def test_i_theta_at_zero(p):
-    assert i_theta(0.0, p) == pytest.approx(2 * p.I_Wzz + p.I_Bz + 2 * p.m_W * p.d ** 2,
-                                            rel=1e-15)
+    assert i_theta(0.0, p) == pytest.approx(I_THETA_FROZEN[0.0], rel=1e-15)
 
 
 def test_i_theta_at_half_pi(p):
-    expected = 2 * p.I_Wzz + 2 * p.m_W * p.d ** 2 + p.I_Bxx + p.m_b * p.b ** 2
-    assert i_theta(math.pi / 2, p) == pytest.approx(expected, rel=1e-14)
+    assert i_theta(math.pi / 2, p) == pytest.approx(I_THETA_FROZEN[math.pi / 2], rel=1e-14)
 
 
 def test_i_theta_frozen_value(p):
-    # frozen from an independent direct evaluation of the formula
-    assert i_theta(0.3, p) == pytest.approx(0.21426403216525583, abs=1e-15)
+    assert i_theta(0.3, p) == pytest.approx(I_THETA_FROZEN[0.3], abs=1e-15)
 
 
 def test_i_theta_even_and_pi_periodic(p, rng):
@@ -77,7 +82,7 @@ def test_h_const_mass_free_limit():
 
 
 # ---------------------------------------------------------------------------
-# Lagrangians
+# Lagrangian
 
 
 def test_lagrangian_full_rest_values(p):
@@ -88,49 +93,54 @@ def test_lagrangian_full_rest_values(p):
     assert abs(lagrangian_full(q, qd, p)) < 1e-15
 
 
-def _lagrangian_terms(q, qd, p, trig=math):
-    # the Lagrangian typed term by term from its textbook form, independent
-    # of lagrangian_full's factoring; trig=cmath takes complex q
-    x, y, th, al, f1, f2 = q
-    xd, yd, thd, ald, f1d, f2d = qd
-    sin, cos = trig.sin, trig.cos
-    i_th = (2 * p.I_Wzz + p.I_Bz * cos(al) ** 2 + 2 * p.m_W * p.d ** 2
-            + (p.I_Bxx + p.m_b * p.b ** 2) * sin(al) ** 2)
-    return (0.5 * (p.m_b + 2 * p.m_W) * (xd ** 2 + yd ** 2)
-            + 0.5 * i_th * thd ** 2
-            + 0.5 * (p.m_b * p.b ** 2 + p.I_Byy) * ald ** 2
-            + 0.5 * p.I_Wyy * (f1d ** 2 + f2d ** 2)
-            - p.m_b * p.b * sin(al) * sin(th) * xd * thd
-            + p.m_b * p.b * cos(al) * cos(th) * ald * xd
-            + p.m_b * p.b * sin(al) * cos(th) * thd * yd
-            + p.m_b * p.b * cos(al) * sin(th) * ald * yd
-            - p.m_b * p.g * p.b * cos(al))
-
-
-# (q, q_dot, L): L frozen from _lagrangian_terms evaluated in 40-digit
-# arithmetic (mpmath) at the default parameter set
+# (q, q_dot, L): L frozen from the rigid-body assembly (conftest) evaluated
+# in 40-digit arithmetic (mpmath) at the default parameter set
 LAGRANGIAN_FROZEN = [
-    ((0.3, -0.7, 1.1, 0.4, 2.0, -1.5), (0.5, -0.2, 0.8, -0.6, 1.3, 0.9), -8.233922904889452),
-    ((-1.2, 0.5, -2.6, -0.9, 0.1, 0.3), (-1.1, 0.7, -0.3, 1.4, -2.0, 0.6), -0.4806662882075425),
-    ((0.0, 0.0, 3.0, 1.3, 0.0, 0.0), (0.05, 2.0, -1.7, 0.2, -0.4, -3.1), 13.298736560801558),
+    ((0.3, -0.7, 1.1, 0.4, 2.0, -1.5), (0.5, -0.2, 0.8, -0.6, 1.3, 0.9), -8.272322904889451),
+    ((-1.2, 0.5, -2.6, -0.9, 0.1, 0.3), (-1.1, 0.7, -0.3, 1.4, -2.0, 0.6), -0.48606628820754266),
+    ((0.0, 0.0, 3.0, 1.3, 0.0, 0.0), (0.05, 2.0, -1.7, 0.2, -0.4, -3.1), 13.125336560801559),
 ]
+# the oracle's complex-step rows: q + i h q_dot, h = 1e-30, at the first
+# state; the imaginary part is h dL/dq . q_dot
+COMPLEX_FROZEN = complex(-8.272322904889451, -1.8731598715827153e-30)
 
 
-@pytest.mark.parametrize("q, qd, frozen", LAGRANGIAN_FROZEN)
+@pytest.mark.parametrize("q, qd, frozen", LAGRANGIAN_FROZEN, ids=("state0", "state1", "state2"))
 def test_lagrangian_full_frozen_values(p, q, qd, frozen):
-    assert _lagrangian_terms(q, qd, p) == pytest.approx(frozen, rel=1e-14)
+    assert rigid_body_lagrangian(q, qd, p) == pytest.approx(frozen, rel=1e-14)
     assert lagrangian_full(np.array(q), np.array(qd), p) == pytest.approx(frozen, rel=1e-14)
 
 
-def test_lagrangian_full_frozen_complex_value(p):
-    # the oracle's complex-step rows: q + i h q_dot, h = 1e-30; the imaginary
-    # part is h dL/dq . q_dot
+def _complex_row():
     q, qd, _ = LAGRANGIAN_FROZEN[0]
-    qc = np.array(q) + 1e-30j * np.array(qd)
-    frozen = complex(-8.233922904889452, -1.873159871582715e-30)
-    for value in (_lagrangian_terms(qc, qd, p, cmath), lagrangian_full(qc, np.array(qd), p)):
-        assert value.real == pytest.approx(frozen.real, rel=1e-14)
-        assert value.imag == pytest.approx(frozen.imag, rel=1e-14)
+    return np.array(q) + 1e-30j * np.array(qd), qd
+
+
+def test_lagrangian_full_frozen_complex_value(p):
+    qc, qd = _complex_row()
+    for value in (rigid_body_lagrangian(qc, qd, p, cmath.sin, cmath.cos),
+                  lagrangian_full(qc, np.array(qd), p)):
+        assert value.real == pytest.approx(COMPLEX_FROZEN.real, rel=1e-14)
+        assert value.imag == pytest.approx(COMPLEX_FROZEN.imag, rel=1e-14)
+
+
+def test_frozen_values_are_the_rigid_body_assembly_in_mpmath(p):
+    # re-derives every frozen number above, so none of them comes from wipdyn
+    mpmath = pytest.importorskip("mpmath")
+
+    def lag(q, qd):
+        with mpmath.workdps(40):
+            return rigid_body_lagrangian([mpmath.mpmathify(v) for v in q],
+                                         [mpmath.mpf(v) for v in qd], p,
+                                         mpmath.sin, mpmath.cos)
+
+    e_theta, rest = (0, 0, 1, 0, 0, 0), (0,) * 6
+    for al, frozen in I_THETA_FROZEN.items():
+        q = (0, 0, 0, al, 0, 0)
+        assert float(2 * (lag(q, e_theta) - lag(q, rest))) == frozen
+    for q, qd, frozen in LAGRANGIAN_FROZEN:
+        assert float(lag(q, qd)) == frozen
+    assert complex(lag(*_complex_row())) == COMPLEX_FROZEN
 
 
 def test_lagrangian_full_is_velocity_quadratic_form(p, rng):
@@ -146,67 +156,11 @@ def test_lagrangian_full_is_velocity_quadratic_form(p, rng):
 
 def test_velocity_hessians_positive_definite(p, rng):
     f6 = lambda Q, QD: lagrangian_full(Q, QD, p)
-    f5 = lambda Q, QD: lagrangian_case2(Q, QD, p)
     for _ in range(10):
         q = rng.uniform(-2.0, 2.0, 6)
         M6 = lagrangian_derivatives(f6, q, np.zeros(6))[0]
-        M5 = lagrangian_derivatives(f5, q[:5], np.zeros(5))[0]
         assert np.allclose(M6, M6.T)
         assert np.min(np.linalg.eigvalsh(M6)) > 0.0
-        assert np.min(np.linalg.eigvalsh(M5)) > 0.0
-
-
-def test_lagrangian_case2_rest_and_wheel_term(p):
-    q = np.zeros(5)
-    assert lagrangian_case2(q, np.zeros(5), p) == pytest.approx(-p.m_b * p.b * p.g)
-    # pure mean-wheel spin at horizontal tilt isolates the I_Wyy phi_dot^2 term
-    q[3] = math.pi / 2
-    qd = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    assert lagrangian_case2(q, qd, p) == pytest.approx(p.I_Wyy, rel=1e-14)
-    assert lagrangian_case2(q, qd, p).dtype == np.float64
-
-
-def test_lagrangian_case2_equals_full_under_wheel_elimination(p, rng):
-    # substitute phi1/2_dot = phi_dot -/+ (d/2r) theta_dot into the full L
-    for _ in range(20):
-        q5 = rng.uniform(-2.0, 2.0, 5)
-        qd5 = rng.uniform(-2.0, 2.0, 5)
-        xd, yd, thd, ald, phid = qd5
-        q6 = np.concatenate([q5[:4], [0.3, -0.8]])
-        half = 0.5 * p.d / p.r * thd
-        qd6 = np.array([xd, yd, thd, ald, phid - half, phid + half])
-        assert lagrangian_case2(q5, qd5, p) == pytest.approx(
-            float(lagrangian_full(q6, qd6, p)), rel=1e-13, abs=1e-13)
-
-
-def test_case2_restricted_to_constraints_is_reduced_constrained(p, rng):
-    for _ in range(20):
-        th = rng.uniform(-math.pi, math.pi)
-        al, ald, xi3, xi4 = rng.uniform(-1.5, 1.5, 4)
-        q = np.array([0.4, -0.2, th, al, 1.0])
-        qd = np.array([p.r * xi4 * math.cos(th), p.r * xi4 * math.sin(th), xi3, ald, xi4])
-        assert lagrangian_case2(q, qd, p) == pytest.approx(
-            float(reduced_constrained_lagrangian(al, ald, xi3, xi4, p)),
-            rel=1e-13, abs=1e-13)
-
-
-def test_reduced_constrained_lagrangian_rest(p):
-    for al in (0.0, 0.7, math.pi):
-        assert reduced_constrained_lagrangian(al, 0.0, 0.0, 0.0, p) == pytest.approx(
-            -p.m_b * p.g * p.b * math.cos(al), rel=1e-14)
-
-
-def test_reduced_constrained_lagrangian_momentum_partials(p, rng):
-    # dl_c/dxi4 = h xi4 + r m_b b cos(alpha) alpha_dot ; dl_c/dxi3 = f(alpha) xi3
-    h = 1e-6
-    for _ in range(10):
-        al, ald, xi3, xi4 = rng.uniform(-1.5, 1.5, 4)
-        lc = lambda a3, a4: float(reduced_constrained_lagrangian(al, ald, a3, a4, p))
-        d4 = (lc(xi3, xi4 + h) - lc(xi3, xi4 - h)) / (2 * h)
-        d3 = (lc(xi3 + h, xi4) - lc(xi3 - h, xi4)) / (2 * h)
-        assert d4 == pytest.approx(
-            h_const(p) * xi4 + p.r * p.m_b * p.b * math.cos(al) * ald, abs=1e-9)
-        assert d3 == pytest.approx(float(f_of_alpha(al, p)) * xi3, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +201,23 @@ def test_reduced_energy_equals_full_energy_on_constrained_states(p, random_const
 
 
 # ---------------------------------------------------------------------------
-# symmetry of the Lagrangians
+# symmetry of the Lagrangian
 
 
-def test_lagrangian_full_se2_invariance(p, rng):
+def test_lagrangian_full_se2xs1_invariance(p, rng):
+    # SE(2) acts on (x, y, theta), S1 shifts both wheel angles
     for _ in range(20):
         q = rng.uniform(-2.0, 2.0, 6)
         qd = rng.uniform(-2.0, 2.0, 6)
-        gx, gy, gth = rng.uniform(-3.0, 3.0, 3)
+        gx, gy, gth, gphi = rng.uniform(-3.0, 3.0, 4)
         c, s = math.cos(gth), math.sin(gth)
         q2 = q.copy()
         q2[0], q2[1], q2[2] = c * q[0] - s * q[1] + gx, s * q[0] + c * q[1] + gy, q[2] + gth
+        q2[4:] += gphi
         qd2 = qd.copy()
         qd2[0], qd2[1] = c * qd[0] - s * qd[1], s * qd[0] + c * qd[1]
         assert lagrangian_full(q2, qd2, p) == pytest.approx(
             float(lagrangian_full(q, qd, p)), abs=1e-12)
-
-
-def test_lagrangian_case2_se2xs1_invariance(p, rng):
-    for _ in range(20):
-        q = rng.uniform(-2.0, 2.0, 5)
-        qd = rng.uniform(-2.0, 2.0, 5)
-        gx, gy, gth, gphi = rng.uniform(-3.0, 3.0, 4)
-        c, s = math.cos(gth), math.sin(gth)
-        q2 = q.copy()
-        q2[0], q2[1], q2[2], q2[4] = (c * q[0] - s * q[1] + gx,
-                                      s * q[0] + c * q[1] + gy, q[2] + gth, q[4] + gphi)
-        qd2 = qd.copy()
-        qd2[0], qd2[1] = c * qd[0] - s * qd[1], s * qd[0] + c * qd[1]
-        assert lagrangian_case2(q2, qd2, p) == pytest.approx(
-            float(lagrangian_case2(q, qd, p)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

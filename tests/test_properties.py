@@ -16,7 +16,7 @@ from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     f_prime, full_rhs, full_to_reduced, h_const, i_theta,
                     lagrange_dalembert_rhs, mass_matrix, power_balance_error,
                     reduced_to_full, shape_mass, simulate, u_from_tau)
-from wipdyn import dynamics_reduced
+from wipdyn import dynamics_full, dynamics_reduced, model
 
 # deterministic examples, no example database on disk
 property_settings = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -63,14 +63,18 @@ def test_torque_response_identity(c):
     assert np.max(np.abs(resid)) <= 1e-12 * scale
 
 
+def _oracle_error(p, s, ctl):
+    """Max |accelerations_q6 - oracle q_dd|, relative to max(1, |q_dd|), and
+    the oracle's q_dd."""
+    tau = np.array([0.0, 0.0, 0.0, 0.0, ctl.tau1, ctl.tau2])
+    ref = lagrange_dalembert_rhs(s.q, s.q_dot, tau, p)
+    return np.max(np.abs(accelerations_q6(s, ctl, p) - ref)) / max(1.0, np.max(np.abs(ref))), ref
+
+
 @property_settings
 @given(case())
 def test_accelerations_match_oracle(c):
-    p, s, ctl = c
-    tau = np.array([0.0, 0.0, 0.0, 0.0, ctl.tau1, ctl.tau2])
-    ref = lagrange_dalembert_rhs(s.q, s.q_dot, tau, p)
-    err = np.max(np.abs(accelerations_q6(s, ctl, p) - ref))
-    assert err <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+    assert _oracle_error(*c)[0] <= 1e-10
 
 
 @property_settings
@@ -86,12 +90,10 @@ def test_full_reduced_round_trip(c):
         assert getattr(again, name) == pytest.approx(getattr(red, name), rel=1e-12, abs=1e-12)
 
 
-@property_settings
-@given(case())
-def test_momentum_rates_of_full_model_match_reduced_rhs(c):
-    # differentiate p1 = h phi_dot + r m_b b cos(alpha) alpha_dot and
-    # p2 = f(alpha) theta_dot along the full model's accelerations
-    p, s, ctl = c
+def _momentum_rates(p, s, ctl):
+    """(p1_dot, p2_dot) by differentiating p1 = h phi_dot + r m_b b cos(alpha)
+    alpha_dot and p2 = f(alpha) theta_dot along the full model's
+    accelerations, and the same from the reduced rhs."""
     out = full_rhs(s, ctl, p)
     ca, sa = math.cos(s.alpha), math.sin(s.alpha)
     thd = p.r / p.d * (s.phi2_dot - s.phi1_dot)
@@ -101,8 +103,56 @@ def test_momentum_rates_of_full_model_match_reduced_rhs(c):
               + float(f_prime(s.alpha, p)) * s.alpha_dot * thd)
     red = full_to_reduced(s, p)
     y = (red.x, red.y, red.theta, red.phi, red.alpha, red.alpha_dot, red.p1, red.p2)
-    rates = dynamics_reduced.ode_rhs(y, *u_from_tau(ctl.tau1, ctl.tau2, p), p)[6:]
-    assert rates == pytest.approx([p1_dot, p2_dot], rel=1e-10, abs=1e-11)
+    return [p1_dot, p2_dot], dynamics_reduced.ode_rhs(y, *u_from_tau(ctl.tau1, ctl.tau2, p), p)[6:]
+
+
+@property_settings
+@given(case())
+def test_momentum_rates_of_full_model_match_reduced_rhs(c):
+    from_full, rates = _momentum_rates(*c)
+    assert rates == pytest.approx(from_full, rel=1e-10, abs=1e-11)
+
+
+@pytest.fixture()
+def fresh_kernels():
+    """Both rhs kernel caches cleared before and after the test, so no kernel
+    built under a patched model outlives it."""
+    caches = (dynamics_full._kernel, dynamics_reduced._kernel)
+    for kernel in caches:
+        kernel.cache_clear()
+    yield caches
+    for kernel in caches:
+        kernel.cache_clear()
+
+
+def test_one_yaw_inertia_statement_feeds_all_three_formulations(
+        p, random_constrained, monkeypatch, fresh_kernels):
+    # move i_0 and i_s of model._yaw_inertia by a few percent: the full and
+    # reduced kernels and the oracle's Lagrangian must all follow
+    cases = [(random_constrained(), Controls(0.3, -0.2)) for _ in range(5)]
+
+    def outputs():
+        values = []
+        for s, ctl in cases:
+            err, ref = _oracle_error(p, s, ctl)
+            from_full, rates = _momentum_rates(p, s, ctl)
+            assert err <= 1e-10
+            assert rates == pytest.approx(from_full, rel=1e-10, abs=1e-11)
+            values.append(np.concatenate([ref, rates]))
+        return np.array(values)
+
+    before = outputs()
+    yaw = model._yaw_inertia
+
+    def patched(params):
+        i_0, i_c, i_s = yaw(params)
+        return 1.05 * i_0, i_c, 0.97 * i_s
+
+    monkeypatch.setattr(model, "_yaw_inertia", patched)
+    for kernel in fresh_kernels:
+        kernel.cache_clear()
+    moved = np.min(np.max(np.abs(outputs() - before), axis=1))
+    assert moved > 1e-6
 
 
 def _reduced_rhs_by_formula(y, u1, u2, p):
