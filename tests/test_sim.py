@@ -108,21 +108,31 @@ def test_rk4_fourth_order_on_linear_system(rng):
 def test_rk4_rejects_bad_inputs():
     with pytest.raises(ValueError):
         rk4_step(lambda t, s: s, np.array([1.0]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        rk4_step(lambda t, s: s, [1.0], 0.0, float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         rk4_step(lambda t, s: [v * 1e308 for v in s], [1e308], 0.0, 1.0)
+    # an rhs of another length than the state must not be truncated
+    for wrong in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match="unpack"):
+            rk4_step(lambda t, s: wrong, [0.0] * 3, 0.0, 0.1)
+    with pytest.raises(ValueError, match="unpack"):
+        rk4_step(lambda t, s: [1.0], [], 0.0, 0.1)
+    assert rk4_step(lambda t, s: [], [], 0.0, 0.1) == []
 
 
-def test_rk4_step_on_lists_matches_array_formula(rng):
-    # a seeded nonlinear rhs: the list kernel must reproduce the array
-    # formula y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) bit for bit
-    A = rng.uniform(-1.0, 1.0, (9, 9))
-    c = rng.uniform(-1.0, 1.0, 9)
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
+def test_rk4_step_on_lists_matches_array_formula(rng, n):
+    # a seeded nonlinear rhs: the step generated for n components must
+    # reproduce the array formula y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) bit for bit
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    c = rng.uniform(-1.0, 1.0, n)
 
     def f(t, s):
         return np.sin(A @ np.asarray(s)) + c * math.cos(t)
 
     for _ in range(20):
-        y = rng.uniform(-2.0, 2.0, 9)
+        y = rng.uniform(-2.0, 2.0, n)
         t, dt = rng.uniform(0.0, 5.0), rng.uniform(1e-4, 0.1)
         k1 = f(t, y)
         k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
