@@ -16,10 +16,11 @@ so every trajectory of this module satisfies the constraints identically.
 :func:`momenta` is the one map from a constrained state to the nonholonomic
 momenta (p1, p2); the reduced model's ``ode_rhs`` holds its inverse.
 
-The right-hand side is scalar ``math`` code built once per parameter set by
-``_kernel(p)``, with every parameter-only subexpression bound as a constant:
-in the innermost integration loop, numpy's per-call overhead on a handful of
-numbers and re-reading ``Params`` on every call cost more than the arithmetic.
+The right-hand side is scalar ``math`` code stated once, as the text
+``_BODY``; ``_kernel(p)`` binds its parameter-only constants per parameter
+set, as numpy's per-call overhead and re-reading ``Params`` cost more than the
+arithmetic.  It is compiled once per process as :func:`ode_rhs`'s single
+evaluation, and once inlined into the model's fused RK4 step in ``sim``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin
+from types import FunctionType
 
 import numpy as np
 
@@ -56,62 +58,64 @@ class FullRhs:
     theta_dot: float
 
 
+# y[j] reads state component j; other free names are the torques or
+# _kernel(p)'s constants.  No local may reuse a name of sim's fused step (y<i>,
+# k<s>_<i>, half, t_half, w).  I_theta inline: model.i_theta cost 8 % a step.
+_INERTIA = """
+    sa, ca = sin(al), cos(al)
+    i_th = i_0 + i_c * ca * ca + i_s * sa * sa
+    a1, a3, k = a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd, k_0 * ca
+"""
+_BODY = """
+    th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]""" + _INERTIA + """
+    # solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)
+    ithp = ithp_0 * sa * ca
+    dphi = f2d - f1d
+    curv = curv_0 * sa * dphi
+    cor = rr_dd * ithp * ald * dphi
+    quad = quad_0 * sa * ald * ald
+    f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + grav * sa
+    f_1 = tau1 + curv * f2d + cor + quad
+    f_2 = tau2 - curv * f1d - cor + quad
+    diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
+    f_s = f_1 + f_2
+    det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2, which Params keeps positive
+    add = ((a1 + a3) * f_alpha - k * f_s) / det
+    s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
+    v = v_0 * (f1d + f2d)  # model.rolling_rates, inline
+    return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
+            add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
+"""
+_ODE = "def ode(y, tau1, tau2):" + _BODY
+_MASS = "def mass(al):" + _INERTIA + "    return [[c, k, k], [k, a1, a3], [k, a3, a1]]\n"
+
+
 @lru_cache(maxsize=32)
 def _kernel(p: Params):
-    """(ode, coeffs): ode(y, tau1, tau2) is :func:`ode_rhs`, coeffs(alpha) gives
-    (sin, cos, a1, a3, k, c).  Each constant keeps its expression's evaluation
-    order, so results are bit-identical to the formulas evaluated in full."""
-    m_t, mbb = p.m_b + 2.0 * p.m_W, p.m_b * p.b
-    # I_theta = i_0 + i_c cos^2 + i_s sin^2 and I_theta' = ithp_0 sin cos, the
-    # coefficients looked up on the model module so one patch reaches every
-    # formulation; inline, as calling model.i_theta made a step 8 % slower
+    """ode(y, tau1, tau2), which is :func:`ode_rhs`: ``_BODY`` on p's constants.
+    Each keeps its expression's evaluation order, so results are bit-identical
+    to the formulas evaluated in full.  I_theta's coefficients are looked up
+    on the model module, so one patch reaches every formulation."""
+    m_t, mbb, rr_dd = p.m_b + 2.0 * p.m_W, p.m_b * p.b, p.r * p.r / (p.d * p.d)
     i_0, i_c, i_s = model._yaw_inertia(p)
-    ithp_0, rr_dd = 2.0 * (i_s - i_c), p.r * p.r / (p.d * p.d)
-    a_0, I_Wyy, k_0 = 0.25 * m_t * p.r * p.r, p.I_Wyy, 0.5 * p.r * p.m_b * p.b
-    c = p.m_b * p.b * p.b + p.I_Byy
-    curv_0, quad_0, grav = mbb * p.r * rr_dd, 0.5 * p.r * mbb, mbb * p.g
-    v_0, r_d = 0.5 * p.r, p.r / p.d  # model.rolling_rates, inline
-
-    def coeffs(alpha):
-        sa, ca = sin(alpha), cos(alpha)
-        i_th = i_0 + i_c * ca * ca + i_s * sa * sa
-        return sa, ca, a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd, k_0 * ca, c
-
-    def ode(y, tau1, tau2):
-        th, ald, f1d, f2d = y[2], y[6], y[7], y[8]
-        sa, ca, a1, a3, k, c = coeffs(y[3])
-        # solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)
-        ithp = ithp_0 * sa * ca
-        dphi = f2d - f1d
-        curv = curv_0 * sa * dphi
-        cor = rr_dd * ithp * ald * dphi
-        quad = quad_0 * sa * ald * ald
-        f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + grav * sa
-        f_1 = tau1 + curv * f2d + cor + quad
-        f_2 = tau2 - curv * f1d - cor + quad
-        diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
-        f_s = f_1 + f_2
-        det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2, which Params keeps positive
-        add = ((a1 + a3) * f_alpha - k * f_s) / det
-        s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
-        v = v_0 * (f1d + f2d)
-        return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
-                add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
-
-    return ode, coeffs
+    return FunctionType(model._code(_ODE), dict(
+        sin=sin, cos=cos, i_0=i_0, i_c=i_c, i_s=i_s, ithp_0=2.0 * (i_s - i_c),
+        rr_dd=rr_dd, a_0=0.25 * m_t * p.r * p.r, I_Wyy=p.I_Wyy,
+        k_0=0.5 * p.r * p.m_b * p.b, c=p.m_b * p.b * p.b + p.I_Byy,
+        curv_0=mbb * p.r * rr_dd, quad_0=0.5 * p.r * mbb, grav=mbb * p.g,
+        v_0=0.5 * p.r, r_d=p.r / p.d))
 
 
 def mass_matrix(alpha: float, p: Params) -> np.ndarray:
     """Constrained mass matrix M(alpha) in coordinates (alpha, phi1, phi2)."""
-    _, _, a1, a3, k, c = _kernel(p)[1](alpha)
-    return np.array([[c, k, k], [k, a1, a3], [k, a3, a1]])
+    return np.array(FunctionType(model._code(_MASS), _kernel(p).__globals__)(alpha))
 
 
 def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
     """Time derivative of the integrated state vector
     y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot),
     as a tuple of nine floats for float input."""
-    return _kernel(p)[0](y, tau1, tau2)
+    return _kernel(p)(y, tau1, tau2)
 
 
 def _ode_at(state: FullState, controls: Controls, p: Params) -> tuple:

@@ -19,10 +19,12 @@ Trajectories of this system reproduce the full model exactly (it is the same
 mechanical system in different coordinates); that equivalence is the central
 cross-check of the test suite.
 
-``_kernel(p)``, built once per parameter set like the full model's, is the
-one place these equations live, the map from momenta to body velocity xi
-included; :func:`ode_rhs`, :func:`reduced_rhs`, :func:`reduced_to_full`, the
-momentum-rate check and ``sim`` read it.  Its inverse is ``dynamics_full.momenta``.
+The text ``_BODY``, bound to p's constants by ``_kernel(p)`` like the full
+model's, is the one place these equations live, the map from momenta to body
+velocity xi included; :func:`ode_rhs`, :func:`reduced_rhs`,
+:func:`reduced_to_full` and the momentum-rate check evaluate it, and ``sim``
+inlines it into the model's fused RK4 step.  Its inverse is
+``dynamics_full.momenta``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from math import cos, sin
+from types import FunctionType
 
 from . import model
 from .model import FullState, Params, ReducedState, h_const
@@ -57,40 +60,41 @@ class ReducedRhs:
     phi_dot: float
 
 
+# Read as dynamics_full._BODY, with forces u1 and u2.  f_of_alpha, f_prime and
+# shape_mass inline: calling them kept this rhs at about 3 us against 1.2 us.
+_BODY = """
+    th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
+    sa, ca = sin(al), cos(al)
+    fa = i_0 + i_c * ca * ca + i_s * sa * sa + f_wy
+    kappa = mbbr * ca
+    m_al = m_0 - kappa * kappa / h
+    if m_al <= 0.0:
+        raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
+    xi3 = p2 / fa
+    xi4 = (p1 - kappa * ald) / h
+    xi1 = r * xi4
+    alpha_dd = (neg_mbbr2 * sa * ca / h * ald * ald
+                + 0.5 * (fp_0 * sin(2.0 * al) - mbbr2x2 * sa * ca / h) * xi3 * xi3
+                + grav * sa
+                - kappa / h * u1) / m_al
+    return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
+            mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
+"""
+_ODE = "def ode(y, u1, u2):" + _BODY
+
+
 @lru_cache(maxsize=32)
 def _kernel(p: Params):
-    """ode(y, u1, u2), which is :func:`ode_rhs`.  Each constant keeps its
-    expression's evaluation order, so results are bit-identical to ``model``'s."""
-    h, r, mbbr = h_const(p), p.r, p.m_b * p.b * p.r
-    # f_of_alpha, f_prime and shape_mass inline: calling them, each re-reading
-    # Params and taking its own cosine or sine, kept this rhs at about 3 us per
-    # call against about 1.2 us inline (timeit, best of 9).
-    # f(alpha) = i_0 + i_c cos^2 + i_s sin^2 + f_wy and f' = fp_0 sin(2 alpha),
-    # I_theta's coefficients looked up on the model module as in dynamics_full
+    """ode(y, u1, u2), which is :func:`ode_rhs`: ``_BODY`` on p's constants,
+    bit-identical to ``model``'s formulas.  f(alpha) = i_0 + i_c cos^2 +
+    i_s sin^2 + f_wy, f' = fp_0 sin(2 alpha), m(alpha) = m_0 - kappa^2 / h."""
+    h, mbbr = h_const(p), p.m_b * p.b * p.r
     i_0, i_c, i_s = model._yaw_inertia(p)
-    f_wy, fp_0 = p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy, i_s - i_c
-    m_0 = p.m_b * p.b ** 2 + p.I_Byy  # m(alpha) = m_0 - kappa^2 / h
-    neg_mbbr2, mbbr2x2, grav = -(mbbr * mbbr), 2.0 * mbbr * mbbr, p.m_b * p.g * p.b
-
-    def ode(y, u1, u2):
-        th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
-        sa, ca = sin(al), cos(al)
-        fa = i_0 + i_c * ca * ca + i_s * sa * sa + f_wy
-        kappa = mbbr * ca
-        m_al = m_0 - kappa * kappa / h
-        if m_al <= 0.0:
-            raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
-        xi3 = p2 / fa
-        xi4 = (p1 - kappa * ald) / h
-        xi1 = r * xi4
-        alpha_dd = (neg_mbbr2 * sa * ca / h * ald * ald
-                    + 0.5 * (fp_0 * sin(2.0 * al) - mbbr2x2 * sa * ca / h) * xi3 * xi3
-                    + grav * sa
-                    - kappa / h * u1) / m_al
-        return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
-                mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
-
-    return ode
+    return FunctionType(model._code(_ODE), dict(
+        sin=sin, cos=cos, h=h, r=p.r, mbbr=mbbr, i_0=i_0, i_c=i_c, i_s=i_s,
+        f_wy=p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy, fp_0=i_s - i_c,
+        m_0=p.m_b * p.b ** 2 + p.I_Byy, neg_mbbr2=-(mbbr * mbbr),
+        mbbr2x2=2.0 * mbbr * mbbr, grav=p.m_b * p.g * p.b))
 
 
 def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:

@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -234,6 +235,15 @@ class Controls:
 
     def __post_init__(self):
         _coerce_finite(self)
+
+
+@functools.cache
+def _code(src: str):
+    """Code of the one function src defines, compiled once per process."""
+    namespace = {}
+    exec(src, namespace)
+    (fn,) = filter(callable, namespace.values())
+    return fn.__code__
 
 
 # ---------------------------------------------------------------------------

@@ -101,16 +101,16 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     the piecewise-constant forcing makes the derivative one-sided there.
     """
     t, dt = traj.t, traj.dt
-    p1, p2 = traj.p1, traj.p2
+    p1, p2 = traj.p1.tolist(), traj.p2.tolist()
     red = traj.reduced_series()
     taus = [profile.tau_at(tk) for tk in t.tolist()]
     ode = dred._kernel(p)
     worst = 0.0
-    for k in np.nonzero(_interior_mask(taus))[0]:
+    for k in np.nonzero(_interior_mask(taus))[0].tolist():
         fd1 = (p1[k + 1] - p1[k - 1]) / (2.0 * dt)
         fd2 = (p2[k + 1] - p2[k - 1]) / (2.0 * dt)
         u1, u2 = u_from_tau(*taus[k], p)
-        cf1, cf2 = ode(red[k], u1, u2)[6:]
+        cf1, cf2 = ode(red[k].tolist(), u1, u2)[6:]
         worst = max(worst, abs(fd1 - cf1), abs(fd2 - cf2))
     return float(worst)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wipdyn import FullState, Params, lagrangian_full
+from wipdyn import FullState, Params, dynamics_full, dynamics_reduced, lagrangian_full
 
 
 def rigid_body_lagrangian(q, q_dot, p, sin=np.sin, cos=np.cos):
@@ -97,3 +97,15 @@ def kernel_fetches(monkeypatch):
         return calls
 
     return watch
+
+
+@pytest.fixture()
+def fresh_kernels():
+    """Both rhs kernel caches cleared before and after the test, so no kernel
+    built under a patched model outlives it."""
+    caches = (dynamics_full._kernel, dynamics_reduced._kernel)
+    for kernel in caches:
+        kernel.cache_clear()
+    yield caches
+    for kernel in caches:
+        kernel.cache_clear()

@@ -15,8 +15,9 @@ from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     accelerations_q6, compare_trajectories, f_of_alpha,
                     f_prime, full_rhs, full_to_reduced, h_const, i_theta,
                     lagrange_dalembert_rhs, mass_matrix, power_balance_error,
-                    reduced_to_full, shape_mass, simulate, u_from_tau)
+                    reduced_to_full, rk4_step, shape_mass, simulate, u_from_tau)
 from wipdyn import dynamics_full, dynamics_reduced, model
+from wipdyn.sim import _rk4_stages, _stepper
 
 # deterministic examples, no example database on disk
 property_settings = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -113,18 +114,6 @@ def test_momentum_rates_of_full_model_match_reduced_rhs(c):
     assert rates == pytest.approx(from_full, rel=1e-10, abs=1e-11)
 
 
-@pytest.fixture()
-def fresh_kernels():
-    """Both rhs kernel caches cleared before and after the test, so no kernel
-    built under a patched model outlives it."""
-    caches = (dynamics_full._kernel, dynamics_reduced._kernel)
-    for kernel in caches:
-        kernel.cache_clear()
-    yield caches
-    for kernel in caches:
-        kernel.cache_clear()
-
-
 def test_one_yaw_inertia_statement_feeds_all_three_formulations(
         p, random_constrained, monkeypatch, fresh_kernels):
     # move i_0 and i_s of model._yaw_inertia by a few percent: the full and
@@ -186,6 +175,37 @@ def test_reduced_kernel_is_the_model_formulas_bit_for_bit(c):
     for alpha in (red.alpha, 0.0, 0.5 * math.pi, math.pi, -2.5):
         y = (red.x, red.y, red.theta, red.phi, alpha, red.alpha_dot, red.p1, red.p2)
         assert dynamics_reduced.ode_rhs(y, u1, u2, p) == _reduced_rhs_by_formula(y, u1, u2, p)
+
+
+@no_shrink
+@given(case(), st.floats(0.0, 10.0), st.floats(1e-4, 0.05))
+def test_fused_steps_are_the_generic_stages_bit_for_bit(c, t, dt):
+    # each model's fused step inlines its rhs body and looks the forces up
+    # once per distinct stage time; the generic stages around its ode look
+    # them up at every stage.  A second torque segment starting inside
+    # (t, t + dt/2), at t + dt/2 or inside (t + dt/2, t + dt) shows a lookup
+    # at the wrong stage time.  Another parameter set only binds constants:
+    # its ode and fused step run the same code objects.
+    p, s, ctl = c
+    red = full_to_reduced(s, p)
+    states = {"full": [s.x, s.y, s.theta, s.alpha, s.phi1, s.phi2,
+                       s.alpha_dot, s.phi1_dot, s.phi2_dot],
+              "reduced": [red.x, red.y, red.theta, red.phi, red.alpha,
+                          red.alpha_dot, red.p1, red.p2]}
+    for start in (t + 0.3 * dt, t + 0.5 * dt, t + 0.8 * dt):
+        profile = TorqueProfile(((t - 1.0, ctl.tau1, ctl.tau2),
+                                 (start, ctl.tau1 + 1.0, ctl.tau2 - 1.0)))
+        forces = {"full": profile.tau_at,
+                  "reduced": lambda tt: u_from_tau(*profile.tau_at(tt), p)}
+        for model, module in (("full", dynamics_full), ("reduced", dynamics_reduced)):
+            y, ode, force = states[model], module._kernel(p), forces[model]
+            ref = rk4_step(_rk4_stages(len(y)), lambda tt, yy: ode(yy, *force(tt)), y, t, dt)
+            stages, tau_at = _stepper(model, profile, p, len(y))
+            fused = rk4_step(stages, tau_at, y, t, dt)
+            assert np.array(fused).tobytes() == np.array(ref).tobytes()
+            other = Params.default()
+            assert ode.__code__ is module._kernel(other).__code__
+            assert stages.__code__ is _stepper(model, profile, other, len(y))[0].__code__
 
 
 @property_settings

@@ -7,7 +7,7 @@ import pytest
 from wipdyn import (FullState, ReducedState, SimulationError, TorqueProfile,
                     compare_trajectories, full_to_reduced, h_const, rk4_step,
                     simulate, tau_from_u, u_from_tau)
-from wipdyn.sim import MODELS, n_samples
+from wipdyn.sim import MODELS, _rk4_stages, n_samples
 
 
 def test_u_from_tau_symmetric_and_antisymmetric(p):
@@ -75,14 +75,14 @@ def test_torque_lookup_matches_linear_scan(rng):
 
 def test_rk4_step_zero_rhs_identity():
     y = np.array([1.0, -2.0, 3.0])
-    out = rk4_step(lambda t, s: np.zeros(3), y, 0.0, 0.1)
+    out = rk4_step(_rk4_stages(3), lambda t, s: np.zeros(3), y, 0.0, 0.1)
     assert np.array_equal(out, y)
 
 
 def test_rk4_step_exponential_taylor():
     # one step of y' = y from 1 with dt = 0.1:
     # 1 + h + h^2/2 + h^3/6 + h^4/24 = 1.1051708333333332
-    out = rk4_step(lambda t, s: s, np.array([1.0]), 0.0, 0.1)
+    out = rk4_step(_rk4_stages(1), lambda t, s: s, np.array([1.0]), 0.0, 0.1)
     assert out[0] == pytest.approx(1.1051708333333332, abs=1e-15)
 
 
@@ -97,7 +97,7 @@ def test_rk4_fourth_order_on_linear_system(rng):
         y = y0.copy()
         steps = round(1.0 / dt)
         for k in range(steps):
-            y = rk4_step(lambda t, s: A @ s, y, k * dt, dt)
+            y = rk4_step(_rk4_stages(2), lambda t, s: A @ s, y, k * dt, dt)
         return np.max(np.abs(y - exact))
 
     errors = [run(dt) for dt in (1e-2, 5e-3, 2.5e-3)]
@@ -107,18 +107,18 @@ def test_rk4_fourth_order_on_linear_system(rng):
 
 def test_rk4_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        rk4_step(lambda t, s: s, np.array([1.0]), 0.0, 0.0)
+        rk4_step(_rk4_stages(1), lambda t, s: s, np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError, match="positive"):
-        rk4_step(lambda t, s: s, [1.0], 0.0, float("nan"))
+        rk4_step(_rk4_stages(1), lambda t, s: s, [1.0], 0.0, float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
-        rk4_step(lambda t, s: [v * 1e308 for v in s], [1e308], 0.0, 1.0)
+        rk4_step(_rk4_stages(1), lambda t, s: [v * 1e308 for v in s], [1e308], 0.0, 1.0)
     # an rhs of another length than the state must not be truncated
     for wrong in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(ValueError, match="unpack"):
-            rk4_step(lambda t, s: wrong, [0.0] * 3, 0.0, 0.1)
+            rk4_step(_rk4_stages(3), lambda t, s: wrong, [0.0] * 3, 0.0, 0.1)
     with pytest.raises(ValueError, match="unpack"):
-        rk4_step(lambda t, s: [1.0], [], 0.0, 0.1)
-    assert rk4_step(lambda t, s: [], [], 0.0, 0.1) == []
+        rk4_step(_rk4_stages(0), lambda t, s: [1.0], [], 0.0, 0.1)
+    assert rk4_step(_rk4_stages(0), lambda t, s: [], [], 0.0, 0.1) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
@@ -139,7 +139,7 @@ def test_rk4_step_on_lists_matches_array_formula(rng, n):
         k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
         k4 = f(t + dt, y + dt * k3)
         expected = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out = rk4_step(lambda tt, s: f(tt, s).tolist(), y.tolist(), t, dt)
+        out = rk4_step(_rk4_stages(n), lambda tt, s: f(tt, s).tolist(), y.tolist(), t, dt)
         assert type(out) is list
         assert np.array_equal(np.array(out), expected)
 
@@ -221,11 +221,15 @@ def test_simulate_rejects_step_count_beyond_2_pow_53(p, T):
 
 
 def test_simulate_failure_carries_timestamp(p):
+    # 1e305 N m from a tilted rest state: the first stage state is infinite
+    # and the next stage's math.sin raises, inside the fused step
     s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
     prof = TorqueProfile(((0.0, 1e305, 1e305),))
-    with pytest.raises(SimulationError) as err:
-        simulate("full", s, prof, 1.0, 1e-2, p)
-    assert err.value.t >= 0.0
+    for model, initial in (("full", s), ("reduced", full_to_reduced(s, p))):
+        with pytest.raises(SimulationError) as err:
+            simulate(model, initial, prof, 1.0, 1e-2, p)
+        assert (err.value.step, err.value.t) == (0, 0.0)
+        assert str(err.value) == "step 0 (t = 0 s) failed: ValueError: math domain error"
 
 
 @pytest.mark.parametrize("model", ["full", "reduced", "oracle"])
@@ -243,6 +247,19 @@ def test_simulation_failure_names_step_cause_and_last_state(p, model):
     assert str(e).startswith("step 2 (t = 0.02 s) failed: ValueError: ")
     first = simulate(model, initial, prof, 0.02, 1e-2, p)
     assert np.array_equal(e.state, first.states[-1])
+
+
+def test_shape_mass_failure_surfaces_from_the_fused_step(p, monkeypatch, fresh_kernels):
+    # with h patched small the reduced kernel's m(alpha) = m_0 - kappa^2 / h
+    # is negative, so the first stage of the first step raises
+    from wipdyn import dynamics_reduced
+    monkeypatch.setattr(dynamics_reduced, "h_const", lambda params: 1e-6)
+    red0 = ReducedState(0, 0, 0, 0, 0.1, 0, 0, 0)
+    with pytest.raises(SimulationError) as err:
+        simulate("reduced", red0, TorqueProfile.zero(), 0.1, 1e-2, p)
+    assert err.value.step == 0
+    assert isinstance(err.value.__cause__, ValueError)
+    assert "non-positive shape mass" in str(err.value.__cause__)
 
 
 def test_full_vs_reduced_error_shrinks_fourth_order(p):
@@ -302,6 +319,8 @@ def test_simulate_steps_through_the_traced_names(p, monkeypatch, model):
     traj = simulate(model, initial, TorqueProfile.constant(0.01, -0.02), steps * 1e-3, 1e-3, p)
     assert len(traj) == steps + 1
     assert calls["rk4_step"] == steps
-    assert calls["tau_at"] >= steps
+    # the oracle's rhs looks the torques up at every stage, the fused steps
+    # once per distinct stage time
+    assert calls["tau_at"] == (4 if model == "oracle" else 3) * steps
     per_step = 4 if model == "oracle" else 0
     assert calls["lagrange_dalembert_rhs"] == calls["lagrangian_full"] == per_step * steps
