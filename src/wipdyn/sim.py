@@ -10,12 +10,15 @@ RK4 runs on Python floats: on 8 or 9 components, lists and float tuples cost
 a fraction of numpy arrays.  ``rk4_step`` runs straight-line stages generated
 from one template per state length.  The oracle's stages call its rhs; the
 full and reduced models' fused steps inline the model's rhs body (``_BODY``)
-on its kernel's constants and look the forces up once per distinct stage
-time, so they make no rhs calls and three torque lookups, not four.  Only the
-sampled trajectory is an array; the oracle converts at its boundary.
+on its kernel's constants and read the forces once per distinct stage time,
+so they make no rhs calls.  Every model reads its forces from one per-run
+lookup that calls ``TorqueProfile.tau_at`` and maps torques to forces once
+per torque segment entered, not at every stage.  Only the sampled trajectory
+is an array; the oracle converts at its boundary.
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
-map-style; outputs are deterministic per scenario and no state is shared.
+map-style; outputs are deterministic per scenario and no state is shared:
+the force lookup lives in one simulate call, never on the profile.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class TorqueProfile:
     segments: ordered (t_start, tau1, tau2) triples with strictly increasing
     start times.  Torque lookup is left-closed: the segment starting at
     t_start applies on [t_start, t_next); before the first start time the
-    torque is zero.
+    torque is zero.  ``simulate`` calls tau_at once per segment it enters.
     """
 
     segments: tuple[tuple[float, float, float], ...] = ()
@@ -163,11 +166,11 @@ def rk4_step(stages, f, y, t: float, dt: float) -> list[float]:
 
     stages(f, y, t, dt) is generated by ``_rk4_stages``: generic, calling a rhs
     f(t, y) that maps a list of floats to dy/dt, or a model's fused step,
-    taking the profile's tau_at as f.  The new state is a list, combined per
-    element as y + (dt/6)(((k1 + 2 k2) + 2 k3) + k4), the array formula's
-    order.  Raises ValueError unless dt > 0, if the rhs returns a sequence of
-    another length, or if the new state is not finite (an overflowing stage
-    may raise first, in the rhs's ``math`` calls)."""
+    taking the run's force lookup (``_force_lookup``) as f.  The new state is
+    a list, combined per element as y + (dt/6)(((k1 + 2 k2) + 2 k3) + k4),
+    the array formula's order.  Raises ValueError unless dt > 0, if the rhs
+    returns a sequence of another length, or if the new state is not finite
+    (an overflowing stage may raise first, in the rhs's ``math`` calls)."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     out = stages(f, y, t, dt)
@@ -240,29 +243,53 @@ class Trajectory:
 REDUCED_VARIABLES = ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2")
 
 
-def _oracle_ode(profile: TorqueProfile, p: Params):
-    tau_at = profile.tau_at
+def _force_lookup(profile: TorqueProfile, p: Params, to_forces=None):
+    """f(t) = profile.tau_at(t), or to_forces(*profile.tau_at(t), p), for any t
+    in any order.  It keeps the last segment's bounds [start_k, start_k+1)
+    and its forces, so it calls tau_at and to_forces once per segment entered.
+    Built per run and never stored on the shared profile."""
+    bounds = (-math.inf, *profile._starts, math.inf)
+    lo = hi = 0.0  # [0, 0) holds no t: the first call looks up
+    forces = None
 
+    def f(t):
+        nonlocal lo, hi, forces
+        if lo <= t < hi:
+            return forces
+        forces = profile.tau_at(t)
+        if to_forces is not None:
+            forces = to_forces(*forces, p)
+        k = bisect.bisect_right(profile._starts, t)
+        lo, hi = bounds[k], bounds[k + 1]
+        return forces
+
+    return f
+
+
+def _oracle_ode(forces, p: Params):
     def rhs(t, y):
-        a = np.array([*y, 0.0, 0.0, 0.0, 0.0, *tau_at(t)])  # q, q_dot, generalized forces
+        a = np.array([*y, 0.0, 0.0, 0.0, 0.0, *forces(t)])  # q, q_dot, generalized forces
         qdd = _oracle.lagrange_dalembert_rhs(a[:6], a[6:12], a[12:], p, check_constraints=False)
         return [*y[6:], *qdd.tolist()]
 
     return rhs
 
 
-# How each fused step gets its generalized forces at time {t} from f = tau_at.
-_FORCES = {"full": (dfull, "tau1, tau2 = f({t})"),
-           "reduced": (dred, "u1, u2 = u_from_tau(*f({t}), p)")}
+# How each fused step reads its generalized forces at time {t} from the run's
+# force lookup f, and the map from torques to those forces (None: the torques).
+_FORCES = {"full": (dfull, "tau1, tau2 = f({t})", None),
+           "reduced": (dred, "u1, u2 = f({t})", u_from_tau)}
 
 
 def _stepper(model: str, profile: TorqueProfile, p: Params, n: int):
-    """(stages, f) for rk4_step: the oracle's rhs, or the model's fused step."""
+    """(stages, f) for rk4_step: the oracle's rhs, or the model's fused step
+    with the run's force lookup."""
     if model == "oracle":
-        return _rk4_stages(n), _oracle_ode(profile, p)
-    module, forces = _FORCES[model]
-    constants = {**module._kernel(p).__globals__, "u_from_tau": u_from_tau, "p": p}
-    return FunctionType(_rk4_stages(n, module._BODY, forces).__code__, constants), profile.tau_at
+        return _rk4_stages(n), _oracle_ode(_force_lookup(profile, p), p)
+    module, forces, to_forces = _FORCES[model]
+    stages = FunctionType(_rk4_stages(n, module._BODY, forces).__code__,
+                          module._kernel(p).__globals__)
+    return stages, _force_lookup(profile, p, to_forces)
 
 
 def _initial_vector(model: str, initial, p: Params) -> np.ndarray:

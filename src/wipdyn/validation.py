@@ -17,8 +17,8 @@ from .connection import curvature_at, curvature_fd, ehresmann_at
 from .dynamics_full import momenta_from_full
 from . import dynamics_reduced as dred
 from .model import FullState, Params, ReducedState, lagrangian_full
-from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate,
-                  u_from_tau)
+from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, _force_lookup,
+                  simulate, u_from_tau)
 
 __all__ = [
     "momentum_pairing",
@@ -103,7 +103,7 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     t, dt = traj.t, traj.dt
     p1, p2 = traj.p1.tolist(), traj.p2.tolist()
     red = traj.reduced_series()
-    taus = [profile.tau_at(tk) for tk in t.tolist()]
+    taus = list(map(_force_lookup(profile, p), t.tolist()))
     ode = dred._kernel(p)
     worst = 0.0
     for k in np.nonzero(_interior_mask(taus))[0].tolist():
@@ -128,7 +128,7 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     Y = traj.states
     f1d = Y[:, 7] if traj.model == "full" else Y[:, 10]
     f2d = Y[:, 8] if traj.model == "full" else Y[:, 11]
-    taus = [profile.tau_at(tk) for tk in t.tolist()]
+    taus = list(map(_force_lookup(profile, p), t.tolist()))
     mask = _interior_mask(taus)
     if not mask.any():
         return 0.0

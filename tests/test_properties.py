@@ -17,7 +17,7 @@ from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     lagrange_dalembert_rhs, mass_matrix, power_balance_error,
                     reduced_to_full, rk4_step, shape_mass, simulate, u_from_tau)
 from wipdyn import dynamics_full, dynamics_reduced, model
-from wipdyn.sim import _rk4_stages, _stepper
+from wipdyn.sim import _force_lookup, _rk4_stages, _stepper
 
 # deterministic examples, no example database on disk
 property_settings = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -206,6 +206,37 @@ def test_fused_steps_are_the_generic_stages_bit_for_bit(c, t, dt):
             other = Params.default()
             assert ode.__code__ is module._kernel(other).__code__
             assert stages.__code__ is _stepper(model, profile, other, len(y))[0].__code__
+
+
+@st.composite
+def profile_and_times(draw):
+    """A torque profile, possibly empty, and times in a drawn order: every
+    segment start, its float neighbours on both sides, a time before the
+    first start, both infinities and a few free draws."""
+    starts = sorted(set(draw(st.lists(st.floats(-5.0, 5.0), max_size=6))))
+    torque = st.floats(-2.0, 2.0)
+    profile = TorqueProfile(tuple((t, draw(torque), draw(torque)) for t in starts))
+    edges = [x for t in starts
+             for x in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    before = min(starts, default=0.0) - 1.0
+    free = draw(st.lists(st.floats(-10.0, 10.0), max_size=8))
+    times = draw(st.permutations(edges + free + [before, -math.inf, math.inf]))
+    return profile, times
+
+
+@property_settings
+@given(params, profile_and_times())
+def test_force_lookup_is_tau_at_at_any_time_in_any_order(p, c):
+    # the per-run lookup keeps one segment's bounds and forces; it must give
+    # tau_at's value (u_from_tau's for the reduced model) for any sequence
+    # of times, and two lookups on one profile must not share that state
+    profile, times = c
+    full, reduced = _stepper("full", profile, p, 9)[1], _stepper("reduced", profile, p, 8)[1]
+    other = _force_lookup(profile, p)
+    for t, back in zip(times, reversed(times)):
+        assert full(t) == profile.tau_at(t)
+        assert other(back) == profile.tau_at(back)
+        assert reduced(t) == u_from_tau(*profile.tau_at(t), p)
 
 
 @property_settings

@@ -7,7 +7,7 @@ import pytest
 from wipdyn import (FullState, ReducedState, SimulationError, TorqueProfile,
                     compare_trajectories, full_to_reduced, h_const, rk4_step,
                     simulate, tau_from_u, u_from_tau)
-from wipdyn.sim import MODELS, _rk4_stages, n_samples
+from wipdyn.sim import MODELS, _oracle_ode, _rk4_stages, n_samples
 
 
 def test_u_from_tau_symmetric_and_antisymmetric(p):
@@ -319,8 +319,35 @@ def test_simulate_steps_through_the_traced_names(p, monkeypatch, model):
     traj = simulate(model, initial, TorqueProfile.constant(0.01, -0.02), steps * 1e-3, 1e-3, p)
     assert len(traj) == steps + 1
     assert calls["rk4_step"] == steps
-    # the oracle's rhs looks the torques up at every stage, the fused steps
-    # once per distinct stage time
-    assert calls["tau_at"] == (4 if model == "oracle" else 3) * steps
+    # every model reads its forces from one per-run lookup, which calls
+    # tau_at once per torque segment entered: once for a constant profile
+    assert calls["tau_at"] == 1
     per_step = 4 if model == "oracle" else 0
     assert calls["lagrange_dalembert_rhs"] == calls["lagrangian_full"] == per_step * steps
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_force_lookup_steps_are_the_generic_stages_with_tau_at_per_stage(p, model):
+    # segments start at t + 0.3 dt of step 2, exactly at the stage time
+    # t + dt/2 of step 5 and exactly at the stage time t + dt of step 9.  In
+    # floats 9 dt + dt > 10 dt, so step 9's last stage is in the third
+    # segment and step 10's first is back in the second: the lookup is asked
+    # for an earlier time after a later one.  The reference runs the generic
+    # stages around the model's rhs with a tau_at call at every stage.
+    from wipdyn import dynamics_full, dynamics_reduced
+    dt, steps = 1e-3, 12
+    assert 9 * dt + dt > 10 * dt
+    prof = TorqueProfile(((2 * dt + 0.3 * dt, 0.01, -0.02),
+                          (5 * dt + 0.5 * dt, -0.03, 0.02),
+                          (9 * dt + dt, 0.04, 0.05)))
+    rhs = {"full": lambda t, y: dynamics_full._kernel(p)(y, *prof.tau_at(t)),
+           "reduced": lambda t, y: dynamics_reduced._kernel(p)(y, *u_from_tau(*prof.tau_at(t), p)),
+           "oracle": _oracle_ode(prof.tau_at, p)}[model]
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    traj = simulate(model, initial, prof, steps * dt, dt, p)
+    ys = [traj.states[0].tolist()]
+    for k in range(steps):
+        ys.append(rk4_step(_rk4_stages(len(ys[0])), rhs, ys[-1], k * dt, dt))
+    assert len(traj) == steps + 1
+    assert traj.states.tobytes() == np.array(ys).tobytes()
