@@ -214,7 +214,7 @@ def cmd_compare(args) -> int:
     lines = ["pair,variable,max_abs,rms"]
     ok = True
     for other in ("reduced", "oracle"):
-        stats = compare_trajectories(runs["full"], runs[other], p)
+        stats = compare_trajectories(runs["full"], runs[other])
         for name, st in stats.items():
             lines.append(f"full-{other},{name},{st.max_abs:.17g},{st.rms:.17g}")
             if st.max_abs > tol:

@@ -1,13 +1,14 @@
-"""Connections for the rolling constraints.
+"""Connections for the rolling constraints, each read off the one statement
+the models run, looked up as a module attribute so one patch reaches both:
 
-Two objects live here:
-
-* the kinematic (Ehresmann) connection ``A(theta)`` whose kernel is the
-  admissible-velocity distribution, together with its curvature, and
+* the kinematic (Ehresmann) connection ``A(theta)``, whose kernel is the
+  admissible-velocity distribution, from ``model.rolling_rates``
+  (s_dot = -A(theta) r_dot), with its curvature: the closed form is the one
+  formula typed here, and :func:`curvature_fd` checks it;
 * the local form of the nonholonomic connection of the symmetry-reduced
   description: the shape one-form ``A(alpha)`` and the momentum-to-velocity
-  map ``Gamma(alpha)``.  The reduced model's ``ode_rhs`` is the one place the
-  reconstruction xi = -A alpha_dot + Gamma p is computed; tests check it here.
+  map ``Gamma(alpha)``, from the reduced model's ``ode_rhs``, the one place
+  the reconstruction xi = -A alpha_dot + Gamma p is computed.
 
 Index conventions: group coordinates s = (x, y, theta) are rows 0..2, shape
 coordinates r = (alpha, phi1, phi2) are columns 0..2.  The Lie-algebra basis
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Params, f_of_alpha, h_const
+from . import dynamics_reduced, model
+from .model import Params
 from .oracle import CS_STEP
 
 __all__ = [
@@ -39,18 +41,17 @@ __all__ = [
 ]
 
 
+_NEG_WHEEL_RATES = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])  # -e_phi1, -e_phi2
+
+
 def ehresmann_at(theta: float, p: Params) -> np.ndarray:
     """Kinematic connection coefficients A(theta), shape (3, 3).
 
-    The constraints read s_dot + A r_dot = 0; the alpha column is zero.
+    The constraints read s_dot + A r_dot = 0, linear in r_dot, so column j
+    is the rolling rates of the wheel-rate vector -e_j; the alpha column is
+    zero.  The dtype follows theta's, complex included.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    half_r = 0.5 * p.r
-    return np.array([
-        [0.0, -half_r * c, -half_r * c],
-        [0.0, -half_r * s, -half_r * s],
-        [0.0, p.r / p.d, -p.r / p.d],
-    ])
+    return np.array(model.rolling_rates(theta, *_NEG_WHEEL_RATES, p))
 
 
 def curvature_at(theta: float, p: Params) -> np.ndarray:
@@ -108,15 +109,11 @@ def nonholo_connection(alpha: float, p: Params) -> NonholoConnectionLocal:
     """Evaluate the nonholonomic connection pieces at a tilt angle.
 
     The body velocity, shape velocity and momenta are related by
-    ``xi + A(alpha) alpha_dot = Gamma(alpha) p``.
+    ``xi + A(alpha) alpha_dot = Gamma(alpha) p``.  xi is linear in
+    (alpha_dot, p1, p2), and at theta = 0 the reduced model's group rates
+    are xi itself, so A and Gamma are its columns on the unit vectors.
     """
-    h = h_const(p)
-    ka = p.m_b * p.b * p.r * np.cos(alpha) / h
-    A = np.array([p.r * ka, 0.0, 0.0, ka])
-    Gamma = np.array([
-        [p.r / h, 0.0],
-        [0.0, 0.0],
-        [0.0, 1.0 / f_of_alpha(alpha, p)],
-        [1.0 / h, 0.0],
-    ])
-    return NonholoConnectionLocal(A=A, Gamma=Gamma)
+    rhs = dynamics_reduced.ode_rhs
+    xi = np.array([rhs((0.0, 0.0, 0.0, 0.0, alpha, *e), 0.0, 0.0, p)[:4]
+                   for e in np.eye(3).tolist()])  # rows: alpha_dot, p1, p2
+    return NonholoConnectionLocal(A=-xi[0], Gamma=xi[1:].T)

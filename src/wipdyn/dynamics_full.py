@@ -79,7 +79,7 @@ _BODY = """
     f_2 = tau2 - curv * f1d - cor + quad
     diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
     f_s = f_1 + f_2
-    det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2, which Params keeps positive
+    det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
     add = ((a1 + a3) * f_alpha - k * f_s) / det
     s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
     v = v_0 * (f1d + f2d)  # model.rolling_rates, inline

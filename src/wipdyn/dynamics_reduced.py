@@ -22,9 +22,9 @@ cross-check of the test suite.
 The text ``_BODY``, bound to p's constants by ``_kernel(p)`` like the full
 model's, is the one place these equations live, the map from momenta to body
 velocity xi included; :func:`ode_rhs`, :func:`reduced_rhs`,
-:func:`reduced_to_full` and the momentum-rate check evaluate it, and ``sim``
-inlines it into the model's fused RK4 step.  Its inverse is
-``dynamics_full.momenta``.
+:func:`reduced_to_full`, the momentum-rate check and the connection's
+A(alpha) and Gamma(alpha) evaluate it, and ``sim`` inlines it into the
+model's fused RK4 step.  Its inverse is ``dynamics_full.momenta``.
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ _BODY = """
     sa, ca = sin(al), cos(al)
     fa = i_0 + i_c * ca * ca + i_s * sa * sa + f_wy
     kappa = mbbr * ca
-    m_al = m_0 - kappa * kappa / h
-    if m_al <= 0.0:
-        raise ValueError(f"non-positive shape mass m(alpha) = {m_al} at alpha = {al}")
+    m_al = m_0 - kappa * kappa / h  # >= shape_mass(0, p), which Params keeps positive
     xi3 = p2 / fa
     xi4 = (p1 - kappa * ald) / h
     xi1 = r * xi4
@@ -104,9 +102,7 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
 
     The group rates follow from xi = -A(alpha) alpha_dot + Gamma(alpha) p by
     left translation: x_dot = xi1 cos(theta), y_dot = xi1 sin(theta),
-    theta_dot = xi3, phi_dot = xi4 (xi2 is identically zero).  Raises
-    ValueError on a non-positive shape mass (unreachable for a valid
-    :class:`~wipdyn.model.Params`).
+    theta_dot = xi3, phi_dot = xi4 (xi2 is identically zero).
     """
     return _kernel(p)(y, u1, u2)
 

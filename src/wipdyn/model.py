@@ -69,11 +69,11 @@ class Params:
         I_Wzz: wheel yaw inertia [kg m^2]
         g:     gravitational acceleration [m/s^2]
 
-    All values must be strictly positive.  Construction additionally checks
-    that the shape-space mass ``m(alpha)`` stays positive on an alpha grid,
-    which is exactly the invertibility condition of the constrained mass
-    matrix (for strictly positive inputs it cannot actually fail; the check
-    guards against future parameterisations).
+    All values must be strictly positive, and so must the shape-space mass
+    m(alpha), the constrained mass matrix's invertibility condition.  Each
+    rounded step of :func:`shape_mass` is monotone in |cos alpha|, so m is
+    smallest at alpha = 0 in floating point too, where construction checks
+    it.  Positive inputs can fail (m_b = b = r = 1, m_W = I_Wyy = I_Byy = 1e-20).
     """
 
     m_b: float
@@ -96,8 +96,7 @@ class Params:
             object.__setattr__(self, f.name, float(v))
             if getattr(self, f.name) <= 0.0:
                 raise ValueError(f"parameter {f.name!r} must be strictly positive, got {v!r}")
-        grid = np.linspace(0.0, math.pi, 181)
-        if np.min(shape_mass(grid, self)) <= 0.0:
+        if shape_mass(0.0, self) <= 0.0:
             raise ValueError("non-physical parameter set: shape-space mass m(alpha) "
                              "is not positive for all alpha")
         # hashed once: the rhs kernels are cached per Params, so each public

@@ -39,24 +39,20 @@ __all__ = [
 def momentum_pairing(state: FullState, i: int, p: Params) -> float:
     """Numeric momentum <dL/dq_dot, xi_i> of ``lagrangian_full``.
 
-    The velocity gradient in all six coordinates is taken by central
-    differences with steps h_k = max(1, |q_dot_k|); L is quadratic in q_dot,
-    so these have no truncation error and large steps keep the round-off
-    small.  xi_1 (rolling) and xi_2 (yaw) generate the SE(2) x S1 symmetry:
-    the horizontal lifts (-A(theta) r_dot, r_dot) of the wheel rates
-    r_dot = (0, 1, 1) and (0, -d/2r, d/2r) by the kinematic connection
+    L is quadratic in q_dot, so the directional difference
+    (L(q, q_dot + xi) - L(q, q_dot - xi))/2 is the pairing exactly, up to
+    round-off.  xi_1 (rolling) and xi_2 (yaw) generate the SE(2) x S1
+    symmetry: the horizontal lifts (-A(theta) r_dot, r_dot) of the wheel
+    rates r_dot = (0, 1, 1) and (0, -d/2r, d/2r) by the kinematic connection
     :func:`~wipdyn.connection.ehresmann_at`.
     """
     if i not in (1, 2):
         raise ValueError("section index must be 1 or 2")
-    qd = state.q_dot
-    hs = np.maximum(1.0, np.abs(qd))
-    steps = np.diag(hs)
-    vals = lagrangian_full(state.q, np.concatenate([qd + steps, qd - steps]), p)
-    grad = (vals[:6] - vals[6:]) / (2.0 * hs)
     half = 0.5 * p.d / p.r
     r_dot = np.array([0.0, 1.0, 1.0] if i == 1 else [0.0, -half, half])
-    return float(grad @ np.concatenate([-ehresmann_at(state.theta, p) @ r_dot, r_dot]))
+    xi = np.concatenate([-ehresmann_at(state.theta, p) @ r_dot, r_dot])
+    plus, minus = lagrangian_full(state.q, state.q_dot + np.array([xi, -xi]), p)
+    return float(0.5 * (plus - minus))
 
 
 @dataclass(frozen=True)
@@ -65,15 +61,13 @@ class ErrorStats:
     rms: float
 
 
-def compare_trajectories(a: Trajectory, b: Trajectory, p: Params,
-                         variables: tuple[str, ...] = REDUCED_VARIABLES) -> dict[str, ErrorStats]:
+def compare_trajectories(a: Trajectory, b: Trajectory) -> dict[str, ErrorStats]:
     """Per-variable max-abs and RMS error between two runs on the same grid."""
     if len(a) != len(b) or not np.allclose(a.t, b.t, rtol=0.0, atol=1e-12):
         raise ValueError("trajectories are on different time grids")
     ra, rb = a.reduced_series(), b.reduced_series()
     out = {}
-    for name in variables:
-        i = REDUCED_VARIABLES.index(name)
+    for i, name in enumerate(REDUCED_VARIABLES):
         diff = ra[:, i] - rb[:, i]
         out[name] = ErrorStats(float(np.max(np.abs(diff))),
                                float(np.sqrt(np.mean(diff * diff))))
@@ -86,11 +80,13 @@ def energy_drift(traj: Trajectory) -> tuple[float, float]:
     return drift, drift / abs(float(traj.energy[0]))
 
 
-def _interior_mask(taus: list) -> np.ndarray:
+def _interior_mask(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
     """Samples whose central-difference stencil stays inside one torque
-    segment, from the torques sampled at every t."""
-    mask = np.zeros(len(taus), dtype=bool)
-    mask[1:-1] = [a == b for a, b in zip(taus, taus[2:])]
+    segment: both ends bisect to one start time, as ``tau_at`` does.  Equal
+    torques would not do, as a segment between them may hold no sample."""
+    seg = np.searchsorted(profile._starts, t, side="right")
+    mask = np.zeros(len(t), dtype=bool)
+    mask[1:-1] = seg[:-2] == seg[2:]
     return mask
 
 
@@ -103,14 +99,13 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     t, dt = traj.t, traj.dt
     p1, p2 = traj.p1.tolist(), traj.p2.tolist()
     red = traj.reduced_series()
-    taus = list(map(_force_lookup(profile, p), t.tolist()))
+    forces = list(map(_force_lookup(profile, p, u_from_tau), t.tolist()))
     ode = dred._kernel(p)
     worst = 0.0
-    for k in np.nonzero(_interior_mask(taus))[0].tolist():
+    for k in np.nonzero(_interior_mask(profile, t))[0].tolist():
         fd1 = (p1[k + 1] - p1[k - 1]) / (2.0 * dt)
         fd2 = (p2[k + 1] - p2[k - 1]) / (2.0 * dt)
-        u1, u2 = u_from_tau(*taus[k], p)
-        cf1, cf2 = ode(red[k].tolist(), u1, u2)[6:]
+        cf1, cf2 = ode(red[k].tolist(), *forces[k])[6:]
         worst = max(worst, abs(fd1 - cf1), abs(fd2 - cf2))
     return float(worst)
 
@@ -129,7 +124,7 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     f1d = Y[:, 7] if traj.model == "full" else Y[:, 10]
     f2d = Y[:, 8] if traj.model == "full" else Y[:, 11]
     taus = list(map(_force_lookup(profile, p), t.tolist()))
-    mask = _interior_mask(taus)
+    mask = _interior_mask(profile, t)
     if not mask.any():
         return 0.0
     tau = np.array(taus)

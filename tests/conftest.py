@@ -6,22 +6,32 @@ import pytest
 from wipdyn import FullState, Params, dynamics_full, dynamics_reduced, lagrangian_full
 
 
+# wheel 1 sits on the +axle side of the midpoint, wheel 2 on the -axle side;
+# both wheels spin about +axle
+WHEEL_SIDES = (1.0, -1.0)
+
+
+def _heading_frame(th, sin, cos):
+    """(e_z, forward, axle) at heading th; the axle points to wheel 1's side."""
+    return (np.array([0.0, 0.0, 1.0]), np.array([cos(th), sin(th), 0.0]),
+            np.array([-sin(th), cos(th), 0.0]))
+
+
 def rigid_body_lagrangian(q, q_dot, p, sin=np.sin, cos=np.cos):
     """L = T - V of the WIP assembled from its rigid bodies' geometry alone.
 
     No inertia scalar of ``wipdyn.model`` is typed here.  The body pivots
     about the axle through the midpoint (x, y, r); its centre of mass sits at
     b along the body's yaw axis, which is tilted by alpha about the axle a.
-    The wheel centres sit on the axle at +-(d/2) a, and wheel i spins at
-    phi_i_dot about a.  Velocities of body-fixed points follow from
-    v_axle + omega x offset.  q and q_dot are sequences of six scalars:
-    floats, complex numbers or mpmath numbers, with sin and cos to match.
+    The wheel centres sit on the axle at side (d/2) a (``WHEEL_SIDES``), and
+    wheel i spins at phi_i_dot about a.  Velocities of body-fixed points
+    follow from v_axle + omega x offset.  q and q_dot are sequences of six
+    scalars: floats, complex numbers or mpmath numbers, with sin and cos to
+    match.
     """
     th, al = q[2], q[3]  # x, y and the wheel angles are cyclic
     xd, yd, thd, ald, f1d, f2d = q_dot
-    ez = np.array([0.0, 0.0, 1.0])
-    fwd = np.array([cos(th), sin(th), 0.0])
-    axle = np.array([-sin(th), cos(th), 0.0])
+    ez, fwd, axle = _heading_frame(th, sin, cos)
     # body principal axes: roll, pitch (the axle) and yaw
     axes = (cos(al) * fwd - sin(al) * ez, axle, sin(al) * fwd + cos(al) * ez)
     v_axle = np.array([xd, yd, 0.0])
@@ -30,7 +40,7 @@ def rigid_body_lagrangian(q, q_dot, p, sin=np.sin, cos=np.cos):
     T = (0.5 * p.m_b * (v_com @ v_com)
          + 0.5 * sum(i * (omega_b @ e) ** 2
                      for i, e in zip((p.I_Bxx, p.I_Byy, p.I_Bz), axes)))
-    for side, spin in ((-1.0, f1d), (1.0, f2d)):
+    for side, spin in zip(WHEEL_SIDES, (f1d, f2d)):
         v_w = v_axle + np.cross(omega_b, side * 0.5 * p.d * axle)
         omega_w = thd * ez + spin * axle
         w_spin = omega_w @ axle
@@ -39,6 +49,20 @@ def rigid_body_lagrangian(q, q_dot, p, sin=np.sin, cos=np.cos):
               + 0.5 * p.I_Wzz * (w_perp @ w_perp))
     # potential energy above the rest height of the axle (the wheels' is constant)
     return T - p.m_b * p.g * (p.b * axes[2][2])
+
+
+def contact_velocities(theta, q_dot, p, sin=np.sin, cos=np.cos):
+    """(2, 3) velocities of the wheels' ground-contact points, from the same
+    geometry as :func:`rigid_body_lagrangian`: each contact point sits r below
+    its wheel centre, which yaws with the axle.  Rolling without slipping is
+    their vanishing; the tilt does not enter.
+    """
+    xd, yd, thd, _, f1d, f2d = q_dot
+    ez, _, axle = _heading_frame(theta, sin, cos)
+    v_axle = np.array([xd, yd, 0.0])
+    return np.array([v_axle + np.cross(thd * ez, side * 0.5 * p.d * axle)
+                     + np.cross(thd * ez + spin * axle, -p.r * ez)
+                     for side, spin in zip(WHEEL_SIDES, (f1d, f2d))])
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wipdyn import (ReducedState, curvature_at, curvature_fd, ehresmann_at,
-                    f_of_alpha, full_to_reduced, h_const, nonholo_connection,
-                    reduced_to_full)
+                    f_of_alpha, full_to_reduced, h_const, i_theta, model,
+                    nonholo_connection, reduced_to_full)
 from wipdyn.dynamics_reduced import ode_rhs
 
 
@@ -82,6 +82,41 @@ def test_curvature_independent_of_planar_position(p, rng):
     ref = curvature_fd(th, p)
     for x, y in ((1.3, -2.1), (-40.0, 7.5)):
         assert np.allclose(curvature_fd(th, p, x=x, y=y), ref, atol=1e-15)
+
+
+def test_one_rolling_statement_feeds_the_kinematic_connection(p, monkeypatch):
+    # r/d -> r/(2d) in model.rolling_rates halves A's yaw row, and with it
+    # every curvature slot, which pairs that row with d/dtheta of the others
+    th = 0.7
+    A0, B0 = ehresmann_at(th, p), curvature_fd(th, p)
+    rates = model.rolling_rates
+
+    def patched(theta, phi1_dot, phi2_dot, params):
+        x_dot, y_dot, theta_dot = rates(theta, phi1_dot, phi2_dot, params)
+        return x_dot, y_dot, 0.5 * theta_dot
+
+    monkeypatch.setattr(model, "rolling_rates", patched)
+    A, B = ehresmann_at(th, p), curvature_fd(th, p)
+    assert np.array_equal(A, A0 * [[1.0], [1.0], [0.5]])
+    assert np.allclose(B, 0.5 * B0, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(B - B0)) >= 0.25 * p.r ** 2 / p.d
+
+
+def test_one_yaw_inertia_statement_feeds_the_nonholonomic_connection(
+        p, monkeypatch, fresh_kernels):
+    # doubling I_theta moves Gamma's yaw entry 1/f(alpha) and nothing else
+    al = 0.4
+    before = nonholo_connection(al, p)
+    f_doubled = float(f_of_alpha(al, p)) + float(i_theta(al, p))
+    yaw = model._yaw_inertia
+    monkeypatch.setattr(model, "_yaw_inertia", lambda params: tuple(2.0 * i for i in yaw(params)))
+    for kernel in fresh_kernels:
+        kernel.cache_clear()
+    after = nonholo_connection(al, p)
+    assert after.Gamma[2, 1] == pytest.approx(1.0 / f_doubled, rel=1e-14)
+    assert after.Gamma[2, 1] < 0.9 * before.Gamma[2, 1]
+    moved = after.Gamma != before.Gamma
+    assert moved.sum() == 1 and np.array_equal(after.A, before.A)
 
 
 def test_nonholo_connection_structure(p, rng):

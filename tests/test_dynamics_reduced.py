@@ -1,5 +1,4 @@
 import math
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -86,16 +85,6 @@ def test_shape_rhs_matches_full_model_and_ignores_wheel_rate(p, rng):
             assert a == pytest.approx(expected, rel=1e-11, abs=1e-12)
 
 
-def test_shape_rhs_signals_nonpositive_shape_mass(p):
-    # unreachable through Params (construction rejects such sets); exercised
-    # with a raw attribute bag, hashable like Params because the rhs kernel
-    # is cached per parameter set
-    values = dict(p.to_dict(), I_Byy=-(p.m_b * p.b ** 2))
-    bad = namedtuple("Bag", values)(**values)
-    with pytest.raises(ValueError, match="shape mass"):
-        tilt_accel(0.0, 0.0, 0.0, bad)
-
-
 def test_reduced_rhs_upright_rest_fixed_point(p):
     out = reduced_rhs(ReducedState(0, 0, 0, 0, 0, 0, 0, 0), 0.0, 0.0, p)
     assert (out.p1_dot, out.p2_dot, out.alpha_ddot) == (0.0, 0.0, 0.0)
@@ -176,7 +165,7 @@ def test_model_equivalence_short_horizon(p):
     profile = TorqueProfile(((0.0, 0.08, 0.12),))
     tf = simulate("full", full0, profile, 1.0, 1e-3, p)
     tr = simulate("reduced", red0, profile, 1.0, 1e-3, p)
-    stats = compare_trajectories(tf, tr, p)
+    stats = compare_trajectories(tf, tr)
     assert max(st.max_abs for st in stats.values()) <= 1e-7
 
 

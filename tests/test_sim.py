@@ -249,19 +249,6 @@ def test_simulation_failure_names_step_cause_and_last_state(p, model):
     assert np.array_equal(e.state, first.states[-1])
 
 
-def test_shape_mass_failure_surfaces_from_the_fused_step(p, monkeypatch, fresh_kernels):
-    # with h patched small the reduced kernel's m(alpha) = m_0 - kappa^2 / h
-    # is negative, so the first stage of the first step raises
-    from wipdyn import dynamics_reduced
-    monkeypatch.setattr(dynamics_reduced, "h_const", lambda params: 1e-6)
-    red0 = ReducedState(0, 0, 0, 0, 0.1, 0, 0, 0)
-    with pytest.raises(SimulationError) as err:
-        simulate("reduced", red0, TorqueProfile.zero(), 0.1, 1e-2, p)
-    assert err.value.step == 0
-    assert isinstance(err.value.__cause__, ValueError)
-    assert "non-positive shape mass" in str(err.value.__cause__)
-
-
 def test_full_vs_reduced_error_shrinks_fourth_order(p):
     from wipdyn import reduced_to_full
     red0 = ReducedState(0, 0, 0, 0, 0.12, 0.0, 0.25 * h_const(p), 0.0)
@@ -271,7 +258,7 @@ def test_full_vs_reduced_error_shrinks_fourth_order(p):
     def gap(dt):
         tf = simulate("full", full0, prof, 1.0, dt, p)
         tr = simulate("reduced", red0, prof, 1.0, dt, p)
-        stats = compare_trajectories(tf, tr, p)
+        stats = compare_trajectories(tf, tr)
         return max(st.max_abs for st in stats.values())
 
     gaps = [gap(dt) for dt in (4e-3, 2e-3, 1e-3)]
