@@ -7,9 +7,8 @@ simulation, cross-validation and a scenario CLI.
 """
 
 from .model import (Controls, FullState, Params, ReducedState, f_of_alpha,
-                    f_prime, h_const, i_theta, i_theta_prime,
-                    lagrangian_full, reduced_energy, shape_mass,
-                    total_energy)
+                    h_const, i_theta, i_theta_prime, lagrangian_full,
+                    reduced_energy, shape_mass, total_energy)
 from .connection import (curvature_at, curvature_fd, ehresmann_at,
                          nonholo_connection)
 from .dynamics_full import (FullRhs, accelerations_q6, full_rhs, mass_matrix,

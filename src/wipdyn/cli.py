@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .model import FullState, Params, ReducedState
+from .model import LAYOUTS, FullState, Params, ReducedState
 from .dynamics_reduced import full_to_reduced, reduced_to_full
 from .sim import (MODELS, REDUCED_VARIABLES, SimulationError, TorqueProfile,
                   n_samples, simulate)
@@ -37,9 +37,7 @@ __all__ = ["main", "entry", "ConfigError", "load_config", "write_trajectory_csv"
 
 CSV_HEADER = "t,x,y,theta,alpha,phi,alpha_dot,p1,p2,E,res_x,res_y,res_theta"
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
-
-_FULL_KEYS = ("x", "y", "theta", "alpha", "phi1", "phi2",
-              "alpha_dot", "phi1_dot", "phi2_dot")
+_CSV_SHARED = CSV_HEADER.split(",")[1:9]  # the shared observables, in CSV order
 
 
 class ConfigError(ValueError):
@@ -97,8 +95,8 @@ def _build_initial(cfg: dict, p: Params) -> tuple[FullState, ReducedState]:
     if not isinstance(block, dict):
         raise ConfigError("initial block must be an object")
     reduced_form = "p1" in block or "phi" in block
-    keys, form = (REDUCED_VARIABLES, "reduced") if reduced_form else (_FULL_KEYS, "full")
-    vals = _strict_floats(block, keys, f"initial ({form} form)")
+    form = "reduced" if reduced_form else "full"
+    vals = _strict_floats(block, LAYOUTS[form], f"initial ({form} form)")
     try:
         if reduced_form:
             red = ReducedState(**vals)
@@ -156,8 +154,8 @@ def _build_tolerance(cfg: dict) -> float:
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
     """Fixed-header CSV, one row per sample, 17 significant digits, LF endings."""
-    red = traj.reduced_series()
-    cols = np.column_stack((traj.t, red[:, [0, 1, 2, 4, 3, 5]], traj.p1, traj.p2,
+    shared = dict(zip(REDUCED_VARIABLES, traj.reduced_series().T))
+    cols = np.column_stack((traj.t, *(shared[n] for n in _CSV_SHARED),
                             traj.energy, traj.residuals))
     rows = "".join([_CSV_ROW % tuple(row) for row in cols.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -24,8 +24,6 @@ momenta only when r = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dynamics_reduced, model
@@ -36,7 +34,6 @@ __all__ = [
     "ehresmann_at",
     "curvature_at",
     "curvature_fd",
-    "NonholoConnectionLocal",
     "nonholo_connection",
 ]
 
@@ -93,22 +90,12 @@ def curvature_fd(theta: float, p: Params, x: float = 0.0, y: float = 0.0) -> np.
     return T - T.transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class NonholoConnectionLocal:
-    """Local form of the nonholonomic connection at a tilt angle.
+def nonholo_connection(alpha: float, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Local form (A, Gamma) of the nonholonomic connection at a tilt angle.
 
-    A:     coefficients of the shape one-form on (e1, e2, e3, e4), per d(alpha)
-    Gamma: (4, 2) map from momenta (p1, p2) to body velocity
-    """
-
-    A: np.ndarray
-    Gamma: np.ndarray
-
-
-def nonholo_connection(alpha: float, p: Params) -> NonholoConnectionLocal:
-    """Evaluate the nonholonomic connection pieces at a tilt angle.
-
-    The body velocity, shape velocity and momenta are related by
+    A (4,) holds the shape one-form's coefficients on (e1, e2, e3, e4) per
+    d(alpha); Gamma (4, 2) maps the momenta (p1, p2) to body velocity.  They
+    relate body velocity, shape velocity and momenta by
     ``xi + A(alpha) alpha_dot = Gamma(alpha) p``.  xi is linear in
     (alpha_dot, p1, p2), and at theta = 0 the reduced model's group rates
     are xi itself, so A and Gamma are its columns on the unit vectors.
@@ -116,4 +103,4 @@ def nonholo_connection(alpha: float, p: Params) -> NonholoConnectionLocal:
     rhs = dynamics_reduced.ode_rhs
     xi = np.array([rhs((0.0, 0.0, 0.0, 0.0, alpha, *e), 0.0, 0.0, p)[:4]
                    for e in np.eye(3).tolist()])  # rows: alpha_dot, p1, p2
-    return NonholoConnectionLocal(A=-xi[0], Gamma=xi[1:].T)
+    return -xi[0], xi[1:].T

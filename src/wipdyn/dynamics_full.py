@@ -33,7 +33,7 @@ from types import FunctionType
 import numpy as np
 
 from . import model
-from .model import Controls, FullState, Params, f_of_alpha, h_const, rolling_rates
+from .model import LAYOUTS, Controls, FullState, Params, f_of_alpha, h_const, rolling_rates
 
 __all__ = [
     "FullRhs",
@@ -112,16 +112,14 @@ def mass_matrix(alpha: float, p: Params) -> np.ndarray:
 
 
 def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
-    """Time derivative of the integrated state vector
-    y = (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot),
-    as a tuple of nine floats for float input."""
+    """Time derivative of the integrated state vector y, in the layout
+    ``model.LAYOUTS["full"]``, as a tuple of nine floats for float input."""
     return _kernel(p)(y, tau1, tau2)
 
 
 def _ode_at(state: FullState, controls: Controls, p: Params) -> tuple:
-    return ode_rhs((state.x, state.y, state.theta, state.alpha, state.phi1,
-                    state.phi2, state.alpha_dot, state.phi1_dot, state.phi2_dot),
-                   controls.tau1, controls.tau2, p)
+    y = [getattr(state, n) for n in LAYOUTS["full"]]
+    return ode_rhs(y, controls.tau1, controls.tau2, p)
 
 
 def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:

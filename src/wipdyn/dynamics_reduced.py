@@ -60,7 +60,7 @@ class ReducedRhs:
     phi_dot: float
 
 
-# Read as dynamics_full._BODY, with forces u1 and u2.  f_of_alpha, f_prime and
+# Read as dynamics_full._BODY, with forces u1 and u2.  f_of_alpha, i_theta_prime and
 # shape_mass inline: calling them kept this rhs at about 3 us against 1.2 us.
 _BODY = """
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
@@ -96,9 +96,9 @@ def _kernel(p: Params):
 
 
 def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
-    """Time derivative of the integrated state vector
-    y = (x, y, theta, phi, alpha, alpha_dot, p1, p2), as a tuple of eight
-    floats for float input.
+    """Time derivative of the integrated state vector y, the fields of
+    :class:`~wipdyn.model.ReducedState` in order, as a tuple of eight floats
+    for float input.
 
     The group rates follow from xi = -A(alpha) alpha_dot + Gamma(alpha) p by
     left translation: x_dot = xi1 cos(theta), y_dot = xi1 sin(theta),
@@ -109,9 +109,7 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
 
 def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:
     """Complete reduced right-hand side including group reconstruction."""
-    xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(
-        (state.x, state.y, state.theta, state.phi, state.alpha,
-         state.alpha_dot, state.p1, state.p2), u1, u2, p)
+    xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(astuple(state), u1, u2, p)
     return ReducedRhs(p1d, p2d, add, xd, yd, thd, phid)
 
 

@@ -34,11 +34,11 @@ __all__ = [
     "Params",
     "FullState",
     "ReducedState",
+    "LAYOUTS",
     "Controls",
     "i_theta",
     "i_theta_prime",
     "f_of_alpha",
-    "f_prime",
     "h_const",
     "shape_mass",
     "rolling_rates",
@@ -99,12 +99,6 @@ class Params:
         if shape_mass(0.0, self) <= 0.0:
             raise ValueError("non-physical parameter set: shape-space mass m(alpha) "
                              "is not positive for all alpha")
-        # hashed once: the rhs kernels are cached per Params, so each public
-        # rhs call hashes its parameter set (0.6 us with the generated hash)
-        object.__setattr__(self, "_hash", hash(tuple(self.to_dict().values())))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def default(cls) -> "Params":
@@ -225,6 +219,21 @@ class ReducedState:
         _coerce_finite(self)
 
 
+def _names(record) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record))
+
+
+# What each model integrates, by name and in order: the oracle FullState's
+# fields, the reduced model ReducedState's, and the full model FullState's
+# less the group rates that rolling derives from the wheel rates.  The full
+# layout is also FullState.constrained's positional order.
+LAYOUTS = {
+    "full": tuple(n for n in _names(FullState) if n not in ("x_dot", "y_dot", "theta_dot")),
+    "reduced": _names(ReducedState),
+    "oracle": _names(FullState),
+}
+
+
 @dataclass(frozen=True)
 class Controls:
     """Wheel torques [N m]."""
@@ -289,9 +298,6 @@ def i_theta_prime(alpha, p: Params):
 def f_of_alpha(alpha, p: Params):
     """Yaw inertia including the wheel-difference spin: I_theta + d^2 I_Wyy / (2 r^2)."""
     return i_theta(alpha, p) + p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy
-
-
-f_prime = i_theta_prime  # f differs from I_theta by a constant
 
 
 def h_const(p: Params) -> float:

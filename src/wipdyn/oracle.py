@@ -55,7 +55,6 @@ from .model import Params, lagrangian_full
 __all__ = [
     "ConstraintViolationError",
     "constraint_matrix",
-    "constraint_rate_term",
     "lagrangian_derivatives",
     "lagrange_dalembert_rhs",
     "lagrange_dalembert_full",
@@ -86,17 +85,6 @@ def _constraint_and_rate(q: np.ndarray, qd: np.ndarray, p: Params):
     """(C(q), C_dot q_dot) from one complex call C(q + i h q_dot)."""
     C = constraint_matrix(q + (1j * CS_STEP) * qd, p)
     return C.real, C.imag @ qd / CS_STEP
-
-
-def constraint_rate_term(q: np.ndarray, q_dot: np.ndarray, p: Params) -> np.ndarray:
-    """C_dot q_dot, one entry per row of :func:`constraint_matrix`.
-
-    Taken from ``constraint_matrix`` itself by a complex-step directional
-    derivative along q_dot, Im(C(q + i h q_dot) q_dot) / h.  There is no
-    subtractive cancellation, so h can be tiny and the result is exact to
-    rounding, whatever rows the constraint set has.
-    """
-    return _constraint_and_rate(np.asarray(q, float), np.asarray(q_dot, float), p)[1]
 
 
 @functools.cache

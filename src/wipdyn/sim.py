@@ -35,8 +35,8 @@ import numpy as np
 from . import dynamics_full as dfull
 from . import dynamics_reduced as dred
 from . import oracle as _oracle
-from .model import (FullState, Params, ReducedState, _code, reduced_energy,
-                    rolling_rates, rolling_residuals, total_energy)
+from .model import (LAYOUTS, FullState, Params, ReducedState, _code,
+                    reduced_energy, rolling_rates, rolling_residuals, total_energy)
 
 __all__ = [
     "SimulationError",
@@ -49,7 +49,7 @@ __all__ = [
     "n_samples",
 ]
 
-MODELS = ("full", "reduced", "oracle")
+MODELS = tuple(LAYOUTS)  # ("full", "reduced", "oracle")
 
 
 class SimulationError(RuntimeError):
@@ -204,12 +204,8 @@ def n_samples(T: float, dt: float) -> int:
 class Trajectory:
     """Uniformly sampled run of one model plus per-sample diagnostics.
 
-    states holds the raw integrator state (rows = samples); the layout
-    depends on the model:
-
-    * full:    (x, y, theta, alpha, phi1, phi2, alpha_dot, phi1_dot, phi2_dot)
-    * reduced: (x, y, theta, phi, alpha, alpha_dot, p1, p2)
-    * oracle:  (x, y, theta, alpha, phi1, phi2) + the six velocities
+    states holds the raw integrator state (rows = samples) in the model's
+    layout, ``model.LAYOUTS[model]``; :meth:`column` reads it by name.
 
     Diagnostics: total energy, nonholonomic momenta and the three rolling
     constraint residuals at every sample.
@@ -230,17 +226,25 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
+    def column(self, name: str) -> np.ndarray:
+        """The samples of one variable of the model's layout (a view of states).
+        Raises ValueError if the model does not integrate it."""
+        layout = LAYOUTS[self.model]
+        if name not in layout:
+            raise ValueError(f"a {self.model} trajectory has no column {name!r}")
+        return self.states[:, layout.index(name)]
+
     def reduced_series(self) -> np.ndarray:
-        """Shared observables (x, y, theta, phi, alpha, alpha_dot, p1, p2), (N, 8)."""
-        Y = self.states
+        """Shared observables ``REDUCED_VARIABLES``, (N, 8): the reduced
+        model's states, or a full run's with the mean wheel angle and momenta."""
         if self.model == "reduced":
-            return Y.copy()
-        cols = [Y[:, 0], Y[:, 1], Y[:, 2], 0.5 * (Y[:, 4] + Y[:, 5]), Y[:, 3]]
-        cols.append(Y[:, 6] if self.model == "full" else Y[:, 9])
-        return np.stack(cols + [self.p1, self.p2], axis=1)
+            return self.states.copy()
+        c = self.column
+        return np.stack([c("x"), c("y"), c("theta"), 0.5 * (c("phi1") + c("phi2")),
+                         c("alpha"), c("alpha_dot"), self.p1, self.p2], axis=1)
 
 
-REDUCED_VARIABLES = ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2")
+REDUCED_VARIABLES = LAYOUTS["reduced"]
 
 
 def _force_lookup(profile: TorqueProfile, p: Params, to_forces=None):
@@ -292,20 +296,15 @@ def _stepper(model: str, profile: TorqueProfile, p: Params, n: int):
     return stages, _force_lookup(profile, p, to_forces)
 
 
-def _initial_vector(model: str, initial, p: Params) -> np.ndarray:
-    if model == "reduced":
-        if not isinstance(initial, ReducedState):
-            raise TypeError("reduced model requires a ReducedState initial condition")
-        s = initial
-        return np.array([s.x, s.y, s.theta, s.phi, s.alpha, s.alpha_dot, s.p1, s.p2])
-    if not isinstance(initial, FullState):
-        raise TypeError(f"{model} model requires a FullState initial condition")
-    s = initial
-    res = float(np.max(rolling_residuals(s.q, s.q_dot, p)))
-    if res > 1e-9:
-        raise ValueError(f"initial state violates the rolling constraints by {res:.3e}")
-    # the full model integrates only the wheel and tilt rates
-    return np.concatenate([s.q, s.q_dot[3:] if model == "full" else s.q_dot])
+def _initial_vector(model: str, initial, p: Params) -> list[float]:
+    record = ReducedState if model == "reduced" else FullState
+    if not isinstance(initial, record):
+        raise TypeError(f"{model} model requires a {record.__name__} initial condition")
+    if record is FullState:
+        res = float(np.max(rolling_residuals(initial.q, initial.q_dot, p)))
+        if res > 1e-9:
+            raise ValueError(f"initial state violates the rolling constraints by {res:.3e}")
+    return [getattr(initial, n) for n in LAYOUTS[model]]
 
 
 def _diagnostics(model: str, Y: np.ndarray, p: Params):
@@ -337,7 +336,7 @@ def simulate(model: str, initial, profile: TorqueProfile,
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     steps = n_samples(T, dt) - 1
-    y = _initial_vector(model, initial, p).tolist()
+    y = _initial_vector(model, initial, p)
     Y = np.empty((steps + 1, len(y)))
     Y[0] = y
     stages, f = _stepper(model, profile, p, len(y))

@@ -9,14 +9,14 @@ through the mean angle and the integrated yaw relation.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .connection import curvature_at, curvature_fd, ehresmann_at
 from .dynamics_full import momenta_from_full
 from . import dynamics_reduced as dred
-from .model import FullState, Params, ReducedState, lagrangian_full
+from .model import FullState, Params, lagrangian_full
 from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, _force_lookup,
                   simulate, u_from_tau)
 
@@ -67,8 +67,7 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> dict[str, ErrorStats]:
         raise ValueError("trajectories are on different time grids")
     ra, rb = a.reduced_series(), b.reduced_series()
     out = {}
-    for i, name in enumerate(REDUCED_VARIABLES):
-        diff = ra[:, i] - rb[:, i]
+    for name, diff in zip(REDUCED_VARIABLES, (ra - rb).T):
         out[name] = ErrorStats(float(np.max(np.abs(diff))),
                                float(np.sqrt(np.mean(diff * diff))))
     return out
@@ -115,14 +114,11 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
 
     dE/dt by central differences on interior samples of each torque segment;
     0.0 if no sample is interior (T < 2 dt), as for the momentum rate.
+    Raises ValueError for a run that does not integrate the wheel rates.
     """
-    if traj.model not in ("full", "oracle"):
-        raise ValueError("power balance check expects a full/oracle trajectory")
     t, dt = traj.t, traj.dt
     E = traj.energy
-    Y = traj.states
-    f1d = Y[:, 7] if traj.model == "full" else Y[:, 10]
-    f2d = Y[:, 8] if traj.model == "full" else Y[:, 11]
+    f1d, f2d = traj.column("phi1_dot"), traj.column("phi2_dot")
     taus = list(map(_force_lookup(profile, p), t.tolist()))
     mask = _interior_mask(profile, t)
     if not mask.any():
@@ -136,52 +132,48 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
 
 
 def holonomic_residual(traj: Trajectory, p: Params) -> float:
-    """Max |theta(t) - theta(0) - (r/d) [(phi2 - phi2(0)) - (phi1 - phi1(0))]|."""
-    if traj.model == "reduced":
-        raise ValueError("holonomic relation check expects a full/oracle trajectory")
-    Y = traj.states
-    dth = Y[:, 2] - Y[0, 2]
-    dphi1 = Y[:, 4] - Y[0, 4]
-    dphi2 = Y[:, 5] - Y[0, 5]
-    return float(np.max(np.abs(dth - p.r / p.d * (dphi2 - dphi1))))
+    """Max |theta(t) - theta(0) - (r/d) [(phi2 - phi2(0)) - (phi1 - phi1(0))]|.
+
+    Raises ValueError for a run that does not integrate the wheel angles.
+    """
+    th, phi1, phi2 = map(traj.column, ("theta", "phi1", "phi2"))
+    return float(np.max(np.abs(th - th[0] - p.r / p.d * ((phi2 - phi2[0]) - (phi1 - phi1[0])))))
+
+
+def _shift(v: dict, gx, gy, gth, gphi) -> dict:
+    """Left action of (gx, gy, gth, gphi) in SE(2) x S1 on named values,
+    floats or columns: the planar position rotates by gth and translates by
+    (gx, gy), a planar velocity rotates, the heading shifts by gth and every
+    wheel angle (phi, phi1, phi2) by gphi.  Other values stay."""
+    c, si = math.cos(gth), math.sin(gth)
+    out = dict(v)
+    out["x"], out["y"] = c * v["x"] - si * v["y"] + gx, si * v["x"] + c * v["y"] + gy
+    if "x_dot" in v:
+        xd, yd = v["x_dot"], v["y_dot"]
+        out["x_dot"], out["y_dot"] = c * xd - si * yd, si * xd + c * yd
+    out["theta"] = v["theta"] + gth
+    for name in v.keys() & {"phi", "phi1", "phi2"}:
+        out[name] = v[name] + gphi
+    return out
 
 
 def shift_full_state(s: FullState, gx: float, gy: float, gth: float, gphi: float) -> FullState:
     """Left action of (gx, gy, gth, gphi) in SE(2) x S1 on a full state."""
-    c, si = math.cos(gth), math.sin(gth)
-    return FullState(
-        x=c * s.x - si * s.y + gx, y=si * s.x + c * s.y + gy,
-        theta=s.theta + gth, alpha=s.alpha,
-        phi1=s.phi1 + gphi, phi2=s.phi2 + gphi,
-        x_dot=c * s.x_dot - si * s.y_dot, y_dot=si * s.x_dot + c * s.y_dot,
-        theta_dot=s.theta_dot, alpha_dot=s.alpha_dot,
-        phi1_dot=s.phi1_dot, phi2_dot=s.phi2_dot)
-
-
-def _shift_series(red: np.ndarray, gx, gy, gth, gphi) -> np.ndarray:
-    c, si = math.cos(gth), math.sin(gth)
-    out = red.copy()
-    out[:, 0] = c * red[:, 0] - si * red[:, 1] + gx
-    out[:, 1] = si * red[:, 0] + c * red[:, 1] + gy
-    out[:, 2] = red[:, 2] + gth
-    out[:, 3] = red[:, 3] + gphi
-    return out
+    return FullState(**_shift(asdict(s), gx, gy, gth, gphi))
 
 
 def equivariance_error(model: str, initial, profile: TorqueProfile,
                        T: float, dt: float, p: Params,
                        shifts) -> float:
     """Max pointwise error between shift-then-simulate and simulate-then-shift."""
-    base = simulate(model, initial, profile, T, dt, p).reduced_series()
+    base = dict(zip(REDUCED_VARIABLES,
+                    simulate(model, initial, profile, T, dt, p).reduced_series().T))
     worst = 0.0
-    for gx, gy, gth, gphi in shifts:
-        if model == "reduced":
-            row = np.array([astuple(initial)])
-            shifted0 = ReducedState(*_shift_series(row, gx, gy, gth, gphi)[0].tolist())
-        else:
-            shifted0 = shift_full_state(initial, gx, gy, gth, gphi)
+    for g in shifts:
+        shifted0 = type(initial)(**_shift(asdict(initial), *g))
         moved = simulate(model, shifted0, profile, T, dt, p).reduced_series()
-        worst = max(worst, float(np.max(np.abs(moved - _shift_series(base, gx, gy, gth, gphi)))))
+        expected = np.stack(list(_shift(base, *g).values()), axis=1)
+        worst = max(worst, float(np.max(np.abs(moved - expected))))
     return worst
 
 

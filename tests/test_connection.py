@@ -6,6 +6,7 @@ import pytest
 from wipdyn import (ReducedState, curvature_at, curvature_fd, ehresmann_at,
                     f_of_alpha, full_to_reduced, h_const, i_theta, model,
                     nonholo_connection, reduced_to_full)
+from wipdyn.dynamics_full import momenta
 from wipdyn.dynamics_reduced import ode_rhs
 
 
@@ -106,52 +107,62 @@ def test_one_yaw_inertia_statement_feeds_the_nonholonomic_connection(
         p, monkeypatch, fresh_kernels):
     # doubling I_theta moves Gamma's yaw entry 1/f(alpha) and nothing else
     al = 0.4
-    before = nonholo_connection(al, p)
+    A0, Gamma0 = nonholo_connection(al, p)
     f_doubled = float(f_of_alpha(al, p)) + float(i_theta(al, p))
     yaw = model._yaw_inertia
     monkeypatch.setattr(model, "_yaw_inertia", lambda params: tuple(2.0 * i for i in yaw(params)))
     for kernel in fresh_kernels:
         kernel.cache_clear()
-    after = nonholo_connection(al, p)
-    assert after.Gamma[2, 1] == pytest.approx(1.0 / f_doubled, rel=1e-14)
-    assert after.Gamma[2, 1] < 0.9 * before.Gamma[2, 1]
-    moved = after.Gamma != before.Gamma
-    assert moved.sum() == 1 and np.array_equal(after.A, before.A)
+    A, Gamma = nonholo_connection(al, p)
+    assert Gamma[2, 1] == pytest.approx(1.0 / f_doubled, rel=1e-14)
+    assert Gamma[2, 1] < 0.9 * Gamma0[2, 1]
+    moved = Gamma != Gamma0
+    assert moved.sum() == 1 and np.array_equal(A, A0)
 
 
 def test_nonholo_connection_structure(p, rng):
-    conn = nonholo_connection(math.pi / 2, p)
-    assert np.max(np.abs(conn.A)) < 1e-16  # cos(pi/2) kills the one-form
+    A, _ = nonholo_connection(math.pi / 2, p)
+    assert np.max(np.abs(A)) < 1e-16  # cos(pi/2) kills the one-form
     for al in rng.uniform(-2.0, 2.0, 10):
-        conn = nonholo_connection(al, p)
+        A, Gamma = nonholo_connection(al, p)
         # sway and yaw components of the one-form vanish; surge = r * roll
-        assert conn.A[1] == 0.0 and conn.A[2] == 0.0
-        assert conn.A[0] == pytest.approx(p.r * conn.A[3], rel=1e-15)
+        assert A[1] == 0.0 and A[2] == 0.0
+        assert A[0] == pytest.approx(p.r * A[3], rel=1e-15)
         # Gamma carries exactly r/h, 1/f(alpha), 1/h and a zero sway row
         h = h_const(p)
-        assert conn.Gamma[0, 0] == pytest.approx(p.r / h, rel=1e-15)
-        assert conn.Gamma[2, 1] == pytest.approx(1.0 / float(f_of_alpha(al, p)), rel=1e-15)
-        assert conn.Gamma[3, 0] == pytest.approx(1.0 / h, rel=1e-15)
-        assert np.all(conn.Gamma[1] == 0.0)
-        assert conn.Gamma[0, 1] == conn.Gamma[2, 0] == conn.Gamma[3, 1] == 0.0
+        assert Gamma[0, 0] == pytest.approx(p.r / h, rel=1e-15)
+        assert Gamma[2, 1] == pytest.approx(1.0 / float(f_of_alpha(al, p)), rel=1e-15)
+        assert Gamma[3, 0] == pytest.approx(1.0 / h, rel=1e-15)
+        assert np.all(Gamma[1] == 0.0)
+        assert Gamma[0, 1] == Gamma[2, 0] == Gamma[3, 1] == 0.0
 
 
 def test_gamma_maps_rolling_momentum_to_unit_wheel_rate(p):
-    conn = nonholo_connection(0.37, p)
-    xi = conn.Gamma @ np.array([h_const(p), 0.0])
+    _, Gamma = nonholo_connection(0.37, p)
+    xi = Gamma @ np.array([h_const(p), 0.0])
     assert np.allclose(xi, [p.r, 0.0, 0.0, 1.0], rtol=1e-14)
 
 
 def test_reduced_group_rates_are_the_connection(p, rng):
-    # at theta = 0 the group rates are the body velocity itself, so the rhs
-    # must reproduce xi = -A(alpha) alpha_dot + Gamma(alpha) p
+    # A(alpha) against its closed form, and xi = -A alpha_dot + Gamma p
+    # against the rolling rates, at theta = 0, of the wheel rates whose full
+    # model momenta are p: the momentum map is linear in the wheel rates, so
+    # they solve a 2x2 system built from dynamics_full.momenta
+    h = h_const(p)
     for _ in range(50):
         al, ald, p1, p2 = rng.uniform(-2.0, 2.0, 4)
-        xi = np.array(group_rates(al, ald, p1, p2, p))
-        assert xi[0] - p.r * xi[3] == 0.0  # surge is exactly r times roll
-        conn = nonholo_connection(al, p)
-        expected = -conn.A * ald + conn.Gamma @ np.array([p1, p2])
-        assert np.max(np.abs(xi - expected)) <= 1e-14 * max(1.0, np.max(np.abs(xi)))
+        A, Gamma = nonholo_connection(al, p)
+        a4 = p.m_b * p.b * p.r * math.cos(al) / h
+        assert np.allclose(A, [p.r * a4, 0.0, 0.0, a4], rtol=1e-14, atol=0.0)
+        base = np.array(momenta(al, ald, 0.0, 0.0, p))
+        J = np.array([momenta(al, ald, *e, p) for e in np.eye(2)]).T - base[:, None]
+        f1d, f2d = np.linalg.solve(J, np.array([p1, p2]) - base)
+        kinematic = [*model.rolling_rates(0.0, f1d, f2d, p), 0.5 * (f1d + f2d)]
+        xi = -A * ald + Gamma @ np.array([p1, p2])
+        rates = np.array(group_rates(al, ald, p1, p2, p))
+        assert rates[0] - p.r * rates[3] == 0.0  # surge is exactly r times roll
+        for got in (xi, rates):
+            assert np.max(np.abs(got - kinematic)) <= 1e-13 * max(1.0, np.max(np.abs(got)))
 
 
 def test_body_velocity_zero_inputs(p):

@@ -5,10 +5,9 @@ import pytest
 
 from wipdyn import FullState, TorqueProfile, simulate
 from wipdyn.model import lagrangian_full
-from wipdyn.oracle import (CS_STEP, ConstraintViolationError,
-                           constraint_matrix, constraint_rate_term,
-                           lagrange_dalembert_full, lagrange_dalembert_rhs,
-                           lagrangian_derivatives)
+from wipdyn.oracle import (CS_STEP, ConstraintViolationError, _constraint_and_rate,
+                           constraint_matrix, lagrange_dalembert_full,
+                           lagrange_dalembert_rhs, lagrangian_derivatives)
 
 
 def _admissible(p, rng):
@@ -93,7 +92,8 @@ def test_acceleration_level_constraints_hold(p, rng):
         tau = np.zeros(6)
         tau[4:] = rng.uniform(-1, 1, 2)
         qdd = lagrange_dalembert_rhs(q, qd, tau, p)
-        resid = constraint_matrix(q, p) @ qdd + constraint_rate_term(q, qd, p)
+        C, rate = _constraint_and_rate(q, qd, p)
+        resid = C @ qdd + rate
         assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -107,7 +107,8 @@ def test_constraint_rate_term_matches_closed_form(p, rng):
         s_rate = qd[4] + qd[5]
         closed = np.array([hr * math.sin(q[2]) * qd[2] * s_rate,
                            -hr * math.cos(q[2]) * qd[2] * s_rate, 0.0])
-        got = constraint_rate_term(q, qd, p)
+        C, got = _constraint_and_rate(q, qd, p)
+        assert np.array_equal(C, constraint_matrix(q, p))
         assert got.shape == (3,)
         assert np.max(np.abs(got - closed)) <= 1e-14
 

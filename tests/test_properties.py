@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     accelerations_q6, compare_trajectories, f_of_alpha,
-                    f_prime, full_rhs, full_to_reduced, h_const, i_theta,
+                    full_rhs, full_to_reduced, h_const, i_theta, i_theta_prime,
                     lagrange_dalembert_rhs, mass_matrix, power_balance_error,
                     reduced_to_full, rk4_step, shape_mass, simulate, u_from_tau)
 from wipdyn import dynamics_full, dynamics_reduced, model
@@ -101,7 +101,7 @@ def _momentum_rates(p, s, ctl):
     p1_dot = (h_const(p) * 0.5 * (out.phi1_ddot + out.phi2_ddot)
               + p.r * p.m_b * p.b * (ca * out.alpha_ddot - sa * s.alpha_dot ** 2))
     p2_dot = (float(f_of_alpha(s.alpha, p)) * p.r / p.d * (out.phi2_ddot - out.phi1_ddot)
-              + float(f_prime(s.alpha, p)) * s.alpha_dot * thd)
+              + float(i_theta_prime(s.alpha, p)) * s.alpha_dot * thd)
     red = full_to_reduced(s, p)
     y = (red.x, red.y, red.theta, red.phi, red.alpha, red.alpha_dot, red.p1, red.p2)
     return [p1_dot, p2_dot], dynamics_reduced.ode_rhs(y, *u_from_tau(ctl.tau1, ctl.tau2, p), p)[6:]
@@ -157,7 +157,7 @@ def _reduced_rhs_by_formula(y, u1, u2, p):
     xi4 = (p1 - mbbr * ca * ald) / h
     xi1 = p.r * xi4
     alpha_dd = (-(mbbr * mbbr) * sa * ca / h * ald * ald
-                + 0.5 * (f_prime(al, p) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
+                + 0.5 * (i_theta_prime(al, p) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
                 + p.m_b * p.g * p.b * sa
                 - mbbr * ca / h * u1) / m_al
     return (xi1 * math.cos(th), xi1 * math.sin(th), xi3, xi4, ald, alpha_dd,

@@ -1,5 +1,7 @@
 import collections
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from wipdyn import (FullState, ReducedState, SimulationError, TorqueProfile,
                     compare_trajectories, full_to_reduced, h_const, rk4_step,
                     simulate, tau_from_u, u_from_tau)
-from wipdyn.sim import MODELS, _oracle_ode, _rk4_stages, n_samples
+from wipdyn.model import LAYOUTS
+from wipdyn.sim import MODELS, REDUCED_VARIABLES, _oracle_ode, _rk4_stages, n_samples
 
 
 def test_u_from_tau_symmetric_and_antisymmetric(p):
@@ -338,3 +341,43 @@ def test_force_lookup_steps_are_the_generic_stages_with_tau_at_per_stage(p, mode
         ys.append(rk4_step(_rk4_stages(len(ys[0])), rhs, ys[-1], k * dt, dt))
     assert len(traj) == steps + 1
     assert traj.states.tobytes() == np.array(ys).tobytes()
+
+
+def test_layouts_are_the_state_records():
+    *constrained, last = inspect.signature(FullState.constrained).parameters
+    assert last == "p" and LAYOUTS["full"] == tuple(constrained)
+    assert LAYOUTS["reduced"] == tuple(f.name for f in fields(ReducedState)) == REDUCED_VARIABLES
+    assert LAYOUTS["oracle"] == tuple(f.name for f in fields(FullState))
+
+
+def test_each_rhs_returns_its_layout(p, rng):
+    # as many components as the layout, and each angle's rate is the
+    # integrated rate of the same name
+    from wipdyn import dynamics_full, dynamics_reduced
+    rhs = {"full": lambda y: dynamics_full.ode_rhs(y, 0.1, -0.2, p),
+           "reduced": lambda y: dynamics_reduced.ode_rhs(y, 0.1, -0.2, p),
+           "oracle": lambda y: _oracle_ode(lambda t: (0.1, -0.2), p)(0.0, y)}
+    for model, f in rhs.items():
+        layout = LAYOUTS[model]
+        y = rng.uniform(-1.0, 1.0, len(layout)).tolist()
+        dy = f(y)
+        assert len(dy) == len(layout)
+        rates = [n for n in layout if n + "_dot" in layout]
+        assert len(rates) == {"full": 3, "reduced": 1, "oracle": 6}[model]
+        for n in rates:
+            assert dy[layout.index(n)] == y[layout.index(n + "_dot")]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_trajectory_columns_by_name(p, model):
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    traj = simulate(model, initial, TorqueProfile.constant(0.01, -0.02), 3e-3, 1e-3, p)
+    for j, name in enumerate(LAYOUTS[model]):
+        assert np.array_equal(traj.column(name), traj.states[:, j])
+    shared = dict(zip(REDUCED_VARIABLES, traj.reduced_series().T))
+    for name in ("x", "theta", "alpha", "alpha_dot"):
+        assert np.array_equal(shared[name], traj.column(name))
+    missing = "phi1" if model == "reduced" else "p1"
+    with pytest.raises(ValueError, match=missing):
+        traj.column(missing)
