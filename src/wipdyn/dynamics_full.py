@@ -8,9 +8,12 @@ leaves the reduced Euler-Lagrange equations
 with the mass matrix and force vector derived once from the constrained
 Lagrangian.  M(alpha) = [[c, k, k], [k, a1, a3], [k, a3, a1]] decouples in
 the wheel sum and difference: the difference row is the scalar equation
-(a1 - a3)(phi2_dd - phi1_dd) = f2 - f1, and the (alpha, phi1_dd + phi2_dd)
-block has determinant c (a1 + a3) - 2 k^2 = h m(alpha)/2, so the system is
-solved in closed form.  The group rates are reconstructed kinematically by
+(a1 - a3)(phi2_dd - phi1_dd) = f2 - f1 with a1 - a3 = 2 I_theta r^2/d^2 +
+I_Wyy, and the (alpha, phi1_dd + phi2_dd) block has determinant
+c (a1 + a3) - 2 k^2 = h m(alpha)/2 with a1 + a3 = h/2, so the system is
+solved in closed form.  The body states the sum and the difference
+directly: formed from a1 and a3, whose +-I_theta r^2/d^2 terms cancel, they
+lose every digit once I_theta r^2/d^2 dwarfs h.  The group rates are reconstructed kinematically by
 the rolling relation of ``model.rolling_rates``, s_dot = -A(theta) r_dot,
 so every trajectory of this module satisfies the constraints identically.
 :func:`momenta` is the one map from a constrained state to the nonholonomic
@@ -64,7 +67,7 @@ class FullRhs:
 _INERTIA = """
     sa, ca = sin(al), cos(al)
     i_th = i_0 + i_c * ca * ca + i_s * sa * sa
-    a1, a3, k = a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd, k_0 * ca
+    k = k_0 * ca
 """
 _BODY = """
     th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]""" + _INERTIA + """
@@ -77,17 +80,20 @@ _BODY = """
     f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + grav * sa
     f_1 = tau1 + curv * f2d + cor + quad
     f_2 = tau2 - curv * f1d - cor + quad
-    diff = (f_2 - f_1) / (a1 - a3)  # phi2_dd - phi1_dd
+    diff = (f_2 - f_1) / (2.0 * i_th * rr_dd + I_Wyy)  # a1 - a3; phi2_dd - phi1_dd
     f_s = f_1 + f_2
-    det = c * (a1 + a3) - 2.0 * k * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
-    add = ((a1 + a3) * f_alpha - k * f_s) / det
+    det = c * s_0 - 2.0 * k * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
+    add = (s_0 * f_alpha - k * f_s) / det
     s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
     v = v_0 * (f1d + f2d)  # model.rolling_rates, inline
     return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
             add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
 """
 _ODE = "def ode(y, tau1, tau2):" + _BODY
-_MASS = "def mass(al):" + _INERTIA + "    return [[c, k, k], [k, a1, a3], [k, a3, a1]]\n"
+_MASS = "def mass(al):" + _INERTIA + """
+    a1, a3 = a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd
+    return [[c, k, k], [k, a1, a3], [k, a3, a1]]
+"""
 
 
 @lru_cache(maxsize=32)
@@ -100,7 +106,7 @@ def _kernel(p: Params):
     i_0, i_c, i_s = model._yaw_inertia(p)
     return FunctionType(model._code(_ODE), dict(
         sin=sin, cos=cos, i_0=i_0, i_c=i_c, i_s=i_s, ithp_0=2.0 * (i_s - i_c),
-        rr_dd=rr_dd, a_0=0.25 * m_t * p.r * p.r, I_Wyy=p.I_Wyy,
+        rr_dd=rr_dd, a_0=0.25 * m_t * p.r * p.r, I_Wyy=p.I_Wyy, s_0=0.5 * h_const(p),
         k_0=0.5 * p.r * p.m_b * p.b, c=p.m_b * p.b * p.b + p.I_Byy,
         curv_0=mbb * p.r * rr_dd, quad_0=0.5 * p.r * mbb, grav=mbb * p.g,
         v_0=0.5 * p.r, r_d=p.r / p.d))

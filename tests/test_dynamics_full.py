@@ -1,12 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from wipdyn import (Controls, FullState, TorqueProfile, accelerations_q6,
-                    f_of_alpha, full_rhs, h_const, lagrange_dalembert_rhs,
-                    mass_matrix, momenta_from_full, shape_mass, simulate,
-                    total_energy)
+from wipdyn import (Controls, FullState, Params, TorqueProfile, accelerations_q6,
+                    dynamics_reduced, f_of_alpha, full_rhs, full_to_reduced,
+                    h_const, lagrange_dalembert_rhs, mass_matrix,
+                    momenta_from_full, shape_mass, simulate, total_energy)
 from wipdyn.model import rolling_rates
 from wipdyn.validation import power_balance_error
 
@@ -51,6 +52,26 @@ def test_mass_matrix_spd_with_shape_mass_schur_complement(p, rng):
         # Schur complement of the wheel block is the effective tilt inertia
         schur = M[0, 0] - M[0, 1:] @ np.linalg.solve(M[1:, 1:], M[1:, 0])
         assert schur == pytest.approx(float(shape_mass(al, p)), rel=1e-12)
+
+
+def test_wheel_sum_and_difference_keep_their_digits():
+    # I_theta r^2/d^2 is about 5.5e8 while h/2 is about 0.5: a1 + a3 and
+    # a1 - a3 formed from a1 and a3 cancel, and det = h m(0)/2 = 2.2e-10 came
+    # out 0.0 at alpha = 0, so simulate failed at step 0 and alpha_dd was off
+    # the reduced model's by up to 15x nearby.  Stated directly: 4.5e-10.
+    p = Params(m_b=1.0, m_W=2.1013107217121155e-10, b=1.0, r=1.0, d=0.001073752389865853,
+               I_Bxx=147.9010845976701, I_Byy=1.0887478927358027e-16,
+               I_Bz=0.0013499085739770965, I_Wyy=1.4200875871707882e-11,
+               I_Wzz=244.00714342744936, g=9.81)
+    traj = simulate("full", _rest(p), TorqueProfile.zero(), 1e-2, 1e-3, p)
+    assert np.all(traj.states == 0.0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        al = rng.uniform(-0.1, 0.1)
+        s = FullState.constrained(0, 0, 0, al, 0, 0, *rng.uniform(-1.0, 1.0, 3), p)
+        expected = dynamics_reduced.ode_rhs(astuple(full_to_reduced(s, p)), 0.0, 0.0, p)[5]
+        got = full_rhs(s, Controls(0.0, 0.0), p).alpha_ddot
+        assert got == pytest.approx(expected, rel=1e-8)
 
 
 def test_accelerations_match_multiplier_oracle(p, random_constrained, rng):
