@@ -13,9 +13,11 @@ I_Wyy, and the (alpha, phi1_dd + phi2_dd) block has determinant
 c (a1 + a3) - 2 k^2 = h m(alpha)/2 with a1 + a3 = h/2, so the system is
 solved in closed form.  The body states the sum and the difference
 directly: formed from a1 and a3, whose +-I_theta r^2/d^2 terms cancel, they
-lose every digit once I_theta r^2/d^2 dwarfs h.  The group rates are reconstructed kinematically by
-the rolling relation of ``model.rolling_rates``, s_dot = -A(theta) r_dot,
-so every trajectory of this module satisfies the constraints identically.
+lose a digit for every decade by which I_theta r^2/d^2 exceeds h, and for
+some valid parameter sets all of them.  The group rates are reconstructed
+kinematically by the rolling relation of ``model.rolling_rates``,
+s_dot = -A(theta) r_dot, so every trajectory of this module satisfies the
+constraints identically.
 :func:`momenta` is the one map from a constrained state to the nonholonomic
 momenta (p1, p2); the reduced model's ``ode_rhs`` holds its inverse.
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin
+from operator import attrgetter
 from types import FunctionType
 
 import numpy as np
@@ -123,9 +126,11 @@ def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
     return _kernel(p)(y, tau1, tau2)
 
 
+_integrated = attrgetter(*LAYOUTS["full"])  # a FullState's values in the full layout
+
+
 def _ode_at(state: FullState, controls: Controls, p: Params) -> tuple:
-    y = [getattr(state, n) for n in LAYOUTS["full"]]
-    return ode_rhs(y, controls.tau1, controls.tau2, p)
+    return ode_rhs(_integrated(state), controls.tau1, controls.tau2, p)
 
 
 def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:

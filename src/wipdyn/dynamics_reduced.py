@@ -29,13 +29,14 @@ model's fused RK4 step.  Its inverse is ``dynamics_full.momenta``.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin
+from operator import attrgetter
 from types import FunctionType
 
 from . import model
-from .model import FullState, Params, ReducedState, h_const
+from .model import LAYOUTS, FullState, Params, ReducedState, h_const
 from .dynamics_full import momenta_from_full
 
 __all__ = [
@@ -107,9 +108,12 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
     return _kernel(p)(y, u1, u2)
 
 
+_integrated = attrgetter(*LAYOUTS["reduced"])  # a ReducedState's values in order
+
+
 def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:
     """Complete reduced right-hand side including group reconstruction."""
-    xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(astuple(state), u1, u2, p)
+    xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(_integrated(state), u1, u2, p)
     return ReducedRhs(p1d, p2d, add, xd, yd, thd, phid)
 
 
@@ -136,7 +140,7 @@ def reduced_to_full(state: ReducedState, p: Params,
     delta = p.d / p.r * (state.theta - theta_0) + (phi2_0 - phi1_0)
     phi1 = state.phi - 0.5 * delta
     phi2 = state.phi + 0.5 * delta
-    theta_dot, phi_dot = ode_rhs(astuple(state), 0.0, 0.0, p)[2:4]
+    theta_dot, phi_dot = ode_rhs(_integrated(state), 0.0, 0.0, p)[2:4]
     half = 0.5 * p.d / p.r * theta_dot
     return FullState.constrained(state.x, state.y, state.theta, state.alpha,
                                  phi1, phi2, state.alpha_dot,
