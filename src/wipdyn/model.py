@@ -74,6 +74,13 @@ class Params:
     rounded step of :func:`shape_mass` is monotone in |cos alpha|, so m is
     smallest at alpha = 0 in floating point too, where construction checks
     it.  Positive inputs can fail (m_b = b = r = 1, m_W = I_Wyy = I_Byy = 1e-20).
+
+    Conditioning: m(0) = m_0 - kappa^2/h (m_0 = m_b b^2 + I_Byy) cancels, so
+    m and both models' tilt accelerations carry a relative rounding error of
+    about eps m_0/m(0).  Construction accepts any m(0) > 0 and promises no
+    more: the ratio is 2.3 at :meth:`default` but 2.2e9 at m_b = b = r = 1,
+    I_Byy = 1.1e-16, m_W = 2.1e-10, where both models' m(0) is off by 5.2e-7
+    alike, so no cross-model check sees it.
     """
 
     m_b: float
@@ -309,7 +316,8 @@ def shape_mass(alpha, p: Params):
     """Effective tilt inertia m(alpha) = m_b b^2 + I_Byy - (m_b b r cos alpha)^2 / h.
 
     This is the Schur complement of the constrained mass matrix, so
-    m(alpha) > 0 is exactly its invertibility condition.
+    m(alpha) > 0 is exactly its invertibility condition (its conditioning:
+    see :class:`Params`).
     """
     kappa = p.m_b * p.b * p.r * _cos_sin(alpha)[0]
     return p.m_b * p.b ** 2 + p.I_Byy - kappa * kappa / h_const(p)
@@ -341,6 +349,15 @@ def rolling_residuals(q, q_dot, p: Params) -> np.ndarray:
 # Lagrangian
 
 
+@functools.lru_cache(maxsize=32)
+def _velocity_weights(p: Params) -> np.ndarray:
+    """The weights of the squared rates in :func:`lagrangian_full`, read-only."""
+    m_t, m_s = 0.5 * (p.m_b + 2.0 * p.m_W), 0.5 * (p.m_b * p.b ** 2 + p.I_Byy)
+    w = np.array([m_t, m_t, 0.0, m_s, 0.5 * p.I_Wyy, 0.5 * p.I_Wyy])
+    w.setflags(write=False)
+    return w
+
+
 def lagrangian_full(q, q_dot, p: Params):
     """Lagrangian of the unconstrained six-coordinate model.
 
@@ -350,7 +367,7 @@ def lagrangian_full(q, q_dot, p: Params):
     is evaluated as is, never cast to real: the oracle takes derivatives of
     this function by complex step.  Few numpy calls, for the oracle's 46 rows:
     sin/cos of (theta, alpha) once, I_theta from them via ``_i_theta`` (as
-    :func:`i_theta`), squared rates once, constant inertias as one weighted sum.
+    :func:`i_theta`), squared rates once, constant inertias as one cached sum.
     """
     q = np.asarray(q)
     qd = np.asarray(q_dot)
@@ -359,9 +376,7 @@ def lagrangian_full(q, q_dot, p: Params):
     cth, cal = cos[..., 0], cos[..., 1]
     xd, yd, thd, ald = (qd[..., i] for i in range(4))
     v2 = qd * qd
-    m_t = 0.5 * (p.m_b + 2.0 * p.m_W)
-    w = (m_t, m_t, 0.0, 0.5 * (p.m_b * p.b ** 2 + p.I_Byy), 0.5 * p.I_Wyy, 0.5 * p.I_Wyy)
-    return (v2 @ w + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
+    return (v2 @ _velocity_weights(p) + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
             + p.m_b * p.b * (sal * thd * (cth * yd - sth * xd)
                              + cal * (ald * (cth * xd + sth * yd) - p.g)))
 

@@ -16,32 +16,35 @@ yaw relation is not preserved, which describes a different mechanical system.
 Derivative policy: every derivative is exact to rounding, so there is no
 step size to tune.
 
-* M by polarisation of the velocity quadratic form.  L is exactly quadratic
-  in q_dot, so with v = q_dot and steps h_i = max(1, |v_i|)
+* M by polarisation of the velocity quadratic form at zero velocity.  L is
+  exactly quadratic in q_dot, so M does not depend on it, and at q
 
-      M_ii = (L(v + h_i e_i) + L(v - h_i e_i) - 2 L(v)) / h_i^2
-      M_ij = (L(v + h_i e_i + h_j e_j) - L(v + h_i e_i) - L(v + h_j e_j)
-              + L(v)) / (h_i h_j)
+      M_ii = L(e_i) + L(-e_i) - 2 L(0)
+      M_ij = L(e_i + e_j) - L(e_i) - L(e_j) + L(0)
 
-  have no truncation error: 1 + 2n + n(n-1)/2 rows, 28 for n = 6.
+  have no truncation error, and the terms linear in q_dot cancel:
+  1 + 2n + n(n-1)/2 rows, 28 for n = 6.
 * dL/dq by complex step (Squire & Trapp 1998, SIAM Rev. 40:110; Martins,
   Sturdza & Alonso 2003, ACM TOMS 29:245), Im L(q + i h e_j, q_dot) / h with
   h = CS_STEP: no subtractive cancellation, so h can be tiny.  n rows.
 * (d2L/dq_dot dq) q_dot as the central difference in q_dot, exact for the
   same reason as M, of the complex-step derivative along q_dot,
-  Im L(q + i h q_dot, q_dot +- h_i e_i) / h.  2n rows.
+  Im L(q + i h q_dot, q_dot +- e_i) / h.  2n rows; they are of order
+  |q_dot|^3 against a difference of order |q_dot|^2, so Q keeps a relative
+  rounding error of about eps |q_dot|.
 * C_dot q_dot from C(q) itself by complex step along q_dot.  C(q) is the
   real part of the same matrix C(q + i h q_dot), bit for bit: it carries
   cos(theta) cosh(h theta_dot), and the cosh rounds to exactly 1.
 
-All of these rows form one table, built once per dimension and stored ready
-to use (at 46 rows a numpy call costs more than its arithmetic): velocity
-offsets and complex-step directions, scaled by i h, coordinate-major,
-(n, rows), so each coordinate f reads is contiguous, and the polarisation
-weights as one (n^2, m) matrix.  :func:`lagrangian_derivatives` evaluates f
-once on every row and reduces M (one product) from the real part of the
-polarisation block and Q from the imaginary part of the rest;
-:func:`lagrange_dalembert_full` calls it on ``lagrangian_full`` (46 rows).
+No step depends on q_dot: unit steps are exact, and at zero velocity the
+polarisation rows stay the size of L at unit rates however fast the state
+moves.  So the row table is constant, built once per dimension and stored
+ready to use (at 46 rows a numpy call costs more than its arithmetic):
+offsets coordinate-major, (n, rows), and one (n^2 + n, 2 rows) reduction
+matrix.  :func:`lagrangian_derivatives` evaluates f once on every row and
+reduces (M.ravel(), Q) in one product of that matrix with the values viewed
+as (re, im) float pairs; :func:`lagrange_dalembert_full` calls it on
+``lagrangian_full`` (46 rows).
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ def constraint_matrix(q: np.ndarray, p: Params) -> np.ndarray:
     c, s = -0.5 * p.r * np.cos(th), -0.5 * p.r * np.sin(th)
     return np.array([1.0, 0.0, 0.0, 0.0, c, c,
                      0.0, 1.0, 0.0, 0.0, s, s,
-                     0.0, 0.0, 1.0, 0.0, p.r / p.d, -p.r / p.d]).reshape(3, 6)
+                     0.0, 0.0, 1.0, 0.0, p.r / p.d, -p.r / p.d],
+                    dtype=q.dtype).reshape(3, 6)
 
 
 def _constraint_and_rate(q: np.ndarray, qd: np.ndarray, p: Params):
@@ -89,33 +93,38 @@ def _constraint_and_rate(q: np.ndarray, qd: np.ndarray, p: Params):
 
 @functools.cache
 def _rows(n: int):
-    """Row table for dimension n: (W, vel, pos, along), read-only, shared.
+    """Row table for dimension n: (R, vel, moving, pos, along), read-only, shared.
 
-    Row r is evaluated at (q + pos_r + along_r q_dot, q_dot + vel_r h_v), with
-    h_v = max(1, |q_dot|); pos and along carry the factor i h.  The first
-    m = 1 + 2n + n(n-1)/2 rows are the polarisation rows (velocity offsets 0,
-    +e_i, -e_i, then e_i + e_j for i < j), reduced by h_i h_j M_ij =
-    W[n i + j] . values; then n rows along e_j, and 2n rows along q_dot at
-    velocity offsets +e_i, -e_i.
+    Row r is evaluated at (q + pos_r + along_r q_dot, vel_r + moving_r q_dot);
+    pos and along carry the factor i h.  The first m = 1 + 2n + n(n-1)/2 rows
+    are the polarisation rows at zero velocity (offsets 0, e_i, -e_i, then
+    e_i + e_j for i < j); then n rows along e_j at q_dot, and 2n rows along
+    q_dot at q_dot + e_i and q_dot - e_i.  (M.ravel(), Q) = R @ values, with
+    the values viewed as (re, im) float pairs.
     """
     eye, zero = np.eye(n), np.zeros((n, n))
     i, j = np.triu_indices(n, 1)
     k = np.arange(n)
     m = 1 + 2 * n + i.size
     pair = np.arange(1 + 2 * n, m)
-    # the polarisation formulas of the module docstring, as weights on
-    # (L(v), L(v + h_i e_i), L(v - h_i e_i), L(v + h_i e_i + h_j e_j))
-    w = np.zeros((n, n, m))
+    R = np.zeros((n + 1, n, m + 3 * n, 2))  # rows (i, j) of M, then Q's
+    # the polarisation formulas of the module docstring, as weights on the
+    # real parts of (L(0), L(e_i), L(-e_i), L(e_i + e_j))
+    w = R[:n, :, :m, 0]
     w[k, k, 0] = -2.0
     w[k, k, 1 + k] = w[k, k, 1 + n + k] = 1.0
     for a, b in ((i, j), (j, i)):
         w[a, b, 0] = w[a, b, pair] = 1.0
         w[a, b, 1 + a] = w[a, b, 1 + b] = -1.0
+    # Q_k = (Im_k - (Im_k+ - Im_k-) / 2) / h on the imaginary parts of the rest
+    for offset, weight in ((m, 1.0), (m + n, -0.5), (m + 2 * n, 0.5)):
+        R[n, k, offset + k, 1] = weight / CS_STEP
     vel = np.concatenate([np.zeros((1, n)), eye, -eye, eye[i] + eye[j], zero, eye, -eye])
+    moving = np.concatenate([np.zeros(m), np.ones(3 * n)])
     pos = np.concatenate([np.zeros((m, n)), eye, zero, zero])
     along = np.concatenate([np.zeros(m + n), np.ones(2 * n)])
-    table = (w.reshape(n * n, m), vel.T.copy(), (1j * CS_STEP) * pos.T.copy(),
-             (1j * CS_STEP) * along)
+    table = (R.reshape(n * n + n, -1), vel.T.copy(), moving,
+             (1j * CS_STEP) * pos.T.copy(), (1j * CS_STEP) * along)
     for a in table:
         a.setflags(write=False)
     return table
@@ -124,24 +133,21 @@ def _rows(n: int):
 def lagrangian_derivatives(f, q, q_dot):
     """(M, Q): M = d2f/dq_dot2 and Q = df/dq - (d2f/dq_dot dq) q_dot.
 
-    Exact to rounding for f analytic in q and quadratic in q_dot.  f(Q, QD)
-    must accept stacked (N, n) arrays (transposed views), Q complex, and
-    return (N,); it is called once, on all 1 + 2n + n(n-1)/2 + 3n rows.
+    Exact to rounding for f analytic in q and quadratic in q_dot, linear
+    terms included.  f(Q, QD) must accept stacked (N, n) arrays (transposed
+    views), Q complex, and return a complex (N,) array; it is called once,
+    on all 1 + 2n + n(n-1)/2 + 3n rows of ``_rows(n)``.
     """
     q = np.asarray(q, float)
     qd = np.asarray(q_dot, float)
     n = qd.size
-    W, vel, pos, along = _rows(n)
-    h = np.maximum(1.0, np.abs(qd))
+    R, vel, moving, pos, along = _rows(n)
     Q = q[:, None] + pos
     Q += qd[:, None] * along
-    QD = vel * h[:, None]
-    QD += qd[:, None]
-    vals = f(Q.T, QD.T)
-    m = W.shape[-1]
-    M = (W @ vals[:m].real).reshape(n, n) / (h[:, None] * h)
-    g = vals[m:].imag / CS_STEP
-    return M, g[:n] - (g[n:2 * n] - g[2 * n:]) / (2.0 * h)
+    QD = qd[:, None] * moving
+    QD += vel
+    out = R @ f(Q.T, QD.T).view(float)
+    return out[:n * n].reshape(n, n), out[n * n:]
 
 
 # Column 1 of the saddle's right-hand sides is a fixed probe: golden-ratio

@@ -270,10 +270,18 @@ def _force_lookup(profile: TorqueProfile, p: Params, to_forces=None):
     return f
 
 
+def _oracle_forces(tau1: float, tau2: float, p: Params) -> np.ndarray:
+    """The oracle's generalized forces, read-only: torques in the wheel slots."""
+    tau = np.array([0.0, 0.0, 0.0, 0.0, tau1, tau2])
+    tau.setflags(write=False)
+    return tau
+
+
 def _oracle_ode(forces, p: Params):
+    """rhs(t, y) of the oracle; forces(t) is its generalized-force 6-vector."""
     def rhs(t, y):
-        a = np.array([*y, 0.0, 0.0, 0.0, 0.0, *forces(t)])  # q, q_dot, generalized forces
-        qdd = _oracle.lagrange_dalembert_rhs(a[:6], a[6:12], a[12:], p, check_constraints=False)
+        a = np.array(y)  # q, q_dot
+        qdd = _oracle.lagrange_dalembert_rhs(a[:6], a[6:], forces(t), p, check_constraints=False)
         return [*y[6:], *qdd.tolist()]
 
     return rhs
@@ -289,7 +297,7 @@ def _stepper(model: str, profile: TorqueProfile, p: Params, n: int):
     """(stages, f) for rk4_step: the oracle's rhs, or the model's fused step
     with the run's force lookup."""
     if model == "oracle":
-        return _rk4_stages(n), _oracle_ode(_force_lookup(profile, p), p)
+        return _rk4_stages(n), _oracle_ode(_force_lookup(profile, p, _oracle_forces), p)
     module, forces, to_forces = _FORCES[model]
     stages = FunctionType(_rk4_stages(n, module._BODY, forces).__code__,
                           module._kernel(p).__globals__)

@@ -80,6 +80,18 @@ def test_accelerations_match_oracle(c):
 
 @property_settings
 @given(case())
+def test_accelerations_match_oracle_at_high_rates(c):
+    # the case's tilt rate scaled by 100 and wheel rates by 50: up to 100
+    # rad/s each.  Worst measured 7.0e-13 over 2000 draws from the same
+    # ranges; the bound is about 100x that
+    p, s, ctl = c
+    fast = FullState.constrained(s.x, s.y, s.theta, s.alpha, s.phi1, s.phi2,
+                                 100.0 * s.alpha_dot, 50.0 * s.phi1_dot, 50.0 * s.phi2_dot, p)
+    assert _oracle_error(p, fast, ctl)[0] <= 7e-11
+
+
+@property_settings
+@given(case())
 def test_full_reduced_round_trip(c):
     p, s, _ = c
     red = full_to_reduced(s, p)

@@ -10,7 +10,8 @@ from wipdyn import (FullState, ReducedState, SimulationError, TorqueProfile,
                     compare_trajectories, full_to_reduced, h_const, rk4_step,
                     simulate, tau_from_u, u_from_tau)
 from wipdyn.model import LAYOUTS
-from wipdyn.sim import MODELS, REDUCED_VARIABLES, _oracle_ode, _rk4_stages, n_samples
+from wipdyn.sim import (MODELS, REDUCED_VARIABLES, _oracle_forces, _oracle_ode, _rk4_stages,
+                        n_samples)
 
 
 def test_u_from_tau_symmetric_and_antisymmetric(p):
@@ -332,7 +333,7 @@ def test_force_lookup_steps_are_the_generic_stages_with_tau_at_per_stage(p, mode
                           (9 * dt + dt, 0.04, 0.05)))
     rhs = {"full": lambda t, y: dynamics_full._kernel(p)(y, *prof.tau_at(t)),
            "reduced": lambda t, y: dynamics_reduced._kernel(p)(y, *u_from_tau(*prof.tau_at(t), p)),
-           "oracle": _oracle_ode(prof.tau_at, p)}[model]
+           "oracle": _oracle_ode(lambda t: _oracle_forces(*prof.tau_at(t), p), p)}[model]
     s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
     initial = full_to_reduced(s, p) if model == "reduced" else s
     traj = simulate(model, initial, prof, steps * dt, dt, p)
@@ -356,7 +357,7 @@ def test_each_rhs_returns_its_layout(p, rng):
     from wipdyn import dynamics_full, dynamics_reduced
     rhs = {"full": lambda y: dynamics_full.ode_rhs(y, 0.1, -0.2, p),
            "reduced": lambda y: dynamics_reduced.ode_rhs(y, 0.1, -0.2, p),
-           "oracle": lambda y: _oracle_ode(lambda t: (0.1, -0.2), p)(0.0, y)}
+           "oracle": lambda y: _oracle_ode(lambda t: _oracle_forces(0.1, -0.2, p), p)(0.0, y)}
     for model, f in rhs.items():
         layout = LAYOUTS[model]
         y = rng.uniform(-1.0, 1.0, len(layout)).tolist()
