@@ -68,6 +68,8 @@ def load_config(path: str) -> dict:
 
 
 def _build_params(cfg: dict) -> Params:
+    if not isinstance(cfg["params"], dict):
+        raise ConfigError("params block must be an object")
     try:
         return Params.from_dict(cfg["params"])
     except (ValueError, TypeError, OverflowError) as exc:
@@ -154,7 +156,7 @@ def _build_tolerance(cfg: dict) -> float:
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
     """Fixed-header CSV, one row per sample, 17 significant digits, LF endings."""
-    shared = dict(zip(REDUCED_VARIABLES, traj.reduced_series().T))
+    shared = dict(zip(REDUCED_VARIABLES, traj.shared.T))
     cols = np.column_stack((traj.t, *(shared[n] for n in _CSV_SHARED),
                             traj.energy, traj.residuals))
     rows = "".join([_CSV_ROW % tuple(row) for row in cols.tolist()])

@@ -71,19 +71,17 @@ def curvature_at(theta: float, p: Params) -> np.ndarray:
     return B
 
 
-def curvature_fd(theta: float, p: Params, x: float = 0.0, y: float = 0.0) -> np.ndarray:
+def curvature_fd(theta: float, p: Params) -> np.ndarray:
     """Curvature from the full defining formula, with numeric derivatives.
 
     Evaluates  B^b_{beta gamma} = dA^b_beta/dr^gamma - dA^b_gamma/dr^beta
     + A^a_beta dA^b_gamma/ds^a - A^a_gamma dA^b_beta/ds^a  with A differentiated
     along all six coordinates q = (x, y, theta, alpha, phi1, phi2), the
     structurally vanishing directions included, by complex step
-    Im A(q + i h e_k)/h, exact to rounding.  x and y are dummy inputs that let
-    callers confirm the result does not depend on them.
+    Im A(q + i h e_k)/h, exact to rounding.
     """
-    q = np.array([x, y, theta, 0.0, 0.0, 0.0], dtype=complex)
     # A depends on the configuration only through theta = q[2]
-    dA = np.array([ehresmann_at((q + 1j * CS_STEP * e)[2], p).imag
+    dA = np.array([ehresmann_at(theta + 1j * CS_STEP * e[2], p).imag
                    for e in np.eye(6)]) / CS_STEP  # [k][b, beta]
     # T[b, beta, gamma] = dA^b_beta/dr^gamma + A^a_beta dA^b_gamma/ds^a
     T = dA[3:].transpose(1, 2, 0) + np.einsum("ac,abg->bcg", ehresmann_at(theta, p), dA[:3])

@@ -47,7 +47,6 @@ __all__ = [
     "ode_rhs",
     "full_rhs",
     "momenta",
-    "momenta_from_full",
     "accelerations_q6",
 ]
 
@@ -150,12 +149,6 @@ def momenta(alpha, alpha_dot, phi1_dot, phi2_dot, p: Params):
     p1 = (h_const(p) * (0.5 * (phi1_dot + phi2_dot))
           + p.r * p.m_b * p.b * np.cos(alpha) * alpha_dot)
     return p1, f_of_alpha(alpha, p) * theta_dot
-
-
-def momenta_from_full(state: FullState, p: Params) -> tuple[float, float]:
-    """Nonholonomic momenta (p1, p2) of a constrained full state."""
-    p1, p2 = momenta(state.alpha, state.alpha_dot, state.phi1_dot, state.phi2_dot, p)
-    return float(p1), float(p2)
 
 
 def accelerations_q6(state: FullState, controls: Controls, p: Params) -> np.ndarray:

@@ -37,7 +37,7 @@ from types import FunctionType
 
 from . import model
 from .model import LAYOUTS, FullState, Params, ReducedState, h_const
-from .dynamics_full import momenta_from_full
+from .dynamics_full import momenta
 
 __all__ = [
     "ReducedRhs",
@@ -117,13 +117,18 @@ def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> Reduced
     return ReducedRhs(p1d, p2d, add, xd, yd, thd, phid)
 
 
+def _to_reduced(v: dict, p: Params) -> dict:
+    """The one change of representation, on a constrained full state's named
+    values, floats or columns: the ReducedState fields, with phi the mean wheel
+    angle and (p1, p2) from ``dynamics_full.momenta``; the rest pass through."""
+    p1, p2 = momenta(v["alpha"], v["alpha_dot"], v["phi1_dot"], v["phi2_dot"], p)
+    return dict(x=v["x"], y=v["y"], theta=v["theta"], phi=0.5 * (v["phi1"] + v["phi2"]),
+                alpha=v["alpha"], alpha_dot=v["alpha_dot"], p1=p1, p2=p2)
+
+
 def full_to_reduced(state: FullState, p: Params) -> ReducedState:
     """Change of representation: mean wheel angle and nonholonomic momenta."""
-    p1, p2 = momenta_from_full(state, p)
-    return ReducedState(x=state.x, y=state.y, theta=state.theta,
-                        phi=0.5 * (state.phi1 + state.phi2),
-                        alpha=state.alpha, alpha_dot=state.alpha_dot,
-                        p1=p1, p2=p2)
+    return ReducedState(**_to_reduced(vars(state), p))
 
 
 def reduced_to_full(state: ReducedState, p: Params,

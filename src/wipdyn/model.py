@@ -196,14 +196,6 @@ class FullState:
         return np.array([self.x_dot, self.y_dot, self.theta_dot,
                          self.alpha_dot, self.phi1_dot, self.phi2_dot])
 
-    @property
-    def phi(self) -> float:
-        return 0.5 * (self.phi1 + self.phi2)
-
-    @property
-    def phi_dot(self) -> float:
-        return 0.5 * (self.phi1_dot + self.phi2_dot)
-
 
 @dataclass(frozen=True)
 class ReducedState:

@@ -14,7 +14,8 @@ on its kernel's constants and read the forces once per distinct stage time,
 so they make no rhs calls.  Every model reads its forces from one per-run
 lookup that calls ``TorqueProfile.tau_at`` and maps torques to forces once
 per torque segment entered, not at every stage.  Only the sampled trajectory
-is an array; the oracle converts at its boundary.
+is an array; the oracle converts at its boundary.  The diagnostics read it by
+name, and map it once to the shared observables (``Trajectory.shared``).
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
 map-style; outputs are deterministic per scenario and no state is shared:
@@ -206,6 +207,9 @@ class Trajectory:
 
     states holds the raw integrator state (rows = samples) in the model's
     layout, ``model.LAYOUTS[model]``; :meth:`column` reads it by name.
+    shared holds the observables ``REDUCED_VARIABLES`` that every cross-model
+    check compares, (N, 8): each sample's ``full_to_reduced``, or states itself
+    for the reduced model.  Both are read-only; p1 and p2 are views of shared.
 
     Diagnostics: total energy, nonholonomic momenta and the three rolling
     constraint residuals at every sample.
@@ -214,6 +218,7 @@ class Trajectory:
     model: str
     t: np.ndarray
     states: np.ndarray
+    shared: np.ndarray
     energy: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
@@ -233,15 +238,6 @@ class Trajectory:
         if name not in layout:
             raise ValueError(f"a {self.model} trajectory has no column {name!r}")
         return self.states[:, layout.index(name)]
-
-    def reduced_series(self) -> np.ndarray:
-        """Shared observables ``REDUCED_VARIABLES``, (N, 8): the reduced
-        model's states, or a full run's with the mean wheel angle and momenta."""
-        if self.model == "reduced":
-            return self.states.copy()
-        c = self.column
-        return np.stack([c("x"), c("y"), c("theta"), 0.5 * (c("phi1") + c("phi2")),
-                         c("alpha"), c("alpha_dot"), self.p1, self.p2], axis=1)
 
 
 REDUCED_VARIABLES = LAYOUTS["reduced"]
@@ -316,19 +312,21 @@ def _initial_vector(model: str, initial, p: Params) -> list[float]:
 
 
 def _diagnostics(model: str, Y: np.ndarray, p: Params):
+    """(energy, shared series, residuals) of a run's states Y, read by name;
+    the full model's residuals are zero, as it derives its group rates by rolling."""
+    v = dict(zip(LAYOUTS[model], Y.T))
+    res = np.zeros((len(Y), 3))
     if model == "reduced":
-        energy = reduced_energy((Y[:, 4], Y[:, 5], Y[:, 6], Y[:, 7]), p)
-        return energy, Y[:, 6].copy(), Y[:, 7].copy(), np.zeros((len(Y), 3))
-    q = Y[:, :6]
-    if model == "full":
-        f1d, f2d = Y[:, 7], Y[:, 8]
-        qd = np.stack([*rolling_rates(Y[:, 2], f1d, f2d, p), Y[:, 6], f1d, f2d], axis=1)
-        res = np.zeros((len(Y), 3))
-    else:
-        qd = Y[:, 6:]
+        return reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p), Y, res
+    w = v if model == "oracle" else v | dict(zip(("x_dot", "y_dot", "theta_dot"), rolling_rates(
+        v["theta"], v["phi1_dot"], v["phi2_dot"], p)))
+    qd = np.stack([w[n] for n in LAYOUTS["oracle"][6:]], axis=1)  # FullState.q_dot
+    del w  # frees the full model's rates before the energy, the run's memory peak
+    q = Y[:, :6]  # FullState.q opens both full layouts; a copy cost the peak 0.5 MB
+    if model == "oracle":
         res = rolling_residuals(q, qd, p)
-    p1, p2 = dfull.momenta(q[:, 3], qd[:, 3], qd[:, 4], qd[:, 5], p)
-    return total_energy((q, qd), p), p1, p2, res
+    energy, red = total_energy((q, qd), p), dred._to_reduced(v, p)
+    return energy, np.stack([red[n] for n in REDUCED_VARIABLES], axis=1), res
 
 
 def simulate(model: str, initial, profile: TorqueProfile,
@@ -358,7 +356,10 @@ def simulate(model: str, initial, profile: TorqueProfile,
                 raise SimulationError(exc, k, t, y) from exc
             t = (k + 1) * dt
             Y[k + 1] = y
-    energy, p1, p2, res = _diagnostics(model, Y, p)
-    return Trajectory(model=model, t=np.arange(steps + 1) * dt, states=Y,
-                      energy=np.asarray(energy, float), p1=np.asarray(p1, float),
-                      p2=np.asarray(p2, float), residuals=res)
+    Y.setflags(write=False)
+    energy, shared, res = _diagnostics(model, Y, p)
+    shared.setflags(write=False)
+    named = dict(zip(REDUCED_VARIABLES, shared.T))
+    return Trajectory(model=model, t=np.arange(steps + 1) * dt, states=Y, shared=shared,
+                      energy=np.asarray(energy, float), p1=named["p1"], p2=named["p2"],
+                      residuals=res)

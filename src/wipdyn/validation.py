@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .connection import curvature_at, curvature_fd, ehresmann_at
-from .dynamics_full import momenta_from_full
 from . import dynamics_reduced as dred
 from .model import FullState, Params, lagrangian_full
 from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, _force_lookup,
@@ -28,7 +27,6 @@ __all__ = [
     "momentum_rate_error",
     "power_balance_error",
     "holonomic_residual",
-    "shift_full_state",
     "equivariance_error",
     "CheckResult",
     "run_structural_checks",
@@ -65,9 +63,8 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> dict[str, ErrorStats]:
     """Per-variable max-abs and RMS error between two runs on the same grid."""
     if len(a) != len(b) or not np.allclose(a.t, b.t, rtol=0.0, atol=1e-12):
         raise ValueError("trajectories are on different time grids")
-    ra, rb = a.reduced_series(), b.reduced_series()
     out = {}
-    for name, diff in zip(REDUCED_VARIABLES, (ra - rb).T):
+    for name, diff in zip(REDUCED_VARIABLES, (a.shared - b.shared).T):
         out[name] = ErrorStats(float(np.max(np.abs(diff))),
                                float(np.sqrt(np.mean(diff * diff))))
     return out
@@ -97,7 +94,7 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     """
     t, dt = traj.t, traj.dt
     p1, p2 = traj.p1.tolist(), traj.p2.tolist()
-    red = traj.reduced_series()
+    red = traj.shared
     forces = list(map(_force_lookup(profile, p, u_from_tau), t.tolist()))
     ode = dred._kernel(p)
     worst = 0.0
@@ -157,21 +154,16 @@ def _shift(v: dict, gx, gy, gth, gphi) -> dict:
     return out
 
 
-def shift_full_state(s: FullState, gx: float, gy: float, gth: float, gphi: float) -> FullState:
-    """Left action of (gx, gy, gth, gphi) in SE(2) x S1 on a full state."""
-    return FullState(**_shift(asdict(s), gx, gy, gth, gphi))
-
-
 def equivariance_error(model: str, initial, profile: TorqueProfile,
                        T: float, dt: float, p: Params,
                        shifts) -> float:
     """Max pointwise error between shift-then-simulate and simulate-then-shift."""
     base = dict(zip(REDUCED_VARIABLES,
-                    simulate(model, initial, profile, T, dt, p).reduced_series().T))
+                    simulate(model, initial, profile, T, dt, p).shared.T))
     worst = 0.0
     for g in shifts:
         shifted0 = type(initial)(**_shift(asdict(initial), *g))
-        moved = simulate(model, shifted0, profile, T, dt, p).reduced_series()
+        moved = simulate(model, shifted0, profile, T, dt, p).shared
         expected = np.stack(list(_shift(base, *g).values()), axis=1)
         worst = max(worst, float(np.max(np.abs(moved - expected))))
     return worst
@@ -219,9 +211,9 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for _ in range(50):
         s = _random_constrained_state(rng, p)
-        p1, p2 = momenta_from_full(s, p)
-        worst = max(worst, abs(momentum_pairing(s, 1, p) - p1),
-                    abs(momentum_pairing(s, 2, p) - p2))
+        red = dred.full_to_reduced(s, p)
+        worst = max(worst, abs(momentum_pairing(s, 1, p) - red.p1),
+                    abs(momentum_pairing(s, 2, p) - red.p2))
     results.append(CheckResult("momentum pairing vs closed form", worst, 1e-12))
 
     initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
@@ -234,8 +226,8 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
                                max(err_full, err_red), 1e-9))
 
     rest = FullState.constrained(0.0, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, p)
-    traj = simulate("full", rest, TorqueProfile.zero(), 1.0, 1e-4, p)
-    results.append(CheckResult("energy drift (zero torque)", energy_drift(traj)[1], 1e-8))
+    drift = energy_drift(simulate("full", rest, TorqueProfile.zero(), 1.0, 1e-4, p))[1]
+    results.append(CheckResult("energy drift (zero torque)", drift, 1e-8))
 
     forced = simulate("full", initial, profile, 0.5, 1e-4, p)
     results.append(CheckResult("momentum rate vs closed form",

@@ -74,7 +74,7 @@ def test_csv_cells_are_the_trajectory_values(tmp_path, p, model):
     out = tmp_path / "t.csv"
     write_trajectory_csv(traj, p, str(out))
     header, data = read_csv(out)
-    expected = dict(zip(REDUCED_VARIABLES, traj.reduced_series().T))
+    expected = dict(zip(REDUCED_VARIABLES, traj.shared.T))
     expected.update(t=traj.t, p1=traj.p1, p2=traj.p2, E=traj.energy,
                     res_x=traj.residuals[:, 0], res_y=traj.residuals[:, 1],
                     res_theta=traj.residuals[:, 2])
@@ -128,6 +128,15 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", params=params)
     assert main(["check", "--config", str(cfg)]) == 2
     assert "I_Wyy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [[1, 2], "abc", 5, None],
+                         ids=["list", "string", "number", "null"])
+def test_params_block_must_be_an_object(tmp_path, capsys, params):
+    cfg = write_config(tmp_path / "c.json")
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "params": params}))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "config error: params block must be an object" in capsys.readouterr().err
 
 
 def test_corrupt_config_exits_2_with_location(tmp_path, capsys):

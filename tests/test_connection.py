@@ -78,13 +78,6 @@ def test_curvature_matches_finite_differences(p, rng):
         assert np.max(np.abs(B - Bfd)) <= 1e-13 * np.max(np.abs(B))
 
 
-def test_curvature_independent_of_planar_position(p, rng):
-    th = rng.uniform(-math.pi, math.pi)
-    ref = curvature_fd(th, p)
-    for x, y in ((1.3, -2.1), (-40.0, 7.5)):
-        assert np.allclose(curvature_fd(th, p, x=x, y=y), ref, atol=1e-15)
-
-
 def test_one_rolling_statement_feeds_the_kinematic_connection(p, monkeypatch):
     # r/d -> r/(2d) in model.rolling_rates halves A's yaw row, and with it
     # every curvature slot, which pairs that row with d/dtheta of the others

@@ -7,7 +7,7 @@ import pytest
 from wipdyn import (Controls, FullState, Params, TorqueProfile, accelerations_q6,
                     dynamics_reduced, f_of_alpha, full_rhs, full_to_reduced,
                     h_const, lagrange_dalembert_rhs, mass_matrix,
-                    momenta_from_full, shape_mass, simulate, total_energy)
+                    shape_mass, simulate, total_energy)
 from wipdyn.model import rolling_rates
 from wipdyn.validation import power_balance_error
 
@@ -36,12 +36,12 @@ def test_reconstruct_group_rates_straight_and_spin(p):
     assert out.theta_dot == pytest.approx(2.0 * 1.5 * p.r / p.d)
 
 
-def test_momenta_from_full_examples(p):
-    assert momenta_from_full(_rest(p), p) == (0.0, 0.0)
-    roll = FullState.constrained(0, 0, 0, 0.0, 0, 0, 0.0, 1.0, 1.0, p)
-    p1, p2 = momenta_from_full(roll, p)
-    assert p1 == pytest.approx(h_const(p), rel=1e-15)
-    assert p2 == 0.0
+def test_momenta_of_rest_and_straight_roll(p):
+    rest = full_to_reduced(_rest(p), p)
+    assert (rest.p1, rest.p2) == (0.0, 0.0)
+    roll = full_to_reduced(FullState.constrained(0, 0, 0, 0.0, 0, 0, 0.0, 1.0, 1.0, p), p)
+    assert roll.p1 == pytest.approx(h_const(p), rel=1e-15)
+    assert roll.p2 == 0.0
 
 
 def test_mass_matrix_spd_with_shape_mass_schur_complement(p, rng):

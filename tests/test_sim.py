@@ -1,7 +1,7 @@
 import collections
 import inspect
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -349,6 +349,10 @@ def test_layouts_are_the_state_records():
     assert last == "p" and LAYOUTS["full"] == tuple(constrained)
     assert LAYOUTS["reduced"] == tuple(f.name for f in fields(ReducedState)) == REDUCED_VARIABLES
     assert LAYOUTS["oracle"] == tuple(f.name for f in fields(FullState))
+    # both full layouts open with FullState.q, which sim's diagnostics view in place
+    s = FullState(*range(12))
+    for model in ("full", "oracle"):
+        assert [getattr(s, n) for n in LAYOUTS[model][:6]] == s.q.tolist()
 
 
 def test_each_rhs_returns_its_layout(p, rng):
@@ -376,9 +380,29 @@ def test_trajectory_columns_by_name(p, model):
     traj = simulate(model, initial, TorqueProfile.constant(0.01, -0.02), 3e-3, 1e-3, p)
     for j, name in enumerate(LAYOUTS[model]):
         assert np.array_equal(traj.column(name), traj.states[:, j])
-    shared = dict(zip(REDUCED_VARIABLES, traj.reduced_series().T))
+    shared = dict(zip(REDUCED_VARIABLES, traj.shared.T))
     for name in ("x", "theta", "alpha", "alpha_dot"):
         assert np.array_equal(shared[name], traj.column(name))
     missing = "phi1" if model == "reduced" else "p1"
     with pytest.raises(ValueError, match=missing):
         traj.column(missing)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_shared_series_is_full_to_reduced_per_sample(p, model):
+    # the one change of representation, on columns, equals it on each sample's
+    # state bit for bit; p1 and p2 are read-only views of the series
+    s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    traj = simulate(model, initial, TorqueProfile.constant(0.02, -0.01), 0.02, 1e-3, p)
+    assert traj.shared.shape == (len(traj), len(REDUCED_VARIABLES))
+    for name in ("p1", "p2"):
+        column = getattr(traj, name)
+        assert np.shares_memory(column, traj.shared) and not column.flags.writeable
+    if model == "reduced":
+        assert traj.shared is traj.states
+        return
+    for k in (0, len(traj) // 2, len(traj) - 1):
+        row = traj.states[k].tolist()
+        state = FullState.constrained(*row, p) if model == "full" else FullState(*row)
+        assert traj.shared[k].tolist() == list(astuple(full_to_reduced(state, p)))

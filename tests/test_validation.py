@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from wipdyn import (FullState, ReducedState, TorqueProfile,
                     compare_trajectories, energy_drift,
                     equivariance_error, f_of_alpha, full_to_reduced, h_const,
-                    holonomic_residual, momenta_from_full, momentum_pairing,
+                    holonomic_residual, momentum_pairing,
                     momentum_rate_error, power_balance_error,
                     run_structural_checks, simulate)
 from wipdyn.model import rolling_residuals
-from wipdyn.validation import render_check_lines, shift_full_state
+from wipdyn.validation import _shift, render_check_lines
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
@@ -43,9 +44,9 @@ def test_momentum_pairing_matches_closed_forms(p, random_constrained):
     # error over 8000 random states is 2.1e-15 (3.5e-15 with the gradient)
     for _ in range(20):
         s = random_constrained()
-        p1, p2 = momenta_from_full(s, p)
-        assert abs(momentum_pairing(s, 1, p) - p1) <= 1e-12
-        assert abs(momentum_pairing(s, 2, p) - p2) <= 1e-12
+        red = full_to_reduced(s, p)
+        assert abs(momentum_pairing(s, 1, p) - red.p1) <= 1e-12
+        assert abs(momentum_pairing(s, 2, p) - red.p2) <= 1e-12
         # second pairing is the yaw momentum f(alpha) theta_dot
         thd = p.r / p.d * (s.phi2_dot - s.phi1_dot)
         assert momentum_pairing(s, 2, p) == pytest.approx(
@@ -137,9 +138,9 @@ def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
     assert calls == [p]
 
 
-def test_shift_full_state_rotates_velocities(p):
+def test_shift_rotates_velocities(p):
     s = FullState.constrained(1.0, 0.0, 0.0, 0.1, 0, 0, 0.0, 1.0, 1.0, p)
-    moved = shift_full_state(s, 0.0, 0.0, math.pi / 2, 0.3)
+    moved = FullState(**_shift(asdict(s), 0.0, 0.0, math.pi / 2, 0.3))
     assert moved.x == pytest.approx(0.0, abs=1e-16)
     assert moved.y == pytest.approx(1.0)
     assert moved.x_dot == pytest.approx(0.0, abs=1e-16)
