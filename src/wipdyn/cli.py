@@ -28,8 +28,7 @@ import numpy as np
 
 from .model import LAYOUTS, FullState, Params, ReducedState
 from .dynamics_reduced import full_to_reduced, reduced_to_full
-from .sim import (MODELS, REDUCED_VARIABLES, SimulationError, TorqueProfile,
-                  n_samples, simulate)
+from .sim import MODELS, SimulationError, TorqueProfile, n_samples, simulate
 from .validation import (compare_trajectories, render_check_lines,
                          run_structural_checks)
 
@@ -102,7 +101,7 @@ def _build_initial(cfg: dict, p: Params) -> tuple[FullState, ReducedState]:
     try:
         if reduced_form:
             red = ReducedState(**vals)
-            full = reduced_to_full(red, p, theta_0=red.theta)
+            full = reduced_to_full(red, p)
         else:
             full = FullState.constrained(**vals, p=p)
             red = full_to_reduced(full, p)
@@ -156,8 +155,7 @@ def _build_tolerance(cfg: dict) -> float:
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
     """Fixed-header CSV, one row per sample, 17 significant digits, LF endings."""
-    shared = dict(zip(REDUCED_VARIABLES, traj.shared.T))
-    cols = np.column_stack((traj.t, *(shared[n] for n in _CSV_SHARED),
+    cols = np.column_stack((traj.t, *map(traj.column, _CSV_SHARED),
                             traj.energy, traj.residuals))
     rows = "".join([_CSV_ROW % tuple(row) for row in cols.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -6,11 +6,11 @@ leaves the reduced Euler-Lagrange equations
     M(alpha) (alpha_dd, phi1_dd, phi2_dd)^T = F + (0, tau1, tau2)^T
 
 with the mass matrix and force vector derived once from the constrained
-Lagrangian.  M(alpha) = [[c, k, k], [k, a1, a3], [k, a3, a1]] decouples in
+Lagrangian.  M(alpha) = [[m_0, k, k], [k, a1, a3], [k, a3, a1]] decouples in
 the wheel sum and difference: the difference row is the scalar equation
 (a1 - a3)(phi2_dd - phi1_dd) = f2 - f1 with a1 - a3 = 2 I_theta r^2/d^2 +
 I_Wyy, and the (alpha, phi1_dd + phi2_dd) block has determinant
-c (a1 + a3) - 2 k^2 = h m(alpha)/2 with a1 + a3 = h/2, so the system is
+m_0 (a1 + a3) - 2 k^2 = h m(alpha)/2 with a1 + a3 = h/2, so the system is
 solved in closed form.  The body states the sum and the difference
 directly: formed from a1 and a3, whose +-I_theta r^2/d^2 terms cancel, they
 lose a digit for every decade by which I_theta r^2/d^2 exceeds h, and for
@@ -39,7 +39,8 @@ from types import FunctionType
 import numpy as np
 
 from . import model
-from .model import LAYOUTS, Controls, FullState, Params, f_of_alpha, h_const, rolling_rates
+from .model import LAYOUTS, Controls, FullState, Params, f_of_alpha, rolling_rates
+from .oracle import CS_STEP
 
 __all__ = [
     "FullRhs",
@@ -78,15 +79,15 @@ _BODY = """
     dphi = f2d - f1d
     curv = curv_0 * sa * dphi
     cor = rr_dd * ithp * ald * dphi
-    quad = quad_0 * sa * ald * ald
-    f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + grav * sa
+    quad = k_0 * sa * ald * ald
+    f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + mgb * sa
     f_1 = tau1 + curv * f2d + cor + quad
     f_2 = tau2 - curv * f1d - cor + quad
     diff = (f_2 - f_1) / (2.0 * i_th * rr_dd + I_Wyy)  # a1 - a3; phi2_dd - phi1_dd
     f_s = f_1 + f_2
-    det = c * s_0 - 2.0 * k * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
+    det = m_0 * s_0 - 2.0 * k * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
     add = (s_0 * f_alpha - k * f_s) / det
-    s_dd = (c * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
+    s_dd = (m_0 * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
     v = v_0 * (f1d + f2d)  # model.rolling_rates, inline
     return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
             add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
@@ -94,24 +95,19 @@ _BODY = """
 _ODE = "def ode(y, tau1, tau2):" + _BODY
 _MASS = "def mass(al):" + _INERTIA + """
     a1, a3 = a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd
-    return [[c, k, k], [k, a1, a3], [k, a3, a1]]
+    return [[m_0, k, k], [k, a1, a3], [k, a3, a1]]
 """
 
 
 @lru_cache(maxsize=32)
 def _kernel(p: Params):
-    """ode(y, tau1, tau2), which is :func:`ode_rhs`: ``_BODY`` on p's constants.
-    Each keeps its expression's evaluation order, so results are bit-identical
-    to the formulas evaluated in full.  I_theta's coefficients are looked up
-    on the model module, so one patch reaches every formulation."""
-    m_t, mbb, rr_dd = p.m_b + 2.0 * p.m_W, p.m_b * p.b, p.r * p.r / (p.d * p.d)
-    i_0, i_c, i_s = model._yaw_inertia(p)
+    """ode(y, tau1, tau2), which is :func:`ode_rhs`: ``_BODY`` on p's inertia record
+    (``model._inertias``: one patch reaches every formulation) and its derived constants."""
+    rec, rr_dd = model._inertias(p), p.r * p.r / (p.d * p.d)
     return FunctionType(model._code(_ODE), dict(
-        sin=sin, cos=cos, i_0=i_0, i_c=i_c, i_s=i_s, ithp_0=2.0 * (i_s - i_c),
-        rr_dd=rr_dd, a_0=0.25 * m_t * p.r * p.r, I_Wyy=p.I_Wyy, s_0=0.5 * h_const(p),
-        k_0=0.5 * p.r * p.m_b * p.b, c=p.m_b * p.b * p.b + p.I_Byy,
-        curv_0=mbb * p.r * rr_dd, quad_0=0.5 * p.r * mbb, grav=mbb * p.g,
-        v_0=0.5 * p.r, r_d=p.r / p.d))
+        rec, sin=sin, cos=cos, ithp_0=2.0 * (rec["i_s"] - rec["i_c"]), rr_dd=rr_dd,
+        a_0=0.25 * (p.m_b + 2.0 * p.m_W) * p.r * p.r, I_Wyy=p.I_Wyy, s_0=0.5 * rec["h"],
+        k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd, v_0=0.5 * p.r, r_d=p.r / p.d))
 
 
 def mass_matrix(alpha: float, p: Params) -> np.ndarray:
@@ -146,21 +142,19 @@ def momenta(alpha, alpha_dot, phi1_dot, phi2_dot, p: Params):
     does not depend on the heading.
     """
     theta_dot = rolling_rates(0.0, phi1_dot, phi2_dot, p)[2]
-    p1 = (h_const(p) * (0.5 * (phi1_dot + phi2_dot))
-          + p.r * p.m_b * p.b * np.cos(alpha) * alpha_dot)
+    rec = model._inertias(p)
+    p1 = rec["h"] * (0.5 * (phi1_dot + phi2_dot)) + rec["kappa_0"] * np.cos(alpha) * alpha_dot
     return p1, f_of_alpha(alpha, p) * theta_dot
 
 
 def accelerations_q6(state: FullState, controls: Controls, p: Params) -> np.ndarray:
     """All six coordinate accelerations, for comparison with the oracle.
 
-    (x_dd, y_dd, theta_dd) follow by differentiating the reconstruction.
+    (x_dd, y_dd, theta_dd) differentiate ``model.rolling_rates`` along
+    (theta_dot, phi1_dd, phi2_dd), by one complex step.
     """
     _, _, th_d, _, _, _, add, f1dd, f2dd = _ode_at(state, controls, p)
-    th = state.theta
-    s_rate = state.phi1_dot + state.phi2_dot
-    s_acc = f1dd + f2dd
-    xdd = 0.5 * p.r * (-sin(th) * th_d * s_rate + cos(th) * s_acc)
-    ydd = 0.5 * p.r * (cos(th) * th_d * s_rate + sin(th) * s_acc)
-    thdd = p.r / p.d * (f2dd - f1dd)
-    return np.array([xdd, ydd, thdd, add, f1dd, f2dd])
+    step = 1j * CS_STEP
+    rates = rolling_rates(state.theta + step * th_d, state.phi1_dot + step * f1dd,
+                          state.phi2_dot + step * f2dd, p)
+    return np.array([*(np.imag(rates) / CS_STEP), add, f1dd, f2dd])

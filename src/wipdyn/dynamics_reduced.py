@@ -36,7 +36,7 @@ from operator import attrgetter
 from types import FunctionType
 
 from . import model
-from .model import LAYOUTS, FullState, Params, ReducedState, h_const
+from .model import LAYOUTS, FullState, Params, ReducedState
 from .dynamics_full import momenta
 
 __all__ = [
@@ -67,33 +67,31 @@ _BODY = """
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
     sa, ca = sin(al), cos(al)
     fa = i_0 + i_c * ca * ca + i_s * sa * sa + f_wy
-    kappa = mbbr * ca
+    kappa = kappa_0 * ca
     m_al = m_0 - kappa * kappa / h  # >= shape_mass(0, p), which Params keeps positive
     xi3 = p2 / fa
     xi4 = (p1 - kappa * ald) / h
     xi1 = r * xi4
-    alpha_dd = (neg_mbbr2 * sa * ca / h * ald * ald
-                + 0.5 * (fp_0 * sin(2.0 * al) - mbbr2x2 * sa * ca / h) * xi3 * xi3
-                + grav * sa
+    alpha_dd = (neg_kappa2 * sa * ca / h * ald * ald
+                + 0.5 * (fp_0 * sin(2.0 * al) - kappa2x2 * sa * ca / h) * xi3 * xi3
+                + mgb * sa
                 - kappa / h * u1) / m_al
     return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
-            mbbr * sa * xi3 * xi3 + u1, -mbbr * sa * xi3 * xi4 + u2)
+            kappa_0 * sa * xi3 * xi3 + u1, -kappa_0 * sa * xi3 * xi4 + u2)
 """
 _ODE = "def ode(y, u1, u2):" + _BODY
 
 
 @lru_cache(maxsize=32)
 def _kernel(p: Params):
-    """ode(y, u1, u2), which is :func:`ode_rhs`: ``_BODY`` on p's constants,
-    bit-identical to ``model``'s formulas.  f(alpha) = i_0 + i_c cos^2 +
-    i_s sin^2 + f_wy, f' = fp_0 sin(2 alpha), m(alpha) = m_0 - kappa^2 / h."""
-    h, mbbr = h_const(p), p.m_b * p.b * p.r
-    i_0, i_c, i_s = model._yaw_inertia(p)
+    """ode(y, u1, u2), which is :func:`ode_rhs`: ``_BODY`` on p's inertia record, as
+    the full kernel, bit-identical to ``model``'s formulas: f(alpha) = i_0 + i_c cos^2
+    + i_s sin^2 + f_wy, f' = fp_0 sin(2 alpha), m(alpha) = m_0 - kappa^2 / h."""
+    rec = model._inertias(p)
+    kappa_0 = rec["kappa_0"]
     return FunctionType(model._code(_ODE), dict(
-        sin=sin, cos=cos, h=h, r=p.r, mbbr=mbbr, i_0=i_0, i_c=i_c, i_s=i_s,
-        f_wy=p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy, fp_0=i_s - i_c,
-        m_0=p.m_b * p.b ** 2 + p.I_Byy, neg_mbbr2=-(mbbr * mbbr),
-        mbbr2x2=2.0 * mbbr * mbbr, grav=p.m_b * p.g * p.b))
+        rec, sin=sin, cos=cos, r=p.r, fp_0=rec["i_s"] - rec["i_c"],
+        neg_kappa2=-(kappa_0 * kappa_0), kappa2x2=2.0 * kappa_0 * kappa_0))
 
 
 def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
@@ -131,22 +129,16 @@ def full_to_reduced(state: FullState, p: Params) -> ReducedState:
     return ReducedState(**_to_reduced(vars(state), p))
 
 
-def reduced_to_full(state: ReducedState, p: Params,
-                    phi1_0: float = 0.0, phi2_0: float = 0.0,
-                    theta_0: float = 0.0) -> FullState:
-    """Inverse change of representation.
+def reduced_to_full(state: ReducedState, p: Params) -> FullState:
+    """Inverse change of representation, with both wheels at the mean angle,
+    phi1 = phi2 = phi: a reduced state does not hold the wheel difference.
 
-    The wheel difference is recovered from the integrated yaw relation
-    phi2 - phi1 = (d/r)(theta - theta_0) + (phi2_0 - phi1_0); the wheel rates
-    come from the body velocity (theta_dot, phi_dot) = (xi3, xi4) that
-    :func:`ode_rhs` reconstructs, so the result satisfies the rolling
-    constraints exactly.
+    The wheel rates come from the body velocity (theta_dot, phi_dot) =
+    (xi3, xi4) that :func:`ode_rhs` reconstructs, so the result satisfies the
+    rolling constraints exactly.
     """
-    delta = p.d / p.r * (state.theta - theta_0) + (phi2_0 - phi1_0)
-    phi1 = state.phi - 0.5 * delta
-    phi2 = state.phi + 0.5 * delta
     theta_dot, phi_dot = ode_rhs(_integrated(state), 0.0, 0.0, p)[2:4]
     half = 0.5 * p.d / p.r * theta_dot
     return FullState.constrained(state.x, state.y, state.theta, state.alpha,
-                                 phi1, phi2, state.alpha_dot,
+                                 state.phi, state.phi, state.alpha_dot,
                                  phi_dot - half, phi_dot + half, p)

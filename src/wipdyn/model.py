@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,8 +49,9 @@ __all__ = [
     "reduced_energy",
 ]
 
-_PARAM_FIELDS = ("m_b", "m_W", "b", "r", "d",
-                 "I_Bxx", "I_Byy", "I_Bz", "I_Wyy", "I_Wzz", "g")
+
+def _names(record) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record))
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class Params:
         )
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in _PARAM_FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Params":
@@ -136,13 +138,13 @@ class Params:
 
         Every field is mandatory and unknown keys are rejected.
         """
-        unknown = sorted(set(data) - set(_PARAM_FIELDS))
+        unknown = sorted(set(data) - set(_names(cls)))
         if unknown:
             raise ValueError(f"unknown parameter keys: {', '.join(unknown)}")
-        missing = sorted(set(_PARAM_FIELDS) - set(data))
+        missing = sorted(set(_names(cls)) - set(data))
         if missing:
             raise ValueError(f"missing parameter keys: {', '.join(missing)}")
-        return cls(**{k: data[k] for k in _PARAM_FIELDS})
+        return cls(**data)
 
 
 def _coerce_finite(obj):
@@ -218,10 +220,6 @@ class ReducedState:
         _coerce_finite(self)
 
 
-def _names(record) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(record))
-
-
 # What each model integrates, by name and in order: the oracle FullState's
 # fields, the reduced model ReducedState's, and the full model FullState's
 # less the group rates that rolling derives from the wheel rates.  The full
@@ -264,23 +262,29 @@ def _cos_sin(x):
     return np.cos(x), np.sin(x)
 
 
-def _yaw_inertia(p: Params):
-    """(i_0, i_c, i_s) with I_theta(alpha) = i_0 + i_c cos^2(alpha) + i_s sin^2(alpha).
+@functools.lru_cache(maxsize=32)
+def _inertias(p: Params) -> MappingProxyType:
+    """The inertia scalars, each stated once, read-only and by name.
 
-    The one statement of the yaw inertia: :func:`i_theta`, ``lagrangian_full``
-    and both rhs kernels read it.  i_0 is the wheels' own yaw inertia plus
-    2 m_W (d/2)^2 for wheel centres at +-d/2 from the axle midpoint (d is the
-    separation, as in :func:`rolling_rates`); i_c is the body's yaw inertia
-    and i_s its roll inertia shifted to the axle.
+    I_theta(alpha) = i_0 + i_c cos^2 + i_s sin^2: i_0 is the wheels' own yaw
+    inertia plus 2 m_W (d/2)^2 for wheel centres at +-d/2 from the axle
+    midpoint (as in :func:`rolling_rates`), i_c the body's yaw inertia and i_s
+    its roll inertia shifted to the axle; f = I_theta + f_wy; h is the rolling
+    inertia; m(alpha) = m_0 - (kappa_0 cos alpha)^2 / h; mgb = m_b g b.  The
+    helpers here, ``dynamics_full.momenta`` and both rhs kernels bind it by name,
+    so one patch reaches them all; ``lagrangian_full`` reads only I_theta's.
     """
-    return (2.0 * p.I_Wzz + 0.5 * p.m_W * p.d * p.d, p.I_Bz,
-            p.I_Bxx + p.m_b * p.b * p.b)
+    return MappingProxyType(dict(
+        i_0=2.0 * p.I_Wzz + 0.5 * p.m_W * p.d * p.d, i_c=p.I_Bz,
+        i_s=p.I_Bxx + p.m_b * p.b * p.b, f_wy=p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy,
+        h=(p.m_b + 2.0 * p.m_W) * p.r ** 2 + 2.0 * p.I_Wyy,
+        m_0=p.m_b * p.b ** 2 + p.I_Byy, kappa_0=p.m_b * p.b * p.r, mgb=p.m_b * p.g * p.b))
 
 
 def _i_theta(ca, sa, p: Params):
     """I_theta from cos(alpha) and sin(alpha), for callers that hold them."""
-    i_0, i_c, i_s = _yaw_inertia(p)
-    return i_0 + i_c * ca * ca + i_s * sa * sa
+    rec = _inertias(p)
+    return rec["i_0"] + rec["i_c"] * ca * ca + rec["i_s"] * sa * sa
 
 
 def i_theta(alpha, p: Params):
@@ -290,18 +294,18 @@ def i_theta(alpha, p: Params):
 
 def i_theta_prime(alpha, p: Params):
     """d/dalpha of :func:`i_theta`."""
-    _, i_c, i_s = _yaw_inertia(p)
-    return (i_s - i_c) * _cos_sin(2.0 * alpha)[1]
+    rec = _inertias(p)
+    return (rec["i_s"] - rec["i_c"]) * _cos_sin(2.0 * alpha)[1]
 
 
 def f_of_alpha(alpha, p: Params):
     """Yaw inertia including the wheel-difference spin: I_theta + d^2 I_Wyy / (2 r^2)."""
-    return i_theta(alpha, p) + p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy
+    return i_theta(alpha, p) + _inertias(p)["f_wy"]
 
 
 def h_const(p: Params) -> float:
     """Rolling inertia h = (m_b + 2 m_W) r^2 + 2 I_Wyy."""
-    return (p.m_b + 2.0 * p.m_W) * p.r ** 2 + 2.0 * p.I_Wyy
+    return _inertias(p)["h"]
 
 
 def shape_mass(alpha, p: Params):
@@ -311,8 +315,9 @@ def shape_mass(alpha, p: Params):
     m(alpha) > 0 is exactly its invertibility condition (its conditioning:
     see :class:`Params`).
     """
-    kappa = p.m_b * p.b * p.r * _cos_sin(alpha)[0]
-    return p.m_b * p.b ** 2 + p.I_Byy - kappa * kappa / h_const(p)
+    rec = _inertias(p)
+    kappa = rec["kappa_0"] * _cos_sin(alpha)[0]
+    return rec["m_0"] - kappa * kappa / rec["h"]
 
 
 # ---------------------------------------------------------------------------
@@ -398,4 +403,4 @@ def reduced_energy(state: ReducedState | tuple, p: Params):
     return (0.5 * p1 * p1 / h_const(p)
             + 0.5 * p2 * p2 / f_of_alpha(alpha, p)
             + 0.5 * shape_mass(alpha, p) * alpha_dot * alpha_dot
-            + p.m_b * p.g * p.b * np.cos(alpha))
+            + _inertias(p)["mgb"] * np.cos(alpha))

@@ -206,13 +206,13 @@ class Trajectory:
     """Uniformly sampled run of one model plus per-sample diagnostics.
 
     states holds the raw integrator state (rows = samples) in the model's
-    layout, ``model.LAYOUTS[model]``; :meth:`column` reads it by name.
-    shared holds the observables ``REDUCED_VARIABLES`` that every cross-model
-    check compares, (N, 8): each sample's ``full_to_reduced``, or states itself
-    for the reduced model.  Both are read-only; p1 and p2 are views of shared.
+    layout, ``model.LAYOUTS[model]``.  shared holds the observables
+    ``REDUCED_VARIABLES`` that every cross-model check compares, (N, 8): each
+    sample's ``full_to_reduced``, or states itself for the reduced model.
+    Both are read-only; :meth:`column` reads either by name.
 
-    Diagnostics: total energy, nonholonomic momenta and the three rolling
-    constraint residuals at every sample.
+    Diagnostics: total energy and the three rolling constraint residuals at
+    every sample.
     """
 
     model: str
@@ -220,8 +220,6 @@ class Trajectory:
     states: np.ndarray
     shared: np.ndarray
     energy: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
     residuals: np.ndarray
 
     @property
@@ -232,12 +230,14 @@ class Trajectory:
         return len(self.t)
 
     def column(self, name: str) -> np.ndarray:
-        """The samples of one variable of the model's layout (a view of states).
-        Raises ValueError if the model does not integrate it."""
-        layout = LAYOUTS[self.model]
-        if name not in layout:
-            raise ValueError(f"a {self.model} trajectory has no column {name!r}")
-        return self.states[:, layout.index(name)]
+        """The samples of one variable, a read-only view: of states if the
+        model integrates it, else of shared if it is a shared observable.
+        Raises ValueError for any other name."""
+        for names, table in ((LAYOUTS[self.model], self.states),
+                             (REDUCED_VARIABLES, self.shared)):
+            if name in names:
+                return table[:, names.index(name)]
+        raise ValueError(f"a {self.model} trajectory has no column {name!r}")
 
 
 REDUCED_VARIABLES = LAYOUTS["reduced"]
@@ -359,7 +359,5 @@ def simulate(model: str, initial, profile: TorqueProfile,
     Y.setflags(write=False)
     energy, shared, res = _diagnostics(model, Y, p)
     shared.setflags(write=False)
-    named = dict(zip(REDUCED_VARIABLES, shared.T))
     return Trajectory(model=model, t=np.arange(steps + 1) * dt, states=Y, shared=shared,
-                      energy=np.asarray(energy, float), p1=named["p1"], p2=named["p2"],
-                      residuals=res)
+                      energy=np.asarray(energy, float), residuals=res)

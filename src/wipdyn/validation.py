@@ -15,7 +15,7 @@ import numpy as np
 
 from .connection import curvature_at, curvature_fd, ehresmann_at
 from . import dynamics_reduced as dred
-from .model import FullState, Params, lagrangian_full
+from .model import FullState, Params, lagrangian_full, rolling_rates
 from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, _force_lookup,
                   simulate, u_from_tau)
 
@@ -93,7 +93,7 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     the piecewise-constant forcing makes the derivative one-sided there.
     """
     t, dt = traj.t, traj.dt
-    p1, p2 = traj.p1.tolist(), traj.p2.tolist()
+    p1, p2 = traj.column("p1").tolist(), traj.column("p2").tolist()
     red = traj.shared
     forces = list(map(_force_lookup(profile, p, u_from_tau), t.tolist()))
     ode = dred._kernel(p)
@@ -134,7 +134,8 @@ def holonomic_residual(traj: Trajectory, p: Params) -> float:
     Raises ValueError for a run that does not integrate the wheel angles.
     """
     th, phi1, phi2 = map(traj.column, ("theta", "phi1", "phi2"))
-    return float(np.max(np.abs(th - th[0] - p.r / p.d * ((phi2 - phi2[0]) - (phi1 - phi1[0])))))
+    yaw = rolling_rates(0.0, phi1 - phi1[0], phi2 - phi2[0], p)[2]  # the integrated yaw row
+    return float(np.max(np.abs(th - th[0] - yaw)))
 
 
 def _shift(v: dict, gx, gy, gth, gphi) -> dict:
@@ -158,8 +159,8 @@ def equivariance_error(model: str, initial, profile: TorqueProfile,
                        T: float, dt: float, p: Params,
                        shifts) -> float:
     """Max pointwise error between shift-then-simulate and simulate-then-shift."""
-    base = dict(zip(REDUCED_VARIABLES,
-                    simulate(model, initial, profile, T, dt, p).shared.T))
+    traj = simulate(model, initial, profile, T, dt, p)
+    base = {name: traj.column(name) for name in REDUCED_VARIABLES}
     worst = 0.0
     for g in shifts:
         shifted0 = type(initial)(**_shift(asdict(initial), *g))

@@ -1,9 +1,10 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from wipdyn import FullState, Params, dynamics_full, dynamics_reduced, lagrangian_full
+from wipdyn import FullState, Params, dynamics_full, dynamics_reduced, lagrangian_full, model
 
 
 # wheel 1 sits on the +axle side of the midpoint, wheel 2 on the -axle side;
@@ -133,3 +134,19 @@ def fresh_kernels():
     yield caches
     for kernel in caches:
         kernel.cache_clear()
+
+
+@pytest.fixture()
+def scale_inertias(monkeypatch, fresh_kernels):
+    """scale(**factors) patches ``model._inertias`` to scale the named inertia
+    scalars and clears both rhs kernel caches, so every reader of the record
+    sees the patch."""
+    record = model._inertias
+
+    def scale(**factors):
+        monkeypatch.setattr(model, "_inertias", lambda params: MappingProxyType(
+            {n: v * factors.get(n, 1.0) for n, v in record(params).items()}))
+        for kernel in fresh_kernels:
+            kernel.cache_clear()
+
+    return scale

@@ -75,7 +75,7 @@ def test_csv_cells_are_the_trajectory_values(tmp_path, p, model):
     write_trajectory_csv(traj, p, str(out))
     header, data = read_csv(out)
     expected = dict(zip(REDUCED_VARIABLES, traj.shared.T))
-    expected.update(t=traj.t, p1=traj.p1, p2=traj.p2, E=traj.energy,
+    expected.update(t=traj.t, p1=traj.column("p1"), p2=traj.column("p2"), E=traj.energy,
                     res_x=traj.residuals[:, 0], res_y=traj.residuals[:, 1],
                     res_theta=traj.residuals[:, 2])
     names = header.split(",")

@@ -96,16 +96,12 @@ def test_one_rolling_statement_feeds_the_kinematic_connection(p, monkeypatch):
     assert np.max(np.abs(B - B0)) >= 0.25 * p.r ** 2 / p.d
 
 
-def test_one_yaw_inertia_statement_feeds_the_nonholonomic_connection(
-        p, monkeypatch, fresh_kernels):
+def test_one_yaw_inertia_statement_feeds_the_nonholonomic_connection(p, scale_inertias):
     # doubling I_theta moves Gamma's yaw entry 1/f(alpha) and nothing else
     al = 0.4
     A0, Gamma0 = nonholo_connection(al, p)
     f_doubled = float(f_of_alpha(al, p)) + float(i_theta(al, p))
-    yaw = model._yaw_inertia
-    monkeypatch.setattr(model, "_yaw_inertia", lambda params: tuple(2.0 * i for i in yaw(params)))
-    for kernel in fresh_kernels:
-        kernel.cache_clear()
+    scale_inertias(i_0=2.0, i_c=2.0, i_s=2.0)
     A, Gamma = nonholo_connection(al, p)
     assert Gamma[2, 1] == pytest.approx(1.0 / f_doubled, rel=1e-14)
     assert Gamma[2, 1] < 0.9 * Gamma0[2, 1]

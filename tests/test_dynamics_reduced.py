@@ -113,10 +113,10 @@ def test_full_reduced_roundtrip(p, random_constrained):
         s = random_constrained()
         red = full_to_reduced(s, p)
         assert red.phi == pytest.approx(0.5 * (s.phi1 + s.phi2), rel=1e-15)
-        back = reduced_to_full(red, p, phi1_0=s.phi1, phi2_0=s.phi2, theta_0=s.theta)
-        for name in ("x", "y", "theta", "alpha", "phi1", "phi2",
-                     "x_dot", "y_dot", "theta_dot", "alpha_dot",
-                     "phi1_dot", "phi2_dot"):
+        back = reduced_to_full(red, p)
+        assert back.phi1 == back.phi2 == red.phi  # the wheel difference is not reduced
+        for name in ("x", "y", "theta", "alpha", "x_dot", "y_dot", "theta_dot",
+                     "alpha_dot", "phi1_dot", "phi2_dot"):
             assert getattr(back, name) == pytest.approx(getattr(s, name),
                                                         rel=1e-12, abs=1e-12)
 
@@ -130,7 +130,7 @@ def test_rest_state_maps_to_zero_momenta(p):
 def test_reduced_to_full_satisfies_constraints(p, rng):
     for _ in range(10):
         red = ReducedState(*rng.uniform(-1, 1, 8))
-        full = reduced_to_full(red, p, theta_0=red.theta)
+        full = reduced_to_full(red, p)
         assert np.max(rolling_residuals(full.q, full.q_dot, p)) == 0.0
         assert 0.5 * (full.phi1 + full.phi2) == pytest.approx(red.phi, rel=1e-14)
 
@@ -138,8 +138,9 @@ def test_reduced_to_full_satisfies_constraints(p, rng):
 def test_straight_roll_momentum_conserved(p):
     red0 = ReducedState(0, 0, 0, 0, 0.0, 0.0, 0.8 * h_const(p), 0.0)
     traj = simulate("reduced", red0, TorqueProfile.zero(), 5.0, 1e-3, p)
-    assert np.max(np.abs(traj.p1 - traj.p1[0])) <= 1e-10
-    assert np.max(np.abs(traj.p2)) <= 1e-12
+    p1 = traj.column("p1")
+    assert np.max(np.abs(p1 - p1[0])) <= 1e-10
+    assert np.max(np.abs(traj.column("p2"))) <= 1e-12
 
 
 def test_steady_turn_traces_a_circle(p):
@@ -153,15 +154,15 @@ def test_steady_turn_traces_a_circle(p):
     cy = red0.y + radius * math.cos(red0.theta)
     dist = np.hypot(traj.states[:, 0] - cx, traj.states[:, 1] - cy)
     assert np.max(np.abs(dist - radius)) <= 1e-6
-    assert np.max(np.abs(traj.p1 - p1)) <= 1e-12
-    assert np.max(np.abs(traj.p2 - p2)) <= 1e-12
+    assert np.max(np.abs(traj.column("p1") - p1)) <= 1e-12
+    assert np.max(np.abs(traj.column("p2") - p2)) <= 1e-12
     assert np.max(np.abs(traj.states[:, 4])) == 0.0  # alpha stays 0
 
 
 def test_model_equivalence_short_horizon(p):
     red0 = ReducedState(0, 0, 0.2, 0, 0.12, 0.05, 0.2 * h_const(p),
                         0.15 * float(f_of_alpha(0.0, p)))
-    full0 = reduced_to_full(red0, p, theta_0=red0.theta)
+    full0 = reduced_to_full(red0, p)
     profile = TorqueProfile(((0.0, 0.08, 0.12),))
     tf = simulate("full", full0, profile, 1.0, 1e-3, p)
     tr = simulate("reduced", red0, profile, 1.0, 1e-3, p)

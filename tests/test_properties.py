@@ -95,10 +95,12 @@ def test_accelerations_match_oracle_at_high_rates(c):
 def test_full_reduced_round_trip(c):
     p, s, _ = c
     red = full_to_reduced(s, p)
-    back = reduced_to_full(red, p, phi1_0=s.phi1, phi2_0=s.phi2, theta_0=s.theta)
-    assert back.q == pytest.approx(s.q, rel=1e-12, abs=1e-12)
+    back = reduced_to_full(red, p)
+    assert back.phi1 == back.phi2 == red.phi  # the wheel difference is not reduced
+    wheels = [4, 5]  # phi1, phi2 in q
+    assert np.delete(back.q, wheels) == pytest.approx(np.delete(s.q, wheels), rel=1e-12, abs=1e-12)
     assert back.q_dot == pytest.approx(s.q_dot, rel=1e-12, abs=1e-12)
-    again = full_to_reduced(reduced_to_full(red, p), p)
+    again = full_to_reduced(back, p)
     for name in ("x", "y", "theta", "phi", "alpha", "alpha_dot", "p1", "p2"):
         assert getattr(again, name) == pytest.approx(getattr(red, name), rel=1e-12, abs=1e-12)
 
@@ -127,8 +129,8 @@ def test_momentum_rates_of_full_model_match_reduced_rhs(c):
 
 
 def test_one_yaw_inertia_statement_feeds_all_three_formulations(
-        p, random_constrained, monkeypatch, fresh_kernels):
-    # move i_0 and i_s of model._yaw_inertia by a few percent: the full and
+        p, random_constrained, scale_inertias):
+    # move i_0 and i_s of model._inertias by a few percent: the full and
     # reduced kernels and the oracle's Lagrangian must all follow
     cases = [(random_constrained(), Controls(0.3, -0.2)) for _ in range(5)]
 
@@ -143,17 +145,37 @@ def test_one_yaw_inertia_statement_feeds_all_three_formulations(
         return np.array(values)
 
     before = outputs()
-    yaw = model._yaw_inertia
-
-    def patched(params):
-        i_0, i_c, i_s = yaw(params)
-        return 1.05 * i_0, i_c, 0.97 * i_s
-
-    monkeypatch.setattr(model, "_yaw_inertia", patched)
-    for kernel in fresh_kernels:
-        kernel.cache_clear()
+    scale_inertias(i_0=1.05, i_s=0.97)
     moved = np.min(np.max(np.abs(outputs() - before), axis=1))
     assert moved > 1e-6
+
+
+def test_constrained_scalars_are_one_record_the_referee_checks(
+        p, random_constrained, scale_inertias, fresh_kernels):
+    # both kernels bind the record's scalars by its names, read-only
+    record = model._inertias(p)
+    full, reduced = (kernel(p).__globals__ for kernel in fresh_kernels)
+    for bound in (full, reduced):
+        assert {n: bound[n] for n in record} == dict(record)
+    assert full["mgb"] == reduced["mgb"]
+    with pytest.raises(TypeError):
+        record["h"] = 1.0
+    # the referee states its own L: one wrong constrained scalar leaves the
+    # full and reduced models agreeing with each other but not with it
+    cases = [(random_constrained(), Controls(0.3, -0.2)) for _ in range(5)]
+    for name in ("mgb", "h"):
+        scale_inertias(**{name: 1.01})
+        worst_pair, least_oracle = 0.0, math.inf
+        for s, ctl in cases:
+            from_full, rates = _momentum_rates(p, s, ctl)
+            red = full_to_reduced(s, p)
+            y = (red.x, red.y, red.theta, red.phi, red.alpha, red.alpha_dot, red.p1, red.p2)
+            alpha_dd = dynamics_reduced.ode_rhs(y, *u_from_tau(ctl.tau1, ctl.tau2, p), p)[5]
+            worst_pair = max(worst_pair, abs(full_rhs(s, ctl, p).alpha_ddot - alpha_dd),
+                             *np.abs(np.subtract(rates, from_full)))
+            least_oracle = min(least_oracle, _oracle_error(p, s, ctl)[0])
+        assert worst_pair <= 1e-10, name
+        assert least_oracle > 1e-4, name
 
 
 def _reduced_rhs_by_formula(y, u1, u2, p):

@@ -383,7 +383,8 @@ def test_trajectory_columns_by_name(p, model):
     shared = dict(zip(REDUCED_VARIABLES, traj.shared.T))
     for name in ("x", "theta", "alpha", "alpha_dot"):
         assert np.array_equal(shared[name], traj.column(name))
-    missing = "phi1" if model == "reduced" else "p1"
+    assert np.array_equal(shared["p1"], traj.column("p1"))
+    missing = "phi_dot"  # neither integrated nor shared
     with pytest.raises(ValueError, match=missing):
         traj.column(missing)
 
@@ -391,13 +392,13 @@ def test_trajectory_columns_by_name(p, model):
 @pytest.mark.parametrize("model", MODELS)
 def test_shared_series_is_full_to_reduced_per_sample(p, model):
     # the one change of representation, on columns, equals it on each sample's
-    # state bit for bit; p1 and p2 are read-only views of the series
+    # state bit for bit; p1 and p2 read as read-only views of the series
     s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
     initial = full_to_reduced(s, p) if model == "reduced" else s
     traj = simulate(model, initial, TorqueProfile.constant(0.02, -0.01), 0.02, 1e-3, p)
     assert traj.shared.shape == (len(traj), len(REDUCED_VARIABLES))
     for name in ("p1", "p2"):
-        column = getattr(traj, name)
+        column = traj.column(name)
         assert np.shares_memory(column, traj.shared) and not column.flags.writeable
     if model == "reduced":
         assert traj.shared is traj.states

@@ -126,6 +126,8 @@ def test_holonomic_residual_rejects_reduced(p):
     traj = simulate("reduced", red0, TorqueProfile.zero(), 0.1, 1e-2, p)
     with pytest.raises(ValueError):
         holonomic_residual(traj, p)
+    with pytest.raises(ValueError):  # nor the wheel rates, so no power balance
+        power_balance_error(traj, TorqueProfile.zero(), p)
 
 
 def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
