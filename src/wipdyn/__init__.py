@@ -11,9 +11,8 @@ from .model import (Controls, FullState, Params, ReducedState, f_of_alpha,
                     reduced_energy, shape_mass, total_energy)
 from .connection import (curvature_at, curvature_fd, ehresmann_at,
                          nonholo_connection)
-from .dynamics_full import FullRhs, accelerations_q6, full_rhs, mass_matrix
-from .dynamics_reduced import (ReducedRhs, full_to_reduced, reduced_rhs,
-                               reduced_to_full)
+from .dynamics_full import accelerations_q6, mass_matrix
+from .dynamics_reduced import full_to_reduced, reduced_to_full
 from .oracle import (ConstraintViolationError, constraint_matrix,
                      lagrange_dalembert_full, lagrange_dalembert_rhs)
 from .sim import (SimulationError, TorqueProfile, Trajectory, rk4_step,

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from .model import LAYOUTS, FullState, Params, ReducedState
+from .model import LAYOUTS, FullState, Params, ReducedState, _finite
 from .dynamics_reduced import full_to_reduced, reduced_to_full
 from .sim import MODELS, SimulationError, TorqueProfile, n_samples, simulate
 from .validation import (compare_trajectories, render_check_lines,
@@ -82,12 +81,9 @@ def _strict_floats(block: dict, keys: tuple[str, ...], name: str) -> dict:
     missing = sorted(set(keys) - set(block))
     if missing:
         raise ConfigError(f"{name} block: missing keys: {', '.join(missing)}")
-    for k in keys:
-        if isinstance(block[k], bool) or not isinstance(block[k], (int, float)):
-            raise ConfigError(f"{name} block: {k} must be a number, got {block[k]!r}")
     try:
-        return {k: float(block[k]) for k in keys}
-    except OverflowError as exc:  # an integer beyond the float range
+        return {k: _finite(block[k], k) for k in keys}
+    except ValueError as exc:
         raise ConfigError(f"{name} block: {exc}") from exc
 
 
@@ -148,8 +144,8 @@ def _build_tolerance(cfg: dict) -> float:
     if not isinstance(block, dict):
         raise ConfigError("compare needs a tolerances block with a max_abs entry")
     tol = _strict_floats(block, ("max_abs",), "tolerances")["max_abs"]
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"tolerances block: max_abs must be finite and >= 0, got {tol!r}")
+    if tol < 0.0:
+        raise ConfigError(f"tolerances block: max_abs must be >= 0, got {tol!r}")
     return tol
 
 
@@ -271,3 +267,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -30,7 +30,6 @@ evaluation, and once inlined into the model's fused RK4 step in ``sim``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin
 from operator import attrgetter
@@ -43,26 +42,11 @@ from .model import LAYOUTS, Controls, FullState, Params, f_of_alpha, rolling_rat
 from .oracle import CS_STEP
 
 __all__ = [
-    "FullRhs",
     "mass_matrix",
     "ode_rhs",
-    "full_rhs",
     "momenta",
     "accelerations_q6",
 ]
-
-
-@dataclass(frozen=True)
-class FullRhs:
-    """Accelerations of the shape coordinates plus reconstructed group rates."""
-
-    alpha_ddot: float
-    phi1_ddot: float
-    phi2_ddot: float
-    x_dot: float
-    y_dot: float
-    theta_dot: float
-
 
 # y[j] reads state component j; other free names are the torques or
 # _kernel(p)'s constants.  No local may reuse a name of sim's fused step (y<i>,
@@ -103,10 +87,11 @@ _MASS = "def mass(al):" + _INERTIA + """
 def _kernel(p: Params):
     """ode(y, tau1, tau2), which is :func:`ode_rhs`: ``_BODY`` on p's inertia record
     (``model._inertias``: one patch reaches every formulation) and its derived constants."""
-    rec, rr_dd = model._inertias(p), p.r * p.r / (p.d * p.d)
+    rec = model._inertias(p)
+    rr_dd, s_0 = p.r * p.r / (p.d * p.d), 0.5 * rec["h"]
     return FunctionType(model._code(_ODE), dict(
         rec, sin=sin, cos=cos, ithp_0=2.0 * (rec["i_s"] - rec["i_c"]), rr_dd=rr_dd,
-        a_0=0.25 * (p.m_b + 2.0 * p.m_W) * p.r * p.r, I_Wyy=p.I_Wyy, s_0=0.5 * rec["h"],
+        a_0=0.5 * (s_0 - p.I_Wyy), I_Wyy=p.I_Wyy, s_0=s_0,
         k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd, v_0=0.5 * p.r, r_d=p.r / p.d))
 
 
@@ -124,14 +109,9 @@ def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:
 _integrated = attrgetter(*LAYOUTS["full"])  # a FullState's values in the full layout
 
 
-def _ode_at(state: FullState, controls: Controls, p: Params) -> tuple:
+def full_rhs(state: FullState, controls: Controls, p: Params) -> tuple:
+    """:func:`ode_rhs` at a state record; kept only for the benchmark's rhs replay."""
     return ode_rhs(_integrated(state), controls.tau1, controls.tau2, p)
-
-
-def full_rhs(state: FullState, controls: Controls, p: Params) -> FullRhs:
-    """Accelerations of the full model plus reconstructed group rates."""
-    xd, yd, thd, _, _, _, add, f1dd, f2dd = _ode_at(state, controls, p)
-    return FullRhs(add, f1dd, f2dd, xd, yd, thd)
 
 
 def momenta(alpha, alpha_dot, phi1_dot, phi2_dot, p: Params):
@@ -153,7 +133,8 @@ def accelerations_q6(state: FullState, controls: Controls, p: Params) -> np.ndar
     (x_dd, y_dd, theta_dd) differentiate ``model.rolling_rates`` along
     (theta_dot, phi1_dd, phi2_dd), by one complex step.
     """
-    _, _, th_d, _, _, _, add, f1dd, f2dd = _ode_at(state, controls, p)
+    _, _, th_d, _, _, _, add, f1dd, f2dd = ode_rhs(_integrated(state), controls.tau1,
+                                                   controls.tau2, p)
     step = 1j * CS_STEP
     rates = rolling_rates(state.theta + step * th_d, state.phi1_dot + step * f1dd,
                           state.phi2_dot + step * f2dd, p)

@@ -21,7 +21,7 @@ cross-check of the test suite.
 
 The text ``_BODY``, bound to p's constants by ``_kernel(p)`` like the full
 model's, is the one place these equations live, the map from momenta to body
-velocity xi included; :func:`ode_rhs`, :func:`reduced_rhs`,
+velocity xi included; :func:`ode_rhs`, the model's one rhs,
 :func:`reduced_to_full`, the momentum-rate check and the connection's
 A(alpha) and Gamma(alpha) evaluate it, and ``sim`` inlines it into the
 model's fused RK4 step.  Its inverse is ``dynamics_full.momenta``.
@@ -29,7 +29,6 @@ model's fused RK4 step.  Its inverse is ``dynamics_full.momenta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin
 from operator import attrgetter
@@ -40,26 +39,10 @@ from .model import LAYOUTS, FullState, Params, ReducedState
 from .dynamics_full import momenta
 
 __all__ = [
-    "ReducedRhs",
     "ode_rhs",
-    "reduced_rhs",
     "full_to_reduced",
     "reduced_to_full",
 ]
-
-
-@dataclass(frozen=True)
-class ReducedRhs:
-    """Momentum rates, shape acceleration and group rates."""
-
-    p1_dot: float
-    p2_dot: float
-    alpha_ddot: float
-    x_dot: float
-    y_dot: float
-    theta_dot: float
-    phi_dot: float
-
 
 # Read as dynamics_full._BODY, with forces u1 and u2.  f_of_alpha, i_theta_prime and
 # shape_mass inline: calling them kept this rhs at about 3 us against 1.2 us.
@@ -109,10 +92,9 @@ def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:
 _integrated = attrgetter(*LAYOUTS["reduced"])  # a ReducedState's values in order
 
 
-def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> ReducedRhs:
-    """Complete reduced right-hand side including group reconstruction."""
-    xd, yd, thd, phid, _, add, p1d, p2d = ode_rhs(_integrated(state), u1, u2, p)
-    return ReducedRhs(p1d, p2d, add, xd, yd, thd, phid)
+def reduced_rhs(state: ReducedState, u1: float, u2: float, p: Params) -> tuple:
+    """:func:`ode_rhs` at a state record; kept only for the benchmark's rhs replay."""
+    return ode_rhs(_integrated(state), u1, u2, p)
 
 
 def _to_reduced(v: dict, p: Params) -> dict:

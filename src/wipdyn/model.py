@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 
@@ -52,6 +53,19 @@ __all__ = [
 
 def _names(record) -> tuple[str, ...]:
     return tuple(f.name for f in fields(record))
+
+
+def _finite(v, name: str) -> float:
+    """v as a float if it is a real number, not a bool, and finite as a float
+    (an int beyond the float range is not); else ValueError naming it."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -99,12 +113,10 @@ class Params:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"parameter {f.name!r} must be a finite number, got {v!r}")
-            object.__setattr__(self, f.name, float(v))
-            if getattr(self, f.name) <= 0.0:
+            v = _finite(getattr(self, f.name), f"parameter {f.name!r}")
+            if v <= 0.0:
                 raise ValueError(f"parameter {f.name!r} must be strictly positive, got {v!r}")
+            object.__setattr__(self, f.name, v)
         if shape_mass(0.0, self) <= 0.0:
             raise ValueError("non-physical parameter set: shape-space mass m(alpha) "
                              "is not positive for all alpha")
@@ -148,12 +160,10 @@ class Params:
 
 
 def _coerce_finite(obj):
-    """Store every field of a frozen dataclass as a float; reject non-finite values."""
+    """Store every field of a frozen dataclass as a float checked by :func:`_finite`."""
     for f in fields(obj):
-        v = float(getattr(obj, f.name))
-        if not math.isfinite(v):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {v!r}")
-        object.__setattr__(obj, f.name, v)
+        name = f"{type(obj).__name__}.{f.name}"
+        object.__setattr__(obj, f.name, _finite(getattr(obj, f.name), name))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 from . import dynamics_full as dfull
 from . import dynamics_reduced as dred
 from . import oracle as _oracle
-from .model import (LAYOUTS, FullState, Params, ReducedState, _code,
+from .model import (LAYOUTS, FullState, Params, ReducedState, _code, _finite,
                     reduced_energy, rolling_rates, rolling_residuals, total_energy)
 
 __all__ = [
@@ -94,24 +94,21 @@ class TorqueProfile:
     segments: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        segs = tuple((float(t), float(a), float(b)) for t, a, b in self.segments)
+        segs = tuple((_finite(t, "t_start"), _finite(a, "tau1"), _finite(b, "tau2"))
+                     for t, a, b in self.segments)
+        starts = tuple(t for t, _, _ in segs)
+        if any(t0 >= t1 for t0, t1 in zip(starts, starts[1:])):
+            raise ValueError("segment start times must be strictly increasing")
         object.__setattr__(self, "segments", segs)
-        prev = -math.inf
-        for t, a, b in segs:
-            if not (math.isfinite(t) and math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("torque segments must be finite")
-            if t <= prev:
-                raise ValueError("segment start times must be strictly increasing")
-            prev = t
-        object.__setattr__(self, "_starts", tuple(t for t, _, _ in segs))
+        object.__setattr__(self, "_starts", starts)
 
     @classmethod
     def zero(cls) -> "TorqueProfile":
         return cls(())
 
     @classmethod
-    def constant(cls, tau1: float, tau2: float, t_start: float = 0.0) -> "TorqueProfile":
-        return cls(((t_start, tau1, tau2),))
+    def constant(cls, tau1: float, tau2: float) -> "TorqueProfile":
+        return cls(((0.0, tau1, tau2),))
 
     def tau_at(self, t: float) -> tuple[float, float]:
         k = bisect.bisect_right(self._starts, t)

@@ -4,7 +4,8 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from wipdyn import FullState, Params, dynamics_full, dynamics_reduced, lagrangian_full, model
+from wipdyn import (FullState, Params, ReducedState, dynamics_full, dynamics_reduced,
+                    lagrangian_full, model)
 
 
 # wheel 1 sits on the +axle side of the midpoint, wheel 2 on the -axle side;
@@ -64,6 +65,15 @@ def contact_velocities(theta, q_dot, p, sin=np.sin, cos=np.cos):
     return np.array([v_axle + np.cross(thd * ez, side * 0.5 * p.d * axle)
                      + np.cross(thd * ez + spin * axle, -p.r * ez)
                      for side, spin in zip(WHEEL_SIDES, (f1d, f2d))])
+
+
+def ddt(state, f1, f2, p):
+    """The model's ``ode_rhs`` at a FullState (f1, f2 the wheel torques) or a
+    ReducedState (f1, f2 = u1, u2), keyed by the layout name it differentiates:
+    ddt(...)["alpha_dot"] is alpha_ddot, ddt(...)["theta"] is theta_dot."""
+    module = dynamics_reduced if isinstance(state, ReducedState) else dynamics_full
+    names = model.LAYOUTS["reduced" if module is dynamics_reduced else "full"]
+    return dict(zip(names, module.ode_rhs([getattr(state, n) for n in names], f1, f2, p)))
 
 
 @pytest.fixture(scope="session")

@@ -108,3 +108,22 @@ PINNED = sorted(set().union(*map(_bench_references, BENCH)))
 def test_bench_reads_names_that_exist():
     assert len(PINNED) >= 20
     assert [name for name in PINNED if not _resolves(wipdyn, "", name)] == []
+
+
+def test_bench_rhs_shims_are_ode_rhs(p, random_constrained, rng):
+    # full_rhs and reduced_rhs stay only for the benchmark: each is its
+    # model's ode_rhs on the record's layout values, bit for bit
+    from conftest import ddt
+    from wipdyn import Controls, dynamics_full, dynamics_reduced, full_to_reduced
+
+    def bits(values):
+        return [float.hex(v) for v in values]
+
+    for _ in range(10):
+        s = random_constrained()
+        red = full_to_reduced(s, p)
+        f1, f2 = rng.uniform(-1.0, 1.0, 2).tolist()
+        assert bits(dynamics_full.full_rhs(s, Controls(f1, f2), p)) == bits(
+            ddt(s, f1, f2, p).values())
+        assert bits(dynamics_reduced.reduced_rhs(red, f1, f2, p)) == bits(
+            ddt(red, f1, f2, p).values())

@@ -293,6 +293,58 @@ def test_check_passes_on_defaults(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+# (command, edit of a valid config's dict or None for no file, exit code, message)
+_ERROR_PATHS = {
+    "unreadable-file": ("simulate", None, 2, "cannot read config"),
+    "top-level-list": ("simulate", lambda c: [c], 2, "top level must be an object"),
+    "missing-block": ("simulate", lambda c: {k: v for k, v in c.items() if k != "sim"},
+                      2, "missing config block 'sim'"),
+    "missing-keys": ("simulate", lambda c: {**c, "initial": {"x": 0.0}}, 2,
+                     "initial (full form) block: missing keys: alpha, "),
+    "initial-list": ("simulate", lambda c: {**c, "initial": [0.0] * 8}, 2,
+                     "initial block must be an object"),
+    "torques-object": ("simulate", lambda c: {**c, "torques": {}}, 2,
+                       "torques block must be a list of segments"),
+    "segment-list": ("simulate", lambda c: {**c, "torques": [[0.0, 0.1, 0.1]]}, 2,
+                     "torques[0]: each segment must be an object"),
+    "sim-number": ("simulate", lambda c: {**c, "sim": 0.1}, 2, "sim block must be an object"),
+    "unknown-model": ("simulate", lambda c: {**c, "sim": {"T": 0.1, "dt": 1e-3, "model": "euler"}},
+                      2, "sim block: unknown model 'euler'"),
+    "compare-diverges": ("compare", lambda c: {
+        **c, "torques": [{"t_start": 0.0, "tau1": 1e305, "tau2": 1e305}],
+        "sim": {"T": 0.5, "dt": 1e-2}}, 3, "simulation failed: step 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_PATHS))
+def test_error_paths_exit_code_and_message(tmp_path, capsys, case):
+    command, edit, code, message = _ERROR_PATHS[case]
+    cfg = tmp_path / "c.json"
+    if edit is not None:
+        data = json.loads(write_config(cfg, tolerances={"max_abs": 1e-6}).read_text())
+        cfg.write_text(json.dumps(edit(data)))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _src_env():
+    """The environment with the package's source tree first on PYTHONPATH."""
+    src = str(Path(wipdyn.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_run_exits_2_on_unreadable_config(tmp_path):
+    # python -m wipdyn.cli runs the CLI, so a script written that way fails
+    proc = subprocess.run(
+        [sys.executable, "-m", "wipdyn.cli", "check", "--config", str(tmp_path / "none.json")],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 2
+    assert "cannot read config" in proc.stderr
+
+
 def test_console_entry_point_runs(tmp_path):
     # install-free console script: run the declared [project.scripts] target
     # in a fresh interpreter, as the script that an install generates would
@@ -301,14 +353,11 @@ def test_console_entry_point_runs(tmp_path):
         target = tomllib.load(fh)["project"]["scripts"]["wipdyn"]
     module, func = target.split(":")
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
-    src = str(Path(wipdyn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "t.csv"
     proc = subprocess.run(
         [sys.executable, "-c", launcher,
          "simulate", "--config", str(cfg), "--out", str(out), "--quiet"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ddt
 from wipdyn import (Controls, FullState, ReducedState, TorqueProfile,
-                    compare_trajectories, f_of_alpha, full_rhs,
-                    full_to_reduced, h_const, reduced_rhs, reduced_to_full,
+                    compare_trajectories, f_of_alpha,
+                    full_to_reduced, h_const, reduced_to_full,
                     shape_mass, simulate, u_from_tau)
 from wipdyn.dynamics_reduced import ode_rhs
 from wipdyn.model import rolling_residuals
@@ -42,14 +43,14 @@ def test_momentum_rhs_matches_full_model(p, random_constrained, rng):
     for _ in range(20):
         s = random_constrained()
         c = Controls(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        out = full_rhs(s, c, p)
+        out = ddt(s, c.tau1, c.tau2, p)
         red = full_to_reduced(s, p)
         ca, sa = math.cos(s.alpha), math.sin(s.alpha)
-        phidd = 0.5 * (out.phi1_ddot + out.phi2_ddot)
-        thdd = p.r / p.d * (out.phi2_ddot - out.phi1_ddot)
+        phidd = 0.5 * (out["phi1_dot"] + out["phi2_dot"])
+        thdd = p.r / p.d * (out["phi2_dot"] - out["phi1_dot"])
         thd = p.r / p.d * (s.phi2_dot - s.phi1_dot)
         p1_dot = (h_const(p) * phidd
-                  + p.r * p.m_b * p.b * (ca * out.alpha_ddot - sa * s.alpha_dot ** 2))
+                  + p.r * p.m_b * p.b * (ca * out["alpha_dot"] - sa * s.alpha_dot ** 2))
         p2_dot = (float(f_of_alpha(s.alpha, p)) * thdd
                   + (p.I_Bxx + p.m_b * p.b ** 2 - p.I_Bz) * math.sin(2 * s.alpha)
                   * s.alpha_dot * thd)
@@ -78,7 +79,7 @@ def test_shape_rhs_matches_full_model_and_ignores_wheel_rate(p, rng):
             half = 0.5 * p.d / p.r * thd
             s = FullState.constrained(0, 0, 0.4, al, 0, 0, ald,
                                       phid - half, phid + half, p)
-            accels.append(full_rhs(s, Controls(0.0, 0.0), p).alpha_ddot)
+            accels.append(ddt(s, 0.0, 0.0, p)["alpha_dot"])
         p2 = float(f_of_alpha(al, p)) * thd
         expected = tilt_accel(al, ald, p2, p)
         for a in accels:
@@ -86,26 +87,24 @@ def test_shape_rhs_matches_full_model_and_ignores_wheel_rate(p, rng):
 
 
 def test_reduced_rhs_upright_rest_fixed_point(p):
-    out = reduced_rhs(ReducedState(0, 0, 0, 0, 0, 0, 0, 0), 0.0, 0.0, p)
-    assert (out.p1_dot, out.p2_dot, out.alpha_ddot) == (0.0, 0.0, 0.0)
-    assert (out.x_dot, out.y_dot, out.theta_dot, out.phi_dot) == (0.0, 0.0, 0.0, 0.0)
+    assert set(ddt(ReducedState(0, 0, 0, 0, 0, 0, 0, 0), 0.0, 0.0, p).values()) == {0.0}
 
 
 def test_reduced_rhs_steady_straight_roll(p):
-    out = reduced_rhs(ReducedState(0, 0, 0, 0, 0, 0, h_const(p), 0), 0.0, 0.0, p)
-    assert out.x_dot == pytest.approx(p.r, rel=1e-15)
-    assert out.y_dot == 0.0
-    assert out.theta_dot == 0.0
-    assert out.phi_dot == pytest.approx(1.0, rel=1e-15)
-    assert (out.p1_dot, out.p2_dot, out.alpha_ddot) == (0.0, 0.0, 0.0)
+    out = ddt(ReducedState(0, 0, 0, 0, 0, 0, h_const(p), 0), 0.0, 0.0, p)
+    assert out["x"] == pytest.approx(p.r, rel=1e-15)
+    assert out["y"] == 0.0
+    assert out["theta"] == 0.0
+    assert out["phi"] == pytest.approx(1.0, rel=1e-15)
+    assert (out["p1"], out["p2"], out["alpha_dot"]) == (0.0, 0.0, 0.0)
 
 
 def test_reduced_rhs_steady_spin_in_place(p):
     f0 = float(f_of_alpha(0.0, p))
-    out = reduced_rhs(ReducedState(0, 0, 0.9, 0, 0, 0, 0, f0), 0.0, 0.0, p)
-    assert out.theta_dot == pytest.approx(1.0, rel=1e-15)
-    assert (out.x_dot, out.y_dot, out.phi_dot) == (0.0, 0.0, 0.0)
-    assert (out.p1_dot, out.p2_dot, out.alpha_ddot) == (0.0, 0.0, 0.0)
+    out = ddt(ReducedState(0, 0, 0.9, 0, 0, 0, 0, f0), 0.0, 0.0, p)
+    assert out["theta"] == pytest.approx(1.0, rel=1e-15)
+    assert (out["x"], out["y"], out["phi"]) == (0.0, 0.0, 0.0)
+    assert (out["p1"], out["p2"], out["alpha_dot"]) == (0.0, 0.0, 0.0)
 
 
 def test_full_reduced_roundtrip(p, random_constrained):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wipdyn import (Controls, FullState, Params, ReducedState, f_of_alpha,
+from wipdyn import (Controls, FullState, Params, ReducedState, TorqueProfile, f_of_alpha,
                     h_const, i_theta, i_theta_prime, lagrangian_full,
                     reduced_energy, shape_mass, total_energy)
 from wipdyn.model import rolling_rates, rolling_residuals
@@ -295,6 +295,25 @@ def test_states_store_plain_floats():
         values = [getattr(s, f) for f in cls.__dataclass_fields__]
         assert all(type(v) is float for v in values)
         assert values == [1.0, 0.5] + [2.0] * (n - 2)
+    assert type(Params(**{**Params.default().to_dict(), "m_b": np.int64(5)}).m_b) is float
+
+
+# each input record stores the value v in one field, or raises
+_RECORDS = {
+    "FullState": lambda v: FullState(v, *[0.0] * 11),
+    "ReducedState": lambda v: ReducedState(*[0.0] * 7, v),
+    "Controls": lambda v: Controls(0.0, v),
+    "TorqueProfile": lambda v: TorqueProfile(((0.0, 0.1, 0.0), (1.0, v, 0.0))),
+    "Params": lambda v: Params(**{**Params.default().to_dict(), "m_b": v}),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.3", None, 10 ** 400, float("nan")],
+                         ids=["bool", "numeric-string", "none", "huge-int", "nan"])
+@pytest.mark.parametrize("record", list(_RECORDS))
+def test_records_take_only_finite_real_numbers(record, value):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        _RECORDS[record](value)
 
 
 def test_constrained_constructor_satisfies_rolling(p, random_constrained):

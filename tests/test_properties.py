@@ -11,9 +11,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ddt
 from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     accelerations_q6, compare_trajectories, f_of_alpha,
-                    full_rhs, full_to_reduced, h_const, i_theta, i_theta_prime,
+                    full_to_reduced, h_const, i_theta, i_theta_prime,
                     lagrange_dalembert_rhs, mass_matrix, power_balance_error,
                     reduced_to_full, rk4_step, shape_mass, simulate, u_from_tau)
 from wipdyn import dynamics_full, dynamics_reduced, model
@@ -46,8 +47,8 @@ def case(draw):
 
 
 def _shape_accels(s, tau1, tau2, p):
-    out = full_rhs(s, Controls(tau1, tau2), p)
-    return np.array([out.alpha_ddot, out.phi1_ddot, out.phi2_ddot])
+    out = ddt(s, tau1, tau2, p)
+    return np.array([out["alpha_dot"], out["phi1_dot"], out["phi2_dot"]])
 
 
 @property_settings
@@ -109,12 +110,12 @@ def _momentum_rates(p, s, ctl):
     """(p1_dot, p2_dot) by differentiating p1 = h phi_dot + r m_b b cos(alpha)
     alpha_dot and p2 = f(alpha) theta_dot along the full model's
     accelerations, and the same from the reduced rhs."""
-    out = full_rhs(s, ctl, p)
+    out = ddt(s, ctl.tau1, ctl.tau2, p)
     ca, sa = math.cos(s.alpha), math.sin(s.alpha)
     thd = p.r / p.d * (s.phi2_dot - s.phi1_dot)
-    p1_dot = (h_const(p) * 0.5 * (out.phi1_ddot + out.phi2_ddot)
-              + p.r * p.m_b * p.b * (ca * out.alpha_ddot - sa * s.alpha_dot ** 2))
-    p2_dot = (float(f_of_alpha(s.alpha, p)) * p.r / p.d * (out.phi2_ddot - out.phi1_ddot)
+    p1_dot = (h_const(p) * 0.5 * (out["phi1_dot"] + out["phi2_dot"])
+              + p.r * p.m_b * p.b * (ca * out["alpha_dot"] - sa * s.alpha_dot ** 2))
+    p2_dot = (float(f_of_alpha(s.alpha, p)) * p.r / p.d * (out["phi2_dot"] - out["phi1_dot"])
               + float(i_theta_prime(s.alpha, p)) * s.alpha_dot * thd)
     red = full_to_reduced(s, p)
     y = (red.x, red.y, red.theta, red.phi, red.alpha, red.alpha_dot, red.p1, red.p2)
@@ -171,7 +172,8 @@ def test_constrained_scalars_are_one_record_the_referee_checks(
             red = full_to_reduced(s, p)
             y = (red.x, red.y, red.theta, red.phi, red.alpha, red.alpha_dot, red.p1, red.p2)
             alpha_dd = dynamics_reduced.ode_rhs(y, *u_from_tau(ctl.tau1, ctl.tau2, p), p)[5]
-            worst_pair = max(worst_pair, abs(full_rhs(s, ctl, p).alpha_ddot - alpha_dd),
+            full_alpha_dd = ddt(s, ctl.tau1, ctl.tau2, p)["alpha_dot"]
+            worst_pair = max(worst_pair, abs(full_alpha_dd - alpha_dd),
                              *np.abs(np.subtract(rates, from_full)))
             least_oracle = min(least_oracle, _oracle_error(p, s, ctl)[0])
         assert worst_pair <= 1e-10, name
