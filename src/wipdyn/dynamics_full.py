@@ -42,7 +42,6 @@ from .model import LAYOUTS, Controls, FullState, Params, f_of_alpha, rolling_rat
 from .oracle import CS_STEP
 
 __all__ = [
-    "mass_matrix",
     "ode_rhs",
     "momenta",
     "accelerations_q6",
@@ -51,13 +50,11 @@ __all__ = [
 # y[j] reads state component j; other free names are the torques or
 # _kernel(p)'s constants.  No local may reuse a name of sim's fused step (y<i>,
 # k<s>_<i>, half, t_half, w).  I_theta inline: model.i_theta cost 8 % a step.
-_INERTIA = """
+_BODY = """
+    th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]
     sa, ca = sin(al), cos(al)
     i_th = i_0 + i_c * ca * ca + i_s * sa * sa
     k = k_0 * ca
-"""
-_BODY = """
-    th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]""" + _INERTIA + """
     # solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)
     ithp = ithp_0 * sa * ca
     dphi = f2d - f1d
@@ -77,10 +74,6 @@ _BODY = """
             add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
 """
 _ODE = "def ode(y, tau1, tau2):" + _BODY
-_MASS = "def mass(al):" + _INERTIA + """
-    a1, a3 = a_0 + i_th * rr_dd + I_Wyy, a_0 - i_th * rr_dd
-    return [[m_0, k, k], [k, a1, a3], [k, a3, a1]]
-"""
 
 
 @lru_cache(maxsize=32)
@@ -91,13 +84,8 @@ def _kernel(p: Params):
     rr_dd, s_0 = p.r * p.r / (p.d * p.d), 0.5 * rec["h"]
     return FunctionType(model._code(_ODE), dict(
         rec, sin=sin, cos=cos, ithp_0=2.0 * (rec["i_s"] - rec["i_c"]), rr_dd=rr_dd,
-        a_0=0.5 * (s_0 - p.I_Wyy), I_Wyy=p.I_Wyy, s_0=s_0,
-        k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd, v_0=0.5 * p.r, r_d=p.r / p.d))
-
-
-def mass_matrix(alpha: float, p: Params) -> np.ndarray:
-    """Constrained mass matrix M(alpha) in coordinates (alpha, phi1, phi2)."""
-    return np.array(FunctionType(model._code(_MASS), _kernel(p).__globals__)(alpha))
+        I_Wyy=p.I_Wyy, s_0=s_0, k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd,
+        v_0=0.5 * p.r, r_d=p.r / p.d))
 
 
 def ode_rhs(y, tau1: float, tau2: float, p: Params) -> tuple:

@@ -44,8 +44,8 @@ __all__ = [
     "reduced_to_full",
 ]
 
-# Read as dynamics_full._BODY, with forces u1 and u2.  f_of_alpha, i_theta_prime and
-# shape_mass inline: calling them kept this rhs at about 3 us against 1.2 us.
+# Read as dynamics_full._BODY, with forces u1 and u2.  f(alpha), f'(alpha) and
+# shape_mass inline: calling helpers kept this rhs at about 3 us against 1.2 us.
 _BODY = """
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
     sa, ca = sin(al), cos(al)

@@ -39,7 +39,6 @@ __all__ = [
     "LAYOUTS",
     "Controls",
     "i_theta",
-    "i_theta_prime",
     "f_of_alpha",
     "h_const",
     "shape_mass",
@@ -300,12 +299,6 @@ def _i_theta(ca, sa, p: Params):
 def i_theta(alpha, p: Params):
     """Yaw inertia I_theta(alpha); smooth, even and pi-periodic."""
     return _i_theta(*_cos_sin(alpha), p)
-
-
-def i_theta_prime(alpha, p: Params):
-    """d/dalpha of :func:`i_theta`."""
-    rec = _inertias(p)
-    return (rec["i_s"] - rec["i_c"]) * _cos_sin(2.0 * alpha)[1]
 
 
 def f_of_alpha(alpha, p: Params):

@@ -44,7 +44,6 @@ __all__ = [
     "TorqueProfile",
     "Trajectory",
     "u_from_tau",
-    "tau_from_u",
     "rk4_step",
     "simulate",
     "n_samples",
@@ -73,12 +72,6 @@ def u_from_tau(tau1: float, tau2: float, p: Params) -> tuple[float, float]:
     u1 phi_dot + u2 theta_dot = tau1 phi1_dot + tau2 phi2_dot checks them.
     """
     return tau1 + tau2, p.d / (2.0 * p.r) * (tau2 - tau1)
-
-
-def tau_from_u(u1: float, u2: float, p: Params) -> tuple[float, float]:
-    """Wheel torques producing the generalized forces (u1, u2)."""
-    delta = 2.0 * p.r / p.d * u2
-    return 0.5 * (u1 - delta), 0.5 * (u1 + delta)
 
 
 @dataclass(frozen=True)

@@ -195,8 +195,9 @@ def _random_constrained_state(rng, p: Params) -> FullState:
 
 
 def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
-    """Fast structural suite: curvature, pairing, equivariance, energy,
-    momentum rate and the integrated yaw relation."""
+    """Fast structural suite: curvature (closed form, tilt slots), momentum
+    pairing, equivariance, zero-torque energy drift and, on one forced run,
+    the momentum rate, power balance and integrated yaw relation."""
     rng = np.random.default_rng(seed)
     results = []
 
@@ -233,6 +234,8 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     forced = simulate("full", initial, profile, 0.5, 1e-4, p)
     results.append(CheckResult("momentum rate vs closed form",
                                momentum_rate_error(forced, profile, p), 1e-4))
+    results.append(CheckResult("power balance (forced)",
+                               power_balance_error(forced, profile, p), 2e-3))
     results.append(CheckResult("integrated yaw relation",
                                holonomic_residual(forced, p), 1e-12))
     return results

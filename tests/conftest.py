@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wipdyn import (FullState, Params, ReducedState, dynamics_full, dynamics_reduced,
-                    lagrangian_full, model)
+                    ehresmann_at, lagrangian_full, model)
+from wipdyn.oracle import lagrangian_derivatives
 
 
 # wheel 1 sits on the +axle side of the midpoint, wheel 2 on the -axle side;
@@ -65,6 +66,21 @@ def contact_velocities(theta, q_dot, p, sin=np.sin, cos=np.cos):
     return np.array([v_axle + np.cross(thd * ez, side * 0.5 * p.d * axle)
                      + np.cross(thd * ez + spin * axle, -p.r * ez)
                      for side, spin in zip(WHEEL_SIDES, (f1d, f2d))])
+
+
+def constrained_mass(alpha, p):
+    """The referee's M(alpha): the Hessian in the shape rates r_dot = (alpha_dot,
+    phi1_dot, phi2_dot) of the constrained Lagrangian l_c(r, r_dot) =
+    L(s, -A(theta) r_dot, r, r_dot) (Bloch, Krishnaprasad, Marsden & Murray
+    1996), from ``lagrangian_full`` and ``ehresmann_at`` alone.  l_c does not
+    depend on the group coordinates s, which sit at zero."""
+    A = ehresmann_at(0.0, p)
+
+    def l_c(r, r_dot):
+        q = np.concatenate([np.zeros(r.shape[:-1] + (3,)), r], axis=-1)
+        return lagrangian_full(q, np.concatenate([-r_dot @ A.T, r_dot], axis=-1), p)
+
+    return lagrangian_derivatives(l_c, [alpha, 0.0, 0.0], np.zeros(3))[0]
 
 
 def ddt(state, f1, f2, p):

@@ -1,12 +1,13 @@
 """The public surface resolves: every exported name, every docstring
 cross-reference and every wipdyn name the benchmark reads points at something
-that exists."""
+that exists; and every exported name has a reader outside the tests."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,35 @@ def test_bench_rhs_shims_are_ode_rhs(p, random_constrained, rng):
             ddt(s, f1, f2, p).values())
         assert bits(dynamics_reduced.reduced_rhs(red, f1, f2, p)) == bits(
             ddt(red, f1, f2, p).values())
+
+
+def _src_reads(path):
+    """Names a src module reads (loads and attribute reads), each outside the
+    top-level definition of that name: a function calling itself is no reader."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name not in (None, owner):
+                yield name
+
+
+# nonholo_connection states the paper's A(alpha) and Gamma(alpha); only tests read it
+UNREAD_BY_DESIGN = {"nonholo_connection"}
+
+
+def test_every_exported_name_has_a_reader():
+    # a name in a src module's __all__ is read by src (re-exports in
+    # __init__.py do not count), by the benchmark, or is a console script
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    readers = {name for path in Path(wipdyn.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"
+               for name in _src_reads(path)}
+    readers |= {ref.split(".")[2] for ref in PINNED}
+    readers |= {target.rpartition(":")[2] for target in scripts.values()}
+    unread = sorted(f"{module.__name__}.{name}" for module in MODULES.values()
+                    for name in getattr(module, "__all__", ())
+                    if name not in readers | UNREAD_BY_DESIGN)
+    assert unread == []

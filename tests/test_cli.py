@@ -291,6 +291,7 @@ def test_check_passes_on_defaults(tmp_path, capsys):
     assert main(["check", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "PASS power balance (forced)" in out
 
 
 # (command, edit of a valid config's dict or None for no file, exit code, message)

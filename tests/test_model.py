@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from wipdyn import (Controls, FullState, Params, ReducedState, TorqueProfile, f_of_alpha,
-                    h_const, i_theta, i_theta_prime, lagrangian_full,
+                    h_const, i_theta, lagrangian_full,
                     reduced_energy, shape_mass, total_energy)
-from wipdyn.model import rolling_rates, rolling_residuals
+from wipdyn.model import _inertias, rolling_rates, rolling_residuals
 from wipdyn.oracle import CS_STEP, lagrangian_derivatives
 
 from conftest import contact_velocities, rigid_body_lagrangian
@@ -53,21 +53,16 @@ def test_i_theta_derivative_vanishes_at_critical_points(p):
         assert abs(_central(lambda a: f_of_alpha(a, p), al)) < 1e-10
 
 
-def test_i_theta_prime_matches_finite_difference(p, rng):
-    for al in rng.uniform(-3.0, 3.0, 10):
-        fd = _central(lambda a: i_theta(a, p), al)
-        assert i_theta_prime(al, p) == pytest.approx(fd, abs=5e-9)
-        # f differs from I_theta by a constant, so it has the same derivative
-        fd_f = _central(lambda a: f_of_alpha(a, p), al)
-        assert i_theta_prime(al, p) == pytest.approx(fd_f, abs=5e-9)
-
-
 def test_f_of_alpha_composition_and_symmetry(p, rng):
     assert f_of_alpha(0.0, p) == pytest.approx(
         i_theta(0.0, p) + p.d ** 2 * p.I_Wyy / (2 * p.r ** 2), rel=1e-15)
     for al in rng.uniform(-3.0, 3.0, 10):
         assert f_of_alpha(al, p) == pytest.approx(f_of_alpha(-al, p), rel=1e-14)
         assert f_of_alpha(al, p) > 0.0
+        # f - I_theta is the constant f_wy up to the sum's rounding: worst
+        # 1.5e-16 of f over 30000 random alpha on default and random sets
+        f = f_of_alpha(al, p)
+        assert abs(f - i_theta(al, p) - _inertias(p)["f_wy"]) <= 1e-15 * f
 
 
 def test_h_const(p):

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ddt
+from conftest import constrained_mass, ddt
 from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     accelerations_q6, compare_trajectories, f_of_alpha,
-                    full_to_reduced, h_const, i_theta, i_theta_prime,
-                    lagrange_dalembert_rhs, mass_matrix, power_balance_error,
-                    reduced_to_full, rk4_step, shape_mass, simulate, u_from_tau)
+                    full_to_reduced, h_const, i_theta, lagrange_dalembert_rhs,
+                    power_balance_error, reduced_to_full, rk4_step, shape_mass,
+                    simulate, u_from_tau)
 from wipdyn import dynamics_full, dynamics_reduced, model
+from wipdyn.oracle import CS_STEP
 from wipdyn.sim import _force_lookup, _rk4_stages, _stepper
 
 # deterministic examples, no example database on disk
@@ -55,13 +56,14 @@ def _shape_accels(s, tau1, tau2, p):
 @given(case())
 def test_torque_response_identity(c):
     # M(alpha) (a(tau) - a(0)) = (0, tau1, tau2): the closed-form solve is
-    # linear in the torques with the mass matrix as its inverse
+    # linear in the torques with the referee's mass matrix as its inverse;
+    # worst 3.1e-14 of scale over 2000 random cases
     p, s, ctl = c
-    M = mass_matrix(s.alpha, p)
+    M = constrained_mass(s.alpha, p)
     a_tau = _shape_accels(s, ctl.tau1, ctl.tau2, p)
-    a_0 = _shape_accels(s, 0.0, 0.0, p)
-    resid = M @ (a_tau - a_0) - np.array([0.0, ctl.tau1, ctl.tau2])
-    scale = np.max(np.abs(M)) * max(np.max(np.abs(a_tau)), np.max(np.abs(a_0)), 1.0)
+    a_free = _shape_accels(s, 0.0, 0.0, p)
+    resid = M @ (a_tau - a_free) - np.array([0.0, ctl.tau1, ctl.tau2])
+    scale = np.max(np.abs(M)) * max(np.max(np.abs(a_tau)), np.max(np.abs(a_free)), 1.0)
     assert np.max(np.abs(resid)) <= 1e-12 * scale
 
 
@@ -113,10 +115,11 @@ def _momentum_rates(p, s, ctl):
     out = ddt(s, ctl.tau1, ctl.tau2, p)
     ca, sa = math.cos(s.alpha), math.sin(s.alpha)
     thd = p.r / p.d * (s.phi2_dot - s.phi1_dot)
+    ith_prime = i_theta(s.alpha + 1j * CS_STEP, p).imag / CS_STEP  # one complex step
     p1_dot = (h_const(p) * 0.5 * (out["phi1_dot"] + out["phi2_dot"])
               + p.r * p.m_b * p.b * (ca * out["alpha_dot"] - sa * s.alpha_dot ** 2))
     p2_dot = (float(f_of_alpha(s.alpha, p)) * p.r / p.d * (out["phi2_dot"] - out["phi1_dot"])
-              + float(i_theta_prime(s.alpha, p)) * s.alpha_dot * thd)
+              + ith_prime * s.alpha_dot * thd)
     red = full_to_reduced(s, p)
     y = (red.x, red.y, red.theta, red.phi, red.alpha, red.alpha_dot, red.p1, red.p2)
     return [p1_dot, p2_dot], dynamics_reduced.ode_rhs(y, *u_from_tau(ctl.tau1, ctl.tau2, p), p)[6:]
@@ -182,10 +185,12 @@ def test_constrained_scalars_are_one_record_the_referee_checks(
 
 def _reduced_rhs_by_formula(y, u1, u2, p):
     """The reduced equations term by term from the model's inertia helpers,
-    in the evaluation order of the rhs kernel's constants."""
+    in the evaluation order of the rhs kernel's constants; f'(alpha) from the
+    inertia record as (i_s - i_c) sin(2 alpha)."""
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
     sa, ca = math.sin(al), math.cos(al)
     h = h_const(p)
+    rec = model._inertias(p)
     fa = f_of_alpha(al, p)
     m_al = shape_mass(al, p)
     mbbr = p.m_b * p.b * p.r
@@ -193,7 +198,8 @@ def _reduced_rhs_by_formula(y, u1, u2, p):
     xi4 = (p1 - mbbr * ca * ald) / h
     xi1 = p.r * xi4
     alpha_dd = (-(mbbr * mbbr) * sa * ca / h * ald * ald
-                + 0.5 * (i_theta_prime(al, p) - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
+                + 0.5 * ((rec["i_s"] - rec["i_c"]) * math.sin(2.0 * al)
+                         - 2.0 * mbbr * mbbr * sa * ca / h) * xi3 * xi3
                 + p.m_b * p.g * p.b * sa
                 - mbbr * ca / h * u1) / m_al
     return (xi1 * math.cos(th), xi1 * math.sin(th), xi3, xi4, ald, alpha_dd,
@@ -304,13 +310,18 @@ def test_force_lookup_is_tau_at_at_any_time_in_any_order(p, c):
 
 @property_settings
 @given(case())
-def test_mass_matrix_wheel_difference_is_yaw_inertia(c):
+def test_wheel_difference_inertia_is_yaw_inertia(c):
     # a1 - a3 = 2 (r/d)^2 I_theta(alpha) + I_Wyy ties the full kernel's inertia
-    # to model.i_theta; worst 8.2e-16 relative over 30000 random cases
+    # to model.i_theta.  At zero rates under tau = (-1, 1), phi2_dd - phi1_dd =
+    # 2/(a1 - a3); at alpha in {0, +-pi/2} the wheel sum adds no rounding to
+    # the difference (at other alpha it adds up to 5.4e-15).  Worst 6.3e-16
+    # relative over 30000 random cases
     p, s, _ = c
-    M = mass_matrix(s.alpha, p)
-    ref = 2.0 * (p.r / p.d) ** 2 * i_theta(s.alpha, p) + p.I_Wyy
-    assert abs((M[1, 1] - M[1, 2]) - ref) <= 1e-15 * ref
+    for al in (0.0, 0.5 * math.pi, -0.5 * math.pi):
+        rest = FullState.constrained(s.x, s.y, s.theta, al, s.phi1, s.phi2, 0.0, 0.0, 0.0, p)
+        out = ddt(rest, -1.0, 1.0, p)
+        ref = 2.0 * (p.r / p.d) ** 2 * i_theta(al, p) + p.I_Wyy
+        assert abs(2.0 / (out["phi2_dot"] - out["phi1_dot"]) - ref) <= 1e-15 * ref
 
 
 # Short runs for the trajectory properties: 0.1 s at dt = 5e-4 under the

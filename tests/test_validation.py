@@ -166,3 +166,18 @@ def test_structural_suite_passes_and_renders(p):
     assert len(lines) == len(results) >= 6
     assert all(line.startswith("PASS") for line in lines), "\n".join(lines)
     assert [r.name for r in results if type(r.value) is not float] == []
+
+
+def test_power_balance_line_fails_on_mismatched_torques(p, monkeypatch):
+    # the forced run simulated under its profile, checked against the same
+    # profile with tau scaled by 0.9: 6.7e-2 against the bound 2e-3
+    from wipdyn import validation
+    check = validation.power_balance_error
+
+    def against_scaled(traj, profile, params):
+        scaled = TorqueProfile(tuple((t, 0.9 * a, 0.9 * b) for t, a, b in profile.segments))
+        return check(traj, scaled, params)
+
+    monkeypatch.setattr(validation, "power_balance_error", against_scaled)
+    assert [r.name for r in run_structural_checks(p) if not r.passed] == [
+        "power balance (forced)"]
