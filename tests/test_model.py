@@ -53,6 +53,21 @@ def test_i_theta_derivative_vanishes_at_critical_points(p):
         assert abs(_central(lambda a: f_of_alpha(a, p), al)) < 1e-10
 
 
+def test_i_theta_prime_matches_finite_difference(p, rng):
+    # dI_theta/dalpha = (i_s - i_c) sin(2 alpha), read by one complex step as
+    # the reduced dynamics' property tests do
+    rec = _inertias(p)
+    for al in rng.uniform(-3.0, 3.0, 10):
+        prime = i_theta(al + 1j * CS_STEP, p).imag / CS_STEP
+        assert prime == pytest.approx((rec["i_s"] - rec["i_c"]) * math.sin(2.0 * al),
+                                      rel=1e-14, abs=1e-15)
+        fd = _central(lambda a: i_theta(a, p), al)
+        assert prime == pytest.approx(fd, abs=5e-9)
+        # f differs from I_theta by a constant, so it has the same derivative
+        fd_f = _central(lambda a: f_of_alpha(a, p), al)
+        assert prime == pytest.approx(fd_f, abs=5e-9)
+
+
 def test_f_of_alpha_composition_and_symmetry(p, rng):
     assert f_of_alpha(0.0, p) == pytest.approx(
         i_theta(0.0, p) + p.d ** 2 * p.I_Wyy / (2 * p.r ** 2), rel=1e-15)
