@@ -41,20 +41,23 @@ __all__ = [
 _NEG_WHEEL_RATES = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])  # -e_phi1, -e_phi2
 
 
-def ehresmann_at(theta: float, p: Params) -> np.ndarray:
-    """Kinematic connection coefficients A(theta), shape (3, 3).
+def ehresmann_at(theta, p: Params) -> np.ndarray:
+    """Kinematic connection coefficients A(theta), shape (..., 3, 3) for
+    headings of shape (...): one (3, 3) matrix per heading.
 
     The constraints read s_dot + A r_dot = 0, linear in r_dot, so column j
     is the rolling rates of the wheel-rate vector -e_j; the alpha column is
     zero.  The dtype follows theta's, complex included.
     """
-    return np.array(model.rolling_rates(theta, *_NEG_WHEEL_RATES, p))
+    rates = model.rolling_rates(np.asarray(theta)[..., None], *_NEG_WHEEL_RATES, p)
+    return np.stack(np.broadcast_arrays(*rates), axis=-2)
 
 
-def curvature_at(theta: float, p: Params) -> np.ndarray:
-    """Curvature coefficients B[b, beta, gamma] of the kinematic connection.
+def curvature_at(theta, p: Params) -> np.ndarray:
+    """Curvature coefficients B[..., b, beta, gamma] of the kinematic connection.
 
-    Returned dense with shape (3, 3, 3); the only nonzero slots are the
+    Returned dense with shape (..., 3, 3, 3) for headings of shape (...), in
+    their dtype, complex included; the only nonzero slots are the
     (phi1, phi2)/(phi2, phi1) pairs:
 
         B^x_{phi1 phi2} = (r^2/d) sin(theta)
@@ -63,29 +66,34 @@ def curvature_at(theta: float, p: Params) -> np.ndarray:
 
     antisymmetric in (beta, gamma).
     """
-    B = np.zeros((3, 3, 3))
+    theta = np.asarray(theta)
+    B = np.zeros(theta.shape + (3, 3, 3), np.result_type(theta, float))
     coeff = p.r ** 2 / p.d
-    B[0, 1, 2] = coeff * np.sin(theta)
-    B[1, 1, 2] = -coeff * np.cos(theta)
-    B[:, 2, 1] = -B[:, 1, 2]
+    B[..., 0, 1, 2] = coeff * np.sin(theta)
+    B[..., 1, 1, 2] = -coeff * np.cos(theta)
+    B[..., 2, 1] = -B[..., 1, 2]
     return B
 
 
-def curvature_fd(theta: float, p: Params) -> np.ndarray:
-    """Curvature from the full defining formula, with numeric derivatives.
+def curvature_fd(theta, p: Params) -> np.ndarray:
+    """Curvature from the full defining formula, with numeric derivatives;
+    shape (..., 3, 3, 3) for headings of shape (...), as :func:`curvature_at`.
 
     Evaluates  B^b_{beta gamma} = dA^b_beta/dr^gamma - dA^b_gamma/dr^beta
     + A^a_beta dA^b_gamma/ds^a - A^a_gamma dA^b_beta/ds^a  with A differentiated
     along all six coordinates q = (x, y, theta, alpha, phi1, phi2), the
     structurally vanishing directions included, by complex step
-    Im A(q + i h e_k)/h, exact to rounding.
+    Im A(q + i h e_k)/h, exact to rounding, all six in one call of
+    :func:`ehresmann_at`.  The headings must be real.
     """
+    theta = np.asarray(theta)
     # A depends on the configuration only through theta = q[2]
-    dA = np.array([ehresmann_at(theta + 1j * CS_STEP * e[2], p).imag
-                   for e in np.eye(6)]) / CS_STEP  # [k][b, beta]
-    # T[b, beta, gamma] = dA^b_beta/dr^gamma + A^a_beta dA^b_gamma/ds^a
-    T = dA[3:].transpose(1, 2, 0) + np.einsum("ac,abg->bcg", ehresmann_at(theta, p), dA[:3])
-    return T - T.transpose(0, 2, 1)
+    steps = theta[..., None] + 1j * CS_STEP * np.eye(6)[2]
+    dA = ehresmann_at(steps, p).imag / CS_STEP  # [..., k, b, beta]
+    # T[..., b, beta, gamma] = dA^b_beta/dr^gamma + A^a_beta dA^b_gamma/ds^a
+    T = (np.moveaxis(dA[..., 3:, :, :], -3, -1)
+         + np.einsum("...ac,...abg->...bcg", ehresmann_at(theta, p), dA[..., :3, :, :]))
+    return T - np.swapaxes(T, -1, -2)
 
 
 def nonholo_connection(alpha: float, p: Params) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from types import MappingProxyType
+from types import FunctionType, MappingProxyType
 
 import numpy as np
 
@@ -260,6 +260,12 @@ def _code(src: str):
     return fn.__code__
 
 
+def _on_columns(kernel):
+    """A rhs kernel with numpy's sin and cos bound in place of ``math``'s: the
+    same body and constants on numpy columns, one state per column."""
+    return FunctionType(kernel.__code__, {**kernel.__globals__, "sin": np.sin, "cos": np.cos})
+
+
 # ---------------------------------------------------------------------------
 # inertia scalars
 
@@ -382,26 +388,20 @@ def lagrangian_full(q, q_dot, p: Params):
 
 
 def total_energy(state, p: Params):
-    """Total energy E = q_dot . dL/dq_dot - L (kinetic + potential).
+    """Total energy E = q_dot . dL/dq_dot - L (kinetic + potential) of the
+    pair ``state = (q, q_dot)``, with the usual broadcasting.
 
     T is quadratic in q_dot, so by Euler's identity q_dot . dL/dq_dot = 2 T
     and E = L(q, q_dot) - 2 L(q, 0), from :func:`lagrangian_full` alone.
-    Accepts a :class:`FullState` or a pair of arrays via
-    ``total_energy((q, q_dot), p)`` with the usual broadcasting.
     """
-    if isinstance(state, FullState):
-        q, qd = state.q, state.q_dot
-    else:
-        q, qd = state
+    q, qd = state
     return lagrangian_full(q, qd, p) - 2.0 * lagrangian_full(q, np.zeros(6), p)
 
 
-def reduced_energy(state: ReducedState | tuple, p: Params):
-    """Energy of the reduced representation: p^T Gamma p / 2 + m(alpha) alpha_dot^2 / 2 + V."""
-    if isinstance(state, ReducedState):
-        alpha, alpha_dot, p1, p2 = state.alpha, state.alpha_dot, state.p1, state.p2
-    else:
-        alpha, alpha_dot, p1, p2 = state
+def reduced_energy(state, p: Params):
+    """Energy of the reduced representation, ``state = (alpha, alpha_dot, p1, p2)``:
+    p^T Gamma p / 2 + m(alpha) alpha_dot^2 / 2 + V; broadcasts."""
+    alpha, alpha_dot, p1, p2 = state
     alpha = np.asarray(alpha, dtype=float)
     return (0.5 * p1 * p1 / h_const(p)
             + 0.5 * p2 * p2 / f_of_alpha(alpha, p)

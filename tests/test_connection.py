@@ -78,6 +78,24 @@ def test_curvature_matches_finite_differences(p, rng):
         assert np.max(np.abs(B - Bfd)) <= 1e-13 * np.max(np.abs(B))
 
 
+def test_broadcast_connection_rows_are_the_scalar_calls(p, rng):
+    # one call over an axis of headings gives each heading's own result, bit
+    # for bit: real headings, and complex ones (the complex step's) where the
+    # formula takes them; curvature_fd's own complex step needs real headings
+    real = rng.uniform(-math.pi, math.pi, 12)
+    complex_ = real + 1j * rng.uniform(-1e-3, 1e-3, 12)
+    for f, headings in ((ehresmann_at, real), (ehresmann_at, complex_),
+                        (curvature_at, real), (curvature_at, complex_), (curvature_fd, real)):
+        rows = f(headings, p)
+        assert rows.shape == (12,) + f(headings[0], p).shape
+        assert rows.dtype == headings.dtype
+        for row, th in zip(rows, headings.tolist()):
+            assert np.array_equal(row, f(th, p))
+    grid = rng.uniform(-math.pi, math.pi, (3, 4))
+    assert np.array_equal(curvature_fd(grid, p).reshape(12, 3, 3, 3),
+                          curvature_fd(grid.ravel(), p))
+
+
 def test_one_rolling_statement_feeds_the_kinematic_connection(p, monkeypatch):
     # r/d -> r/(2d) in model.rolling_rates halves A's yaw row, and with it
     # every curvature slot, which pairs that row with d/dtheta of the others

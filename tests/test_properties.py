@@ -219,6 +219,25 @@ def test_reduced_kernel_is_the_model_formulas_bit_for_bit(c):
         assert dynamics_reduced.ode_rhs(y, u1, u2, p) == _reduced_rhs_by_formula(y, u1, u2, p)
 
 
+@property_settings
+@given(params, st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("name", ["full", "reduced"])
+def test_kernels_on_columns_are_the_scalar_rhs_bit_for_bit(name, p, seed):
+    # model._on_columns binds numpy's sin and cos into a kernel's globals, so
+    # the momentum-rate check runs the reduced body once on all its samples:
+    # each row must equal the scalar ode_rhs in every bit.  numpy's SIMD sin
+    # and cos need not round as math's do on every build: where one does
+    # not, bound the difference in ulps (ROADMAP item 4), do not drop this
+    module = {"full": dynamics_full, "reduced": dynamics_reduced}[name]
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-2.0, 2.0, (64, len(model.LAYOUTS[name])))
+    f1, f2 = rng.uniform(-1.0, 1.0, (2, 64))
+    columns = model._on_columns(module._kernel(p))(y.T, f1, f2)
+    for k, row in enumerate(y.tolist()):
+        scalar = module.ode_rhs(row, float(f1[k]), float(f2[k]), p)
+        assert [float.hex(float(c[k])) for c in columns] == list(map(float.hex, scalar))
+
+
 # every field scaled by e^u with |u| <= 30, far from physical; random draws
 # rarely reach a degenerate set, so two explicit examples sit at the edge
 wide_params = st.fixed_dictionaries(
