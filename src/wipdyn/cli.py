@@ -47,13 +47,15 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path!r}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an int past str's digit limit
+        raise ConfigError(f"config {path!r}: cannot parse: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r}: top level must be an object")
     allowed = {"params", "initial", "torques", "sim", "tolerances"}

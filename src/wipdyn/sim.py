@@ -199,10 +199,11 @@ class Trajectory:
     layout, ``model.LAYOUTS[model]``.  shared holds the observables
     ``REDUCED_VARIABLES`` that every cross-model check compares, (N, 8): each
     sample's ``full_to_reduced``, or states itself for the reduced model.
-    Both are read-only; :meth:`column` reads either by name.
+    :meth:`column` reads either by name.
 
     Diagnostics: total energy and the three rolling constraint residuals at
-    every sample.
+    every sample, (N, 3); the full and reduced runs' residuals are zero.
+    Every array is read-only.
     """
 
     model: str
@@ -302,10 +303,12 @@ def _initial_vector(model: str, initial, p: Params) -> list[float]:
 
 
 def _diagnostics(model: str, Y: np.ndarray, p: Params):
-    """(energy, shared series, residuals) of a run's states Y, read by name;
-    the full model's residuals are zero, as it derives its group rates by rolling."""
+    """(energy, shared series, residuals) of a run's states Y, read by name.
+    The full model derives its group rates by rolling and the reduced model
+    has none, so their residuals are zero by construction: one read-only
+    (N, 3) view of a zero row, not an array."""
     v = dict(zip(LAYOUTS[model], Y.T))
-    res = np.zeros((len(Y), 3))
+    res = np.broadcast_to(np.zeros(3), (len(Y), 3))
     if model == "reduced":
         return reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p), Y, res
     w = v if model == "oracle" else v | dict(zip(("x_dot", "y_dot", "theta_dot"), rolling_rates(
@@ -348,6 +351,7 @@ def simulate(model: str, initial, profile: TorqueProfile,
             Y[k + 1] = y
     Y.setflags(write=False)
     energy, shared, res = _diagnostics(model, Y, p)
-    shared.setflags(write=False)
-    return Trajectory(model=model, t=np.arange(steps + 1) * dt, states=Y, shared=shared,
-                      energy=np.asarray(energy, float), residuals=res)
+    t, energy = np.arange(steps + 1) * dt, np.asarray(energy, float)
+    for a in (t, shared, energy, res):
+        a.setflags(write=False)
+    return Trajectory(model=model, t=t, states=Y, shared=shared, energy=energy, residuals=res)

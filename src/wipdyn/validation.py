@@ -9,8 +9,8 @@ through the mean angle and the integrated yaw relation.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -81,30 +81,42 @@ def energy_drift(traj: Trajectory) -> tuple[float, float]:
     return drift, drift / abs(float(traj.energy[0]))
 
 
-def _interior_mask(profile: TorqueProfile, t: np.ndarray, stride: int = 1) -> np.ndarray:
+def _segments(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
+    """The index of the torque segment that holds each time t, as ``tau_at``
+    bisects it: the number of start times at or before t."""
+    return np.searchsorted(profile._starts, t, side="right")
+
+
+def _interior_mask(seg: np.ndarray, stride: int = 1) -> np.ndarray:
     """Samples whose central-difference stencil, stride samples to each side,
-    stays inside one torque segment: both ends bisect to one start time, as
-    ``tau_at`` does.  Equal torques would not do, as a segment between them
-    may hold no sample."""
-    seg = np.searchsorted(profile._starts, t, side="right")
-    mask = np.zeros(len(t), dtype=bool)
+    stays inside one torque segment: both ends have one segment index seg
+    (:func:`_segments`).  Equal torques would not do, as a segment between
+    them may hold no sample."""
+    mask = np.zeros(len(seg), dtype=bool)
     mask[stride:-stride] = seg[:-2 * stride] == seg[2 * stride:]
     return mask
 
 
-def _central_rates(traj: Trajectory, profile: TorqueProfile, values: np.ndarray,
+def _central_rates(traj: Trajectory, seg: np.ndarray, values: np.ndarray,
                    stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(k, rates): the samples k of :func:`_interior_mask` and d/dt of the
     per-sample values there, by central difference over stride samples to
     each side.  k is empty if no sample is interior (T < 2 stride dt)."""
-    k = np.flatnonzero(_interior_mask(profile, traj.t, stride))
+    k = np.flatnonzero(_interior_mask(seg, stride))
     return k, (values[k + stride] - values[k - stride]) / (2.0 * stride * traj.dt)
 
 
-def _forces(profile: TorqueProfile, p: Params, t: np.ndarray, to_forces=None) -> np.ndarray:
-    """The forces of one run's lookup at the times t, as (N, 2) columns."""
-    forces = map(_force_lookup(profile, p, to_forces), t.tolist())
-    return np.fromiter(chain.from_iterable(forces), float, 2 * len(t)).reshape(-1, 2)
+def _forces(profile: TorqueProfile, p: Params, t: np.ndarray, seg: np.ndarray,
+            to_forces=None) -> np.ndarray:
+    """The forces of one run's lookup at the ascending times t, whose segment
+    indices are seg, as (N, 2) columns.  The forces are constant on a
+    segment, so the lookup runs once, at the first sample of each segment
+    that holds one, and the samples read them by segment."""
+    f = _force_lookup(profile, p, to_forces)
+    first = np.flatnonzero(np.diff(seg, prepend=-1))
+    table = np.empty((len(profile._starts) + 1, 2))
+    table[seg[first]] = [f(x) for x in t[first].tolist()]
+    return table[seg]
 
 
 def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
@@ -117,19 +129,21 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     sample is interior.
     """
     ode = _on_columns(dred._kernel(p))
-    k, rates = _central_rates(traj, profile, traj.shared[:, 6:])  # (p1, p2)
+    seg = _segments(profile, traj.t)
+    k, rates = _central_rates(traj, seg, traj.shared[:, 6:])  # (p1, p2)
     if not len(k):
         return 0.0
-    u1, u2 = _forces(profile, p, traj.t[k], u_from_tau).T
+    u1, u2 = _forces(profile, p, traj.t[k], seg[k], u_from_tau).T
     closed = np.stack(ode(traj.shared[k].T, u1, u2)[6:], axis=1)
     return float(np.max(np.abs(rates - closed)))
 
 
-def _power(traj: Trajectory, profile: TorqueProfile, p: Params) -> np.ndarray:
-    """tau1 phi1_dot + tau2 phi2_dot at every sample.  Raises ValueError for a
-    run that does not integrate the wheel rates."""
+def _power(traj: Trajectory, profile: TorqueProfile, p: Params, seg: np.ndarray) -> np.ndarray:
+    """tau1 phi1_dot + tau2 phi2_dot at every sample, whose segment indices
+    are seg.  Raises ValueError for a run that does not integrate the wheel
+    rates."""
     f1d, f2d = traj.column("phi1_dot"), traj.column("phi2_dot")
-    tau1, tau2 = _forces(profile, p, traj.t).T
+    tau1, tau2 = _forces(profile, p, traj.t, seg).T
     return tau1 * f1d + tau2 * f2d
 
 
@@ -140,8 +154,9 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     0.0 if no sample is interior (T < 2 dt), as for the momentum rate.
     Raises ValueError for a run that does not integrate the wheel rates.
     """
-    power = _power(traj, profile, p)
-    k, rates = _central_rates(traj, profile, traj.energy)
+    seg = _segments(profile, traj.t)
+    power = _power(traj, profile, p, seg)
+    k, rates = _central_rates(traj, seg, traj.energy)
     if not len(k):
         return 0.0
     return float(np.max(np.abs(rates - power[k])) / max(1.0, np.max(np.abs(power))))
@@ -206,14 +221,15 @@ class CheckResult:
 
 # Half-widths of the uniform draws of a random constrained state, in the
 # order of ``LAYOUTS["full"]``: x, y, theta, alpha, phi1, phi2 and the rates.
-_STATE_SPREAD = np.array([1.0, 1.0, math.pi, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+_STATE_SPREAD = (1.0, 1.0, math.pi, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0)
 
 
-def _random_constrained_states(rng, n: int, p: Params) -> dict:
+def _random_constrained_states(rng: random.Random, n: int, p: Params) -> dict:
     """n constrained states as (n,) columns named by the FullState fields: one
     draw of the full-layout values, state after state, and the group rates
     by rolling."""
-    v = dict(zip(LAYOUTS["full"], rng.uniform(-_STATE_SPREAD, _STATE_SPREAD, (n, 9)).T))
+    draws = [[rng.uniform(-s, s) for s in _STATE_SPREAD] for _ in range(n)]
+    v = dict(zip(LAYOUTS["full"], np.array(draws).T))
     v["x_dot"], v["y_dot"], v["theta_dot"] = rolling_rates(
         v["theta"], v["phi1_dot"], v["phi2_dot"], p)
     return v
@@ -233,14 +249,14 @@ def _power_balance_bound(traj: Trajectory, profile: TorqueProfile, p: Params) ->
     residual's units, and never above ``_POWER_CAP``, the fixed bound it
     tightens (nor where no sample is interior to a 2 dt stencil).
     """
-    E = traj.energy
-    k, wide = _central_rates(traj, profile, E, stride=2)
-    k1, narrow = _central_rates(traj, profile, E)
+    E, seg = traj.energy, _segments(profile, traj.t)
+    k, wide = _central_rates(traj, seg, E, stride=2)
+    k1, narrow = _central_rates(traj, seg, E)
     if not len(k):
         return _POWER_CAP
     truncation = np.max(np.abs(wide - narrow[np.isin(k1, k)]))
     rounding = _ROUNDING * np.max(np.abs(E)) / traj.dt
-    scale = max(1.0, np.max(np.abs(_power(traj, profile, p))))
+    scale = max(1.0, np.max(np.abs(_power(traj, profile, p, seg))))
     return float(min(_POWER_CAP, (30.0 * truncation + rounding) / scale))
 
 
@@ -253,11 +269,17 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     numpy columns: the curvature over 50 headings, the momentum pairing over
     50 random constrained states and the rate checks over the forced run's
     interior samples; only the 14 simulate runs step one sample at a time.
+
+    The random inputs are uniform draws of ``random.Random(seed)``, in this
+    order: 50 headings in [-pi, pi], one heading for the tilt slots, 50
+    constrained states (``_STATE_SPREAD``, state after state) and 5 group
+    shifts (gx, gy, gth, gphi) in [-2, 2].  The standard library's generator
+    keeps ``numpy.random`` out of the process.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     results = []
 
-    headings = rng.uniform(-math.pi, math.pi, 50)
+    headings = np.array([rng.uniform(-math.pi, math.pi) for _ in range(50)])
     B, Bfd = curvature_at(headings, p), curvature_fd(headings, p)
     worst = np.max(np.max(np.abs(B - Bfd), axis=(1, 2, 3)) / np.max(np.abs(B), axis=(1, 2, 3)))
     results.append(CheckResult("curvature closed form vs defining formula", float(worst), 1e-13))
@@ -275,7 +297,7 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
 
     initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
     profile = TorqueProfile(((0.0, 0.05, -0.02),))
-    shifts = [tuple(rng.uniform(-2.0, 2.0, 4)) for _ in range(5)]
+    shifts = [tuple(rng.uniform(-2.0, 2.0) for _ in range(4)) for _ in range(5)]
     err_full = equivariance_error("full", initial, profile, 1.0, 1e-3, p, shifts)
     err_red = equivariance_error("reduced", dred.full_to_reduced(initial, p), profile,
                                  1.0, 1e-3, p, shifts)

@@ -147,6 +147,19 @@ def test_corrupt_config_exits_2_with_location(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{}", "cannot read config"),  # not UTF-8
+    (b"[" * 200_000, "cannot parse"),        # past the recursion limit
+    (b'{"params": ' + b"1" * 5000 + b"}", "cannot parse"),  # past int's digit limit
+], ids=["not-utf8", "too-deep", "huge-int"])
+def test_unparsable_config_exits_2_naming_path(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err
+
+
 def test_unknown_block_and_bad_torques_exit_2(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     data = json.loads(cfg.read_text())
@@ -344,6 +357,20 @@ def test_module_run_exits_2_on_unreadable_config(tmp_path):
         capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 2
     assert "cannot read config" in proc.stderr
+
+
+def test_check_runs_without_numpy_random(tmp_path):
+    # the suite draws from random.Random, so a check process never loads
+    # numpy.random; a fresh interpreter, as the test process loads it (the rng fixture)
+    cfg = write_config(tmp_path / "c.json")
+    script = ("import sys; from wipdyn.cli import main; code = main(['check', '--config', "
+              "sys.argv[1]]); print('numpy.random' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 8
+    assert lines[-1] == "False"
 
 
 def test_console_entry_point_runs(tmp_path):

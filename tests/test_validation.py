@@ -11,14 +11,20 @@ from wipdyn import (FullState, ReducedState, TorqueProfile,
                     momentum_rate_error, power_balance_error,
                     run_structural_checks, simulate)
 from wipdyn.model import rolling_residuals
-from wipdyn.validation import _shift, render_check_lines
+from wipdyn.sim import _force_lookup, u_from_tau
+from wipdyn.validation import _forces, _segments, _shift, render_check_lines
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
+    # rolling holds by construction in the full and reduced models: zero
+    # (N, 3) residuals, read-only like every array of a trajectory
     s = FullState.constrained(0, 0, 0.3, 0.1, 0, 0, 0.1, 0.4, 0.7, p)
-    traj = simulate("full", s, TorqueProfile.zero(), 0.5, 1e-3, p)
-    assert traj.residuals.shape == (len(traj), 3)
-    assert np.max(traj.residuals) == 0.0
+    for model, initial in (("full", s), ("reduced", full_to_reduced(s, p))):
+        traj = simulate(model, initial, TorqueProfile.zero(), 0.5, 1e-3, p)
+        assert traj.residuals.shape == (len(traj), 3)
+        assert not np.any(traj.residuals)
+        assert [a.flags.writeable for a in (traj.t, traj.states, traj.shared, traj.energy,
+                                            traj.residuals)] == [False] * 5
 
 
 def test_constraint_residuals_flag_violations(p):
@@ -31,6 +37,7 @@ def test_oracle_trajectory_residuals_small(p):
     s = FullState.constrained(0, 0, 0.2, 0.15, 0, 0, 0.1, 0.5, 0.8, p)
     traj = simulate("oracle", s, TorqueProfile.zero(), 0.4, 1e-3, p)
     assert np.max(traj.residuals) <= 1e-8
+    assert not traj.residuals.flags.writeable
 
 
 def test_momentum_pairing_rest_state(p):
@@ -133,6 +140,21 @@ def test_rate_checks_without_interior_samples_are_zero(p, T):
     traj = simulate("full", s, profile, T, 1e-3, p)
     assert power_balance_error(traj, profile, p) == 0.0
     assert momentum_rate_error(traj, profile, p) == 0.0
+
+
+@pytest.mark.parametrize("to_forces", [None, u_from_tau])
+def test_forces_per_segment_are_the_per_sample_lookups(p, rng, to_forces):
+    # 500 segments, the first after t = 0, each starting on a sample time:
+    # one lookup per segment gives the per-sample map's columns bit for bit,
+    # on every sample and on a sparse ascending subset of them
+    t = np.arange(10_100) * 1e-3
+    profile = TorqueProfile(tuple(zip(t[5::20][:500].tolist(),
+                                      *rng.uniform(-0.1, 0.1, (2, 500)).tolist())))
+    for times in (t, t[3::7]):
+        per_sample = np.array(list(map(_force_lookup(profile, p, to_forces), times.tolist())))
+        columns = _forces(profile, p, times, _segments(profile, times), to_forces)
+        assert columns.shape == (len(times), 2)
+        assert columns.tobytes() == per_sample.tobytes()
 
 
 def test_holonomic_residual_rejects_reduced(p):
