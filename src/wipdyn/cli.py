@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .model import LAYOUTS, FullState, Params, ReducedState, _finite
+from .model import LAYOUTS, FullState, Params, ReducedState, _finite, _strict_keys
 from .dynamics_reduced import full_to_reduced, reduced_to_full
 from .sim import MODELS, SimulationError, TorqueProfile, n_samples, simulate
 from .validation import (compare_trajectories, render_check_lines,
@@ -78,13 +78,8 @@ def _build_params(cfg: dict) -> Params:
 
 
 def _strict_floats(block: dict, keys: tuple[str, ...], name: str) -> dict:
-    unknown = sorted(set(block) - set(keys))
-    if unknown:
-        raise ConfigError(f"{name} block: unknown keys: {', '.join(unknown)}")
-    missing = sorted(set(keys) - set(block))
-    if missing:
-        raise ConfigError(f"{name} block: missing keys: {', '.join(missing)}")
     try:
+        _strict_keys(block, keys)
         return {k: _finite(block[k], k) for k in keys}
     except ValueError as exc:
         raise ConfigError(f"{name} block: {exc}") from exc
@@ -183,11 +178,7 @@ def cmd_simulate(args) -> int:
     p, full0, red0, profile, T, dt, model = _scenario(load_config(args.config))
     model = args.model or model
     initial = red0 if model == "reduced" else full0
-    try:
-        traj = simulate(model, initial, profile, T, dt, p)
-    except SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return 3
+    traj = simulate(model, initial, profile, T, dt, p)
     try:
         write_trajectory_csv(traj, p, args.out)
     except OSError as exc:
@@ -201,13 +192,8 @@ def cmd_compare(args) -> int:
     p, full0, red0, profile, T, dt, _ = _scenario(cfg)
     tol = _build_tolerance(cfg)
 
-    try:
-        runs = {model: simulate(model, red0 if model == "reduced" else full0,
-                                profile, T, dt, p)
-                for model in ("full", "reduced", "oracle")}
-    except SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return 3
+    runs = {model: simulate(model, red0 if model == "reduced" else full0, profile, T, dt, p)
+            for model in ("full", "reduced", "oracle")}
 
     lines = ["pair,variable,max_abs,rms"]
     ok = True
@@ -267,6 +253,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -115,12 +115,12 @@ def reduced_to_full(state: ReducedState, p: Params) -> FullState:
     """Inverse change of representation, with both wheels at the mean angle,
     phi1 = phi2 = phi: a reduced state does not hold the wheel difference.
 
-    The wheel rates come from the body velocity (theta_dot, phi_dot) =
+    The wheel rates are phi_dot X_1 + theta_dot X_2 on the generators of
+    ``model._generators``, from the body velocity (theta_dot, phi_dot) =
     (xi3, xi4) that :func:`ode_rhs` reconstructs, so the result satisfies the
     rolling constraints exactly.
     """
     theta_dot, phi_dot = ode_rhs(_integrated(state), 0.0, 0.0, p)[2:4]
-    half = 0.5 * p.d / p.r * theta_dot
+    rates = [phi_dot * a + theta_dot * b for a, b in zip(*model._generators(p))]
     return FullState.constrained(state.x, state.y, state.theta, state.alpha,
-                                 state.phi, state.phi, state.alpha_dot,
-                                 phi_dot - half, phi_dot + half, p)
+                                 state.phi, state.phi, state.alpha_dot, *rates[1:], p)

@@ -54,6 +54,13 @@ def _names(record) -> tuple[str, ...]:
     return tuple(f.name for f in fields(record))
 
 
+def _strict_keys(data, names) -> None:
+    """ValueError naming data's unknown keys, else the missing names, sorted."""
+    for kind, keys in (("unknown", set(data) - set(names)), ("missing", set(names) - set(data))):
+        if keys:
+            raise ValueError(f"{kind} keys: {', '.join(sorted(keys))}")
+
+
 def _finite(v, name: str) -> float:
     """v as a float if it is a real number, not a bool, and finite as a float
     (an int beyond the float range is not); else ValueError naming it."""
@@ -147,14 +154,9 @@ class Params:
     def from_dict(cls, data: dict) -> "Params":
         """Strict construction from a key/value mapping.
 
-        Every field is mandatory and unknown keys are rejected.
+        Every field is mandatory and unknown keys are rejected (:func:`_strict_keys`).
         """
-        unknown = sorted(set(data) - set(_names(cls)))
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {', '.join(unknown)}")
-        missing = sorted(set(_names(cls)) - set(data))
-        if missing:
-            raise ValueError(f"missing parameter keys: {', '.join(missing)}")
+        _strict_keys(data, _names(cls))
         return cls(**data)
 
 
@@ -340,6 +342,18 @@ def rolling_rates(theta, phi1_dot, phi2_dot, p: Params):
     v = 0.5 * p.r * (phi1_dot + phi2_dot)
     c, s = _cos_sin(theta)
     return v * c, v * s, p.r / p.d * (phi2_dot - phi1_dot)
+
+
+def _generators(p: Params) -> tuple:
+    """Shape rates (alpha_dot, phi1_dot, phi2_dot) of the symmetry generators
+    X_1 (rolling) and X_2 (yaw), whose group rates :func:`rolling_rates` gives.
+    The momenta, the generalized forces and the wheel rates of a reduced state
+    read them by name, so one patch reaches all three.  X_1 is an orbit
+    direction of the S1 that shifts both wheels equally (``validation._shift``);
+    X_2 only of SE(2) x T2, where each wheel shifts on its own.
+    """
+    half = 0.5 * p.d / p.r
+    return (0.0, 1.0, 1.0), (0.0, -half, half)
 
 
 def rolling_residuals(q, q_dot, p: Params) -> np.ndarray:

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import dynamics_full as dfull
 from . import dynamics_reduced as dred
+from . import model as _model
 from . import oracle as _oracle
 from .model import (LAYOUTS, FullState, Params, ReducedState, _code, _finite,
                     reduced_energy, rolling_rates, rolling_residuals, total_energy)
@@ -65,13 +66,12 @@ def u_from_tau(tau1: float, tau2: float, p: Params) -> tuple[float, float]:
     """Generalized forces (u1, u2) conjugate to the rolling and yaw directions.
 
     u1 = tau1 + tau2 and u2 = (d / 2r)(tau2 - tau1).  These are the forcings
-    that enter the momentum equations additively.  They pair the wheel
-    torques with the symmetry generators: the rolling generator turns both
-    wheels by one radian, and a unit turn of the yaw generator turns the
-    wheels by -d/(2r) and +d/(2r).  The power identity
+    that enter the momentum equations additively: the wheel torques paired
+    with the symmetry generators of ``model._generators``.  The power identity
     u1 phi_dot + u2 theta_dot = tau1 phi1_dot + tau2 phi2_dot checks them.
     """
-    return tau1 + tau2, p.d / (2.0 * p.r) * (tau2 - tau1)
+    half = _model._generators(p)[1][2]
+    return tau1 + tau2, half * (tau2 - tau1)
 
 
 @dataclass(frozen=True)

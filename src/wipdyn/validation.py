@@ -16,6 +16,7 @@ import numpy as np
 
 from .connection import curvature_at, curvature_fd, ehresmann_at
 from . import dynamics_reduced as dred
+from . import model as _model
 from .model import LAYOUTS, FullState, Params, _on_columns, lagrangian_full, rolling_rates
 from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, _force_lookup,
                   simulate, u_from_tau)
@@ -35,27 +36,22 @@ __all__ = [
 ]
 
 
-def momentum_pairing(q, q_dot, i: int, p: Params):
-    """Numeric momentum <dL/dq_dot, xi_i> of ``lagrangian_full`` at q and
-    q_dot, arrays whose last axis holds the six coordinates or their rates;
-    broadcasts over leading axes, one pairing per state.
+def momentum_pairing(q, q_dot, p: Params) -> tuple:
+    """Numeric momenta (p1, p2) = <dL/dq_dot, X_i> of ``lagrangian_full`` at q
+    and q_dot, arrays whose last axis holds the six coordinates or their
+    rates; broadcasts over leading axes, one pair per state.
 
-    L is quadratic in q_dot, so the directional difference
-    (L(q, q_dot + xi) - L(q, q_dot - xi))/2 is the pairing exactly, up to
-    round-off.  xi_1 (rolling) and xi_2 (yaw) generate the SE(2) x S1
-    symmetry: the horizontal lifts (-A(theta) r_dot, r_dot) of the wheel
-    rates r_dot = (0, 1, 1) and (0, -d/2r, d/2r) by the kinematic connection
-    :func:`~wipdyn.connection.ehresmann_at`.
+    X_i is the horizontal lift (-A(theta) r_dot, r_dot) of the shape rates
+    r_dot of ``model._generators`` by :func:`~wipdyn.connection.ehresmann_at`.
+    L is quadratic in q_dot, so (L(q, q_dot + X_i) - L(q, q_dot - X_i))/2 is
+    the pairing exactly, up to round-off: one ``lagrangian_full`` call.
     """
-    if i not in (1, 2):
-        raise ValueError("section index must be 1 or 2")
     q, q_dot = np.asarray(q), np.asarray(q_dot)
-    half = 0.5 * p.d / p.r
-    r_dot = np.array([0.0, 1.0, 1.0] if i == 1 else [0.0, -half, half])
-    s_dot = -ehresmann_at(q[..., 2], p) @ r_dot
+    r_dot = np.array(_model._generators(p))  # (2, 3): one generator per row
+    s_dot = -(ehresmann_at(q[..., 2], p)[..., None, :, :] @ r_dot[..., None])[..., 0]
     xi = np.concatenate([s_dot, np.broadcast_to(r_dot, s_dot.shape)], axis=-1)
-    plus, minus = lagrangian_full(q, q_dot + np.stack([xi, -xi]), p)
-    return 0.5 * (plus - minus)
+    plus, minus = lagrangian_full(q[..., None, :], q_dot[..., None, :] + np.stack([xi, -xi]), p)
+    return tuple(np.moveaxis(0.5 * (plus - minus), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -291,8 +287,8 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     q, q_dot = (np.stack([states[n] for n in names], axis=1)
                 for names in (LAYOUTS["oracle"][:6], LAYOUTS["oracle"][6:]))
     red = dred._to_reduced(states, p)
-    worst = max(np.max(np.abs(momentum_pairing(q, q_dot, 1, p) - red["p1"])),
-                np.max(np.abs(momentum_pairing(q, q_dot, 2, p) - red["p2"])))
+    p1, p2 = momentum_pairing(q, q_dot, p)
+    worst = max(np.max(np.abs(p1 - red["p1"])), np.max(np.abs(p2 - red["p2"])))
     results.append(CheckResult("momentum pairing vs closed form", float(worst), 1e-12))
 
     initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)

@@ -67,7 +67,7 @@ def test_docstring_references_resolve(module):
 
 def _dotted(node, modules):
     """'wipdyn.mod.a.b' for an attribute chain rooted at an imported wipdyn
-    module, else None."""
+    module or at a name imported from one, else None."""
     parts = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -79,16 +79,19 @@ def _dotted(node, modules):
 
 def _bench_references(path):
     """wipdyn names a bench script reads: ``from wipdyn.x import y`` names,
-    attribute reads on a module imported from wipdyn, and the attribute
-    string that follows such an object in a tuple or call (the bench's
-    ``(layer, owner, "attr", tag)`` targets and ``getattr`` calls)."""
+    attribute reads on a module imported from wipdyn or on such a name
+    (``Params.default``), and the attribute string that follows such an
+    object in a tuple or call (the bench's ``(layer, owner, "attr", tag)``
+    targets and ``getattr`` calls)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules, refs = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "wipdyn":
             modules.update({a.asname or a.name: f"wipdyn.{a.name}" for a in node.names})
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wipdyn."):
-            refs.update(f"{node.module}.{a.name}" for a in node.names)
+            names = {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+            modules.update(names)
+            refs.update(names.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             refs.add(_dotted(node, modules))

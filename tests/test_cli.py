@@ -324,6 +324,8 @@ _ERROR_PATHS = {
     "sim-number": ("simulate", lambda c: {**c, "sim": 0.1}, 2, "sim block must be an object"),
     "unknown-model": ("simulate", lambda c: {**c, "sim": {"T": 0.1, "dt": 1e-3, "model": "euler"}},
                       2, "sim block: unknown model 'euler'"),
+    "unknown-params-key": ("simulate", lambda c: {**c, "params": {**c["params"], "bogus": 1.0}},
+                           2, "params block: unknown keys: bogus"),
     "compare-diverges": ("compare", lambda c: {
         **c, "torques": [{"t_start": 0.0, "tau1": 1e305, "tau2": 1e305}],
         "sim": {"T": 0.5, "dt": 1e-2}}, 3, "simulation failed: step 0"),
@@ -341,6 +343,15 @@ def test_error_paths_exit_code_and_message(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_check_exits_3_when_a_run_diverges(tmp_path, capsys):
+    # a valid set whose equivariance run diverges (at step 6): exit 3, as
+    # simulate and compare, not a traceback
+    params = {**Params.default().to_dict(), "g": 1e6}
+    cfg = write_config(tmp_path / "c.json", params=params)
+    assert main(["check", "--config", str(cfg)]) == 3
+    assert "simulation failed: step" in capsys.readouterr().err
 
 
 def _src_env():
