@@ -256,6 +256,9 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a grid that n_samples passes but no allocation can hold
+        print(f"config error: T/dt gives more samples than memory holds: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

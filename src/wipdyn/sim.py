@@ -82,6 +82,8 @@ class TorqueProfile:
     start times.  Torque lookup is left-closed: the segment starting at
     t_start applies on [t_start, t_next); before the first start time the
     torque is zero.  ``simulate`` calls tau_at once per segment it enters.
+    _torques is the one table of the torques: row k holds (tau1, tau2) after
+    k start times, so row 0 is the zero torque before the first.
     """
 
     segments: tuple[tuple[float, float, float], ...] = ()
@@ -94,6 +96,7 @@ class TorqueProfile:
             raise ValueError("segment start times must be strictly increasing")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_torques", ((0.0, 0.0), *((a, b) for _, a, b in segs)))
 
     @classmethod
     def zero(cls) -> "TorqueProfile":
@@ -104,11 +107,7 @@ class TorqueProfile:
         return cls(((0.0, tau1, tau2),))
 
     def tau_at(self, t: float) -> tuple[float, float]:
-        k = bisect.bisect_right(self._starts, t)
-        if k == 0:
-            return 0.0, 0.0
-        _, tau1, tau2 = self.segments[k - 1]
-        return tau1, tau2
+        return self._torques[bisect.bisect_right(self._starts, t)]
 
 
 # The RK4 stages for a state of n components.  Each <...> expands to its

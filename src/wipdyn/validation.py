@@ -18,8 +18,7 @@ from .connection import curvature_at, curvature_fd, ehresmann_at
 from . import dynamics_reduced as dred
 from . import model as _model
 from .model import LAYOUTS, FullState, Params, _on_columns, lagrangian_full, rolling_rates
-from .sim import (REDUCED_VARIABLES, Trajectory, TorqueProfile, _force_lookup,
-                  simulate, u_from_tau)
+from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate, u_from_tau
 
 __all__ = [
     "momentum_pairing",
@@ -79,40 +78,23 @@ def energy_drift(traj: Trajectory) -> tuple[float, float]:
 
 def _segments(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
     """The index of the torque segment that holds each time t, as ``tau_at``
-    bisects it: the number of start times at or before t."""
+    bisects it: the number of start times at or before t, and so the row of
+    the profile's torque table ``_torques`` at t."""
     return np.searchsorted(profile._starts, t, side="right")
 
 
-def _interior_mask(seg: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Samples whose central-difference stencil, stride samples to each side,
-    stays inside one torque segment: both ends have one segment index seg
-    (:func:`_segments`).  Equal torques would not do, as a segment between
-    them may hold no sample."""
-    mask = np.zeros(len(seg), dtype=bool)
-    mask[stride:-stride] = seg[:-2 * stride] == seg[2 * stride:]
-    return mask
+def _interior(seg: np.ndarray, stride: int = 1) -> np.ndarray:
+    """The samples whose central-difference stencil, stride samples to each
+    side, stays inside one torque segment: both ends have one segment index
+    seg (:func:`_segments`).  Equal torques would not do, as a segment
+    between them may hold no sample.  Empty if none is (T < 2 stride dt)."""
+    return np.flatnonzero(seg[:-2 * stride] == seg[2 * stride:]) + stride
 
 
-def _central_rates(traj: Trajectory, seg: np.ndarray, values: np.ndarray,
-                   stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(k, rates): the samples k of :func:`_interior_mask` and d/dt of the
-    per-sample values there, by central difference over stride samples to
-    each side.  k is empty if no sample is interior (T < 2 stride dt)."""
-    k = np.flatnonzero(_interior_mask(seg, stride))
-    return k, (values[k + stride] - values[k - stride]) / (2.0 * stride * traj.dt)
-
-
-def _forces(profile: TorqueProfile, p: Params, t: np.ndarray, seg: np.ndarray,
-            to_forces=None) -> np.ndarray:
-    """The forces of one run's lookup at the ascending times t, whose segment
-    indices are seg, as (N, 2) columns.  The forces are constant on a
-    segment, so the lookup runs once, at the first sample of each segment
-    that holds one, and the samples read them by segment."""
-    f = _force_lookup(profile, p, to_forces)
-    first = np.flatnonzero(np.diff(seg, prepend=-1))
-    table = np.empty((len(profile._starts) + 1, 2))
-    table[seg[first]] = [f(x) for x in t[first].tolist()]
-    return table[seg]
+def _rates(traj: Trajectory, values: np.ndarray, k: np.ndarray, stride: int = 1) -> np.ndarray:
+    """d/dt of the per-sample values at the samples k, by central difference
+    over stride samples to each side."""
+    return (values[k + stride] - values[k - stride]) / (2.0 * stride * traj.dt)
 
 
 def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
@@ -121,26 +103,26 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     Samples whose stencil straddles a torque-segment boundary are excluded;
     the piecewise-constant forcing makes the derivative one-sided there.
     The closed form is the reduced model's rhs body, evaluated once on the
-    columns of the interior samples (``model._on_columns``); 0.0 if no
-    sample is interior.
+    columns of the interior samples (``model._on_columns``), with the forces
+    ``u_from_tau`` of their rows of the torque table; 0.0 if no sample is
+    interior.
     """
     ode = _on_columns(dred._kernel(p))
     seg = _segments(profile, traj.t)
-    k, rates = _central_rates(traj, seg, traj.shared[:, 6:])  # (p1, p2)
+    k = _interior(seg)
     if not len(k):
         return 0.0
-    u1, u2 = _forces(profile, p, traj.t[k], seg[k], u_from_tau).T
+    u1, u2 = u_from_tau(*np.array(profile._torques)[seg[k]].T, p)
     closed = np.stack(ode(traj.shared[k].T, u1, u2)[6:], axis=1)
-    return float(np.max(np.abs(rates - closed)))
+    return float(np.max(np.abs(_rates(traj, traj.shared[:, 6:], k) - closed)))  # (p1, p2)
 
 
-def _power(traj: Trajectory, profile: TorqueProfile, p: Params, seg: np.ndarray) -> np.ndarray:
+def _power(traj: Trajectory, profile: TorqueProfile, seg: np.ndarray) -> np.ndarray:
     """tau1 phi1_dot + tau2 phi2_dot at every sample, whose segment indices
-    are seg.  Raises ValueError for a run that does not integrate the wheel
-    rates."""
-    f1d, f2d = traj.column("phi1_dot"), traj.column("phi2_dot")
-    tau1, tau2 = _forces(profile, p, traj.t, seg).T
-    return tau1 * f1d + tau2 * f2d
+    (rows of the torque table) are seg.  Raises ValueError for a run that
+    does not integrate the wheel rates."""
+    tau1, tau2 = np.array(profile._torques)[seg].T
+    return tau1 * traj.column("phi1_dot") + tau2 * traj.column("phi2_dot")
 
 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
@@ -151,11 +133,12 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     Raises ValueError for a run that does not integrate the wheel rates.
     """
     seg = _segments(profile, traj.t)
-    power = _power(traj, profile, p, seg)
-    k, rates = _central_rates(traj, seg, traj.energy)
+    power = _power(traj, profile, seg)
+    k = _interior(seg)
     if not len(k):
         return 0.0
-    return float(np.max(np.abs(rates - power[k])) / max(1.0, np.max(np.abs(power))))
+    return float(np.max(np.abs(_rates(traj, traj.energy, k) - power[k]))
+                 / max(1.0, np.max(np.abs(power))))
 
 
 def holonomic_residual(traj: Trajectory, p: Params) -> float:
@@ -246,13 +229,12 @@ def _power_balance_bound(traj: Trajectory, profile: TorqueProfile, p: Params) ->
     tightens (nor where no sample is interior to a 2 dt stencil).
     """
     E, seg = traj.energy, _segments(profile, traj.t)
-    k, wide = _central_rates(traj, seg, E, stride=2)
-    k1, narrow = _central_rates(traj, seg, E)
+    k = _interior(seg, stride=2)  # interior to the dt stencil too: seg ascends
     if not len(k):
         return _POWER_CAP
-    truncation = np.max(np.abs(wide - narrow[np.isin(k1, k)]))
+    truncation = np.max(np.abs(_rates(traj, E, k, stride=2) - _rates(traj, E, k)))
     rounding = _ROUNDING * np.max(np.abs(E)) / traj.dt
-    scale = max(1.0, np.max(np.abs(_power(traj, profile, p, seg))))
+    scale = max(1.0, np.max(np.abs(_power(traj, profile, seg))))
     return float(min(_POWER_CAP, (30.0 * truncation + rounding) / scale))
 
 

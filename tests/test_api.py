@@ -7,7 +7,6 @@ import importlib
 import inspect
 import pkgutil
 import re
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -153,6 +152,7 @@ def test_every_exported_name_has_a_reader():
     # a name in a src module's __all__ is read by src (re-exports in
     # __init__.py do not count), by the benchmark, or is a console script
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     readers = {name for path in Path(wipdyn.__file__).parent.glob("*.py")
                if path.name != "__init__.py"

@@ -326,6 +326,12 @@ _ERROR_PATHS = {
                       2, "sim block: unknown model 'euler'"),
     "unknown-params-key": ("simulate", lambda c: {**c, "params": {**c["params"], "bogus": 1.0}},
                            2, "params block: unknown keys: bogus"),
+    # T/dt = 1e13 passes n_samples, but its 655 TiB trajectory is more than
+    # a 48-bit address space (128 TiB) and any machine's memory: numpy's
+    # allocation is refused at once and touches no memory
+    **{f"{command}-grid-beyond-memory": (command, lambda c: {**c, "sim": {"T": 1e10, "dt": 1e-3}},
+                                         2, "config error: T/dt gives more samples than memory")
+       for command in ("simulate", "compare")},
     "compare-diverges": ("compare", lambda c: {
         **c, "torques": [{"t_start": 0.0, "tau1": 1e305, "tau2": 1e305}],
         "sim": {"T": 0.5, "dt": 1e-2}}, 3, "simulation failed: step 0"),

@@ -20,6 +20,7 @@ from wipdyn import (Controls, FullState, Params, TorqueProfile,
 from wipdyn import dynamics_full, dynamics_reduced, model
 from wipdyn.oracle import CS_STEP
 from wipdyn.sim import _force_lookup, _rk4_stages, _stepper
+from wipdyn.validation import _segments
 
 # deterministic examples, no example database on disk
 property_settings = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -317,7 +318,10 @@ def profile_and_times(draw):
 def test_force_lookup_is_tau_at_at_any_time_in_any_order(p, c):
     # the per-run lookup keeps one segment's bounds and forces; it must give
     # tau_at's value (u_from_tau's for the reduced model) for any sequence
-    # of times, and two lookups on one profile must not share that state
+    # of times, and two lookups on one profile must not share that state.
+    # The torque table's rows at the times' segments, the check lines' path,
+    # are tau_at's values, and u_from_tau on their columns the reduced
+    # lookup's, bit for bit
     profile, times = c
     full, reduced = _stepper("full", profile, p, 9)[1], _stepper("reduced", profile, p, 8)[1]
     other = _force_lookup(profile, p)
@@ -325,6 +329,10 @@ def test_force_lookup_is_tau_at_at_any_time_in_any_order(p, c):
         assert full(t) == profile.tau_at(t)
         assert other(back) == profile.tau_at(back)
         assert reduced(t) == u_from_tau(*profile.tau_at(t), p)
+    rows = np.array(profile._torques)[_segments(profile, np.array(times))]
+    assert rows.tobytes() == np.array([profile.tau_at(t) for t in times]).tobytes()
+    columns = np.stack(u_from_tau(*rows.T, p), axis=1)
+    assert columns.tobytes() == np.array([reduced(t) for t in times]).tobytes()
 
 
 @property_settings

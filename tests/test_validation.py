@@ -13,7 +13,7 @@ from wipdyn import (FullState, ReducedState, TorqueProfile,
 from wipdyn import model
 from wipdyn.model import rolling_residuals
 from wipdyn.sim import _force_lookup, u_from_tau
-from wipdyn.validation import _forces, _segments, _shift, render_check_lines
+from wipdyn.validation import _segments, _shift, render_check_lines
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
@@ -166,14 +166,17 @@ def test_rate_checks_without_interior_samples_are_zero(p, T):
 @pytest.mark.parametrize("to_forces", [None, u_from_tau])
 def test_forces_per_segment_are_the_per_sample_lookups(p, rng, to_forces):
     # 500 segments, the first after t = 0, each starting on a sample time:
-    # one lookup per segment gives the per-sample map's columns bit for bit,
-    # on every sample and on a sparse ascending subset of them
+    # the torque table's rows at the samples' segments (to_forces applied to
+    # the columns) give the per-sample lookup's values bit for bit, on every
+    # sample and on a sparse ascending subset of them
     t = np.arange(10_100) * 1e-3
     profile = TorqueProfile(tuple(zip(t[5::20][:500].tolist(),
                                       *rng.uniform(-0.1, 0.1, (2, 500)).tolist())))
     for times in (t, t[3::7]):
         per_sample = np.array(list(map(_force_lookup(profile, p, to_forces), times.tolist())))
-        columns = _forces(profile, p, times, _segments(profile, times), to_forces)
+        columns = np.array(profile._torques)[_segments(profile, times)]
+        if to_forces is not None:
+            columns = np.stack(to_forces(*columns.T, p), axis=1)
         assert columns.shape == (len(times), 2)
         assert columns.tobytes() == per_sample.tobytes()
 
@@ -262,7 +265,8 @@ def test_power_balance_bound_is_the_runs_truncation(p):
     # the bound is 30x |dE/dt(2 dt) - dE/dt(dt)|, 3x the O(dt^2) truncation,
     # so 90x the value: 87-90x over 250 random sets.  With the pulse's
     # wide stencils not masked out, the bound reads the torque steps and
-    # sits at its cap 2e-3.  Halving dt quarters it, as truncation does
+    # sits at its cap 2e-3.  Halving dt quarters it, as truncation does.
+    # With no sample interior to a 2 dt stencil (T < 4 dt) it is the cap
     from wipdyn.validation import _power_balance_bound
     s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
     profile = TorqueProfile(((0.0, 0.05, -0.02), (0.0104, 0.5, 0.3), (0.0203, 0.05, -0.02)))
@@ -273,3 +277,4 @@ def test_power_balance_bound_is_the_runs_truncation(p):
         ratios.append(bounds[-1] / power_balance_error(traj, profile, p))
     assert all(80.0 <= r <= 100.0 for r in ratios), ratios
     assert 3.5 <= bounds[0] / bounds[1] <= 4.5, bounds
+    assert _power_balance_bound(simulate("full", s, profile, 3e-3, 1e-3, p), profile, p) == 2e-3
