@@ -214,8 +214,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config)
-    p = _build_params(cfg)
+    p = _scenario(load_config(args.config))[0]  # every block checked before any line
     results = run_structural_checks(p)
     for line in render_check_lines(results):
         _say(args, line)

@@ -212,10 +212,6 @@ class Trajectory:
     energy: np.ndarray
     residuals: np.ndarray
 
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
-
     def __len__(self) -> int:
         return len(self.t)
 

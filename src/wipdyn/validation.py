@@ -15,9 +15,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .connection import curvature_at, curvature_fd, ehresmann_at
+from . import dynamics_full as dfull
 from . import dynamics_reduced as dred
 from . import model as _model
-from .model import LAYOUTS, FullState, Params, _on_columns, lagrangian_full, rolling_rates
+from .model import (LAYOUTS, FullState, Params, _on_columns, lagrangian_full, rolling_rates,
+                    total_energy)
+from .oracle import CS_STEP
 from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate, u_from_tau
 
 __all__ = [
@@ -83,62 +86,51 @@ def _segments(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
     return np.searchsorted(profile._starts, t, side="right")
 
 
-def _interior(seg: np.ndarray, stride: int = 1) -> np.ndarray:
-    """The samples whose central-difference stencil, stride samples to each
-    side, stays inside one torque segment: both ends have one segment index
-    seg (:func:`_segments`).  Equal torques would not do, as a segment
-    between them may hold no sample.  Empty if none is (T < 2 stride dt)."""
-    return np.flatnonzero(seg[:-2 * stride] == seg[2 * stride:]) + stride
-
-
-def _rates(traj: Trajectory, values: np.ndarray, k: np.ndarray, stride: int = 1) -> np.ndarray:
-    """d/dt of the per-sample values at the samples k, by central difference
-    over stride samples to each side."""
-    return (values[k + stride] - values[k - stride]) / (2.0 * stride * traj.dt)
+def _complex_step(traj: Trajectory, profile: TorqueProfile, p: Params) -> tuple:
+    """(v, tau): the samples' full-layout values moved by 1j ``CS_STEP`` times
+    the full model's rates at them, with the group rates by rolling, as
+    complex columns named by the FullState fields; and the (tau1, tau2)
+    columns of the samples' rows of the torque table (:func:`_segments`).
+    The imaginary part of any function of v over ``CS_STEP`` is its time
+    derivative along the vector field, exact up to rounding at every sample.
+    Raises ValueError for a run that does not integrate the wheel angles."""
+    tau = np.array(profile._torques)[_segments(profile, traj.t)].T
+    y = [traj.column(n) for n in LAYOUTS["full"]]
+    rates = _on_columns(dfull._kernel(p))(y, *tau)
+    v = {n: a + 1j * CS_STEP * b for n, a, b in zip(LAYOUTS["full"], y, rates)}
+    v["x_dot"], v["y_dot"], v["theta_dot"] = rolling_rates(
+        v["theta"], v["phi1_dot"], v["phi2_dot"], p)
+    return v, tau
 
 
 def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
-    """Max |d/dt p_i (central difference) - closed-form momentum equation|.
+    """Max |d/dt p_i - closed-form momentum equation| over every sample.
 
-    Samples whose stencil straddles a torque-segment boundary are excluded;
-    the piecewise-constant forcing makes the derivative one-sided there.
-    The closed form is the reduced model's rhs body, evaluated once on the
-    columns of the interior samples (``model._on_columns``), with the forces
-    ``u_from_tau`` of their rows of the torque table; 0.0 if no sample is
-    interior.
+    d/dt p_i is ``dynamics_full.momenta`` differentiated along the full
+    vector field by one complex step (:func:`_complex_step`).  The closed form
+    is the reduced model's rhs body, evaluated once on the samples' shared
+    columns (``model._on_columns``), with the forces ``u_from_tau`` of the
+    same rows of the torque table.  Raises ValueError for a run that does not
+    integrate the wheel angles.
     """
-    ode = _on_columns(dred._kernel(p))
-    seg = _segments(profile, traj.t)
-    k = _interior(seg)
-    if not len(k):
-        return 0.0
-    u1, u2 = u_from_tau(*np.array(profile._torques)[seg[k]].T, p)
-    closed = np.stack(ode(traj.shared[k].T, u1, u2)[6:], axis=1)
-    return float(np.max(np.abs(_rates(traj, traj.shared[:, 6:], k) - closed)))  # (p1, p2)
-
-
-def _power(traj: Trajectory, profile: TorqueProfile, seg: np.ndarray) -> np.ndarray:
-    """tau1 phi1_dot + tau2 phi2_dot at every sample, whose segment indices
-    (rows of the torque table) are seg.  Raises ValueError for a run that
-    does not integrate the wheel rates."""
-    tau1, tau2 = np.array(profile._torques)[seg].T
-    return tau1 * traj.column("phi1_dot") + tau2 * traj.column("phi2_dot")
+    v, tau = _complex_step(traj, profile, p)
+    rates = np.imag(dfull.momenta(v["alpha"], v["alpha_dot"], v["phi1_dot"], v["phi2_dot"], p))
+    closed = _on_columns(dred._kernel(p))(traj.shared.T, *u_from_tau(*tau, p))[6:]  # (p1, p2)
+    return float(np.max(np.abs(rates / CS_STEP - closed)))
 
 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
-    """Max |dE/dt - (tau1 phi1_dot + tau2 phi2_dot)| / max(1, |power|).
-
-    dE/dt by central differences on interior samples of each torque segment;
-    0.0 if no sample is interior (T < 2 dt), as for the momentum rate.
-    Raises ValueError for a run that does not integrate the wheel rates.
+    """Max |dE/dt - (tau1 phi1_dot + tau2 phi2_dot)| / max(1, |power|) over
+    every sample, with dE/dt of ``total_energy`` by one complex step along
+    the full vector field (:func:`_complex_step`).  Raises ValueError for a
+    run that does not integrate the wheel angles.
     """
-    seg = _segments(profile, traj.t)
-    power = _power(traj, profile, seg)
-    k = _interior(seg)
-    if not len(k):
-        return 0.0
-    return float(np.max(np.abs(_rates(traj, traj.energy, k) - power[k]))
-                 / max(1.0, np.max(np.abs(power))))
+    v, (tau1, tau2) = _complex_step(traj, profile, p)
+    q, q_dot = (np.stack([v[n] for n in names], axis=1)
+                for names in (LAYOUTS["oracle"][:6], LAYOUTS["oracle"][6:]))
+    power = tau1 * traj.column("phi1_dot") + tau2 * traj.column("phi2_dot")
+    residual = np.imag(total_energy((q, q_dot), p)) / CS_STEP - power
+    return float(np.max(np.abs(residual)) / max(1.0, np.max(np.abs(power))))
 
 
 def holonomic_residual(traj: Trajectory, p: Params) -> float:
@@ -214,30 +206,6 @@ def _random_constrained_states(rng: random.Random, n: int, p: Params) -> dict:
     return v
 
 
-_POWER_CAP = 2e-3  # the power-balance line's earlier fixed bound, and its cap
-_ROUNDING = 64 * np.finfo(float).eps  # E's rounding in a difference quotient, per |E|/dt
-
-
-def _power_balance_bound(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
-    """Bound of :func:`power_balance_error` from the run's own truncation error.
-
-    The central difference's O(dt^2) truncation is 4x larger at stencil 2 dt
-    than at dt, so |dE/dt(2 dt) - dE/dt(dt)| on the same samples is 3x the
-    truncation at dt, while the power and any modelling error cancel in it.
-    The bound is 30x that difference plus a rounding floor of E, in the
-    residual's units, and never above ``_POWER_CAP``, the fixed bound it
-    tightens (nor where no sample is interior to a 2 dt stencil).
-    """
-    E, seg = traj.energy, _segments(profile, traj.t)
-    k = _interior(seg, stride=2)  # interior to the dt stencil too: seg ascends
-    if not len(k):
-        return _POWER_CAP
-    truncation = np.max(np.abs(_rates(traj, E, k, stride=2) - _rates(traj, E, k)))
-    rounding = _ROUNDING * np.max(np.abs(E)) / traj.dt
-    scale = max(1.0, np.max(np.abs(_power(traj, profile, seg))))
-    return float(min(_POWER_CAP, (30.0 * truncation + rounding) / scale))
-
-
 def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     """Fast structural suite: curvature (closed form, tilt slots), momentum
     pairing, equivariance, zero-torque energy drift and, on one forced run,
@@ -245,8 +213,9 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
 
     Every line evaluates its formula once over all its states or samples, as
     numpy columns: the curvature over 50 headings, the momentum pairing over
-    50 random constrained states and the rate checks over the forced run's
-    interior samples; only the 14 simulate runs step one sample at a time.
+    50 random constrained states and the rate checks over all 501 samples of
+    the forced run (0.5 s at dt = 1e-3), whose rates are exact to rounding at
+    any dt; only the 14 simulate runs step one sample at a time.
 
     The random inputs are uniform draws of ``random.Random(seed)``, in this
     order: 50 headings in [-pi, pi], one heading for the tilt slots, 50
@@ -286,11 +255,11 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     drift = energy_drift(simulate("full", rest, TorqueProfile.zero(), 1.0, 1e-4, p))[1]
     results.append(CheckResult("energy drift (zero torque)", drift, 1e-8))
 
-    forced = simulate("full", initial, profile, 0.5, 1e-4, p)
+    forced = simulate("full", initial, profile, 0.5, 1e-3, p)
     results.append(CheckResult("momentum rate vs closed form",
-                               momentum_rate_error(forced, profile, p), 1e-4))
-    results.append(CheckResult("power balance (forced)", power_balance_error(forced, profile, p),
-                               _power_balance_bound(forced, profile, p)))
+                               momentum_rate_error(forced, profile, p), 2e-11))
+    results.append(CheckResult("power balance (forced)",
+                               power_balance_error(forced, profile, p), 1e-9))
     results.append(CheckResult("integrated yaw relation",
                                holonomic_residual(forced, p), 1e-12))
     return results

@@ -307,6 +307,20 @@ def test_check_passes_on_defaults(tmp_path, capsys):
     assert "PASS power balance (forced)" in out
 
 
+@pytest.mark.parametrize("initial, sim", [
+    ({"x": "bad"}, {"T": "abc", "dt": -1}),
+    (None, {"T": "abc", "dt": -1}),
+], ids=["initial-and-sim", "sim"])
+def test_check_rejects_a_bad_config_before_any_line(tmp_path, capsys, initial, sim):
+    # check runs its own scenarios, but a config that simulate rejects is
+    # rejected here too, with exit 2 and no check line
+    cfg = write_config(tmp_path / "c.json", initial=initial, sim=sim)
+    assert main(["check", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ")
+
+
 # (command, edit of a valid config's dict or None for no file, exit code, message)
 _ERROR_PATHS = {
     "unreadable-file": ("simulate", None, 2, "cannot read config"),

@@ -10,10 +10,11 @@ from wipdyn import (FullState, ReducedState, TorqueProfile,
                     holonomic_residual, momentum_pairing,
                     momentum_rate_error, power_balance_error,
                     reduced_to_full, run_structural_checks, simulate)
-from wipdyn import model
-from wipdyn.model import rolling_residuals
+from wipdyn import dynamics_full, model
+from wipdyn.model import LAYOUTS, rolling_residuals
+from wipdyn.oracle import CS_STEP
 from wipdyn.sim import _force_lookup, u_from_tau
-from wipdyn.validation import _segments, _shift, render_check_lines
+from wipdyn.validation import _complex_step, _segments, _shift, render_check_lines
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
@@ -135,32 +136,53 @@ def test_momentum_rate_check_with_torque_pulse(p):
     s = FullState.constrained(0, 0, 0, 0.15, 0, 0, 0, 0.4, 0.5, p)
     profile = TorqueProfile(((0.1, 0.2, -0.1), (0.3, 0.0, 0.0)))
     traj = simulate("full", s, profile, 0.5, 1e-4, p)
-    assert momentum_rate_error(traj, profile, p) <= 1e-4
+    assert momentum_rate_error(traj, profile, p) <= 2e-11  # 8.5e-15
     # both rate checks give Python floats, the type of CheckResult.value
     assert [type(check(traj, profile, p))
             for check in (momentum_rate_error, power_balance_error)] == [float, float]
 
 
-def test_rate_checks_skip_stencils_across_a_segment_with_no_sample(p):
-    # the middle segment falls between the samples at 0.010 and 0.011 s, and
-    # its neighbours have equal torques: a stencil across it has equal torques
-    # at both ends but not one segment.  Masking by torque value read 0.257
-    # and 0.203; by segment index 9.9e-8 and 3.4e-7, as without the pulse
+def test_rate_checks_read_the_new_row_at_a_segment_start(p):
+    # the pulse starts and ends on samples (0.010 and 0.020 s), which take
+    # its row and the next, as tau_at does: the complex step moves every
+    # sample along ode_rhs under tau_at of its time.  Both lines compare two
+    # statements of the field under one row, so they read rounding with any
+    # row (2.6e-16 and 6.2e-16 here); only this comparison pins the row
     s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
-    profile = TorqueProfile(((0.0, 0.05, -0.02), (0.0104, 0.5, 0.3), (0.0106, 0.05, -0.02)))
+    profile = TorqueProfile(((0.0, 0.05, -0.02), (0.01, 0.5, 0.3), (0.02, 0.05, -0.02)))
     traj = simulate("full", s, profile, 0.05, 1e-3, p)
-    assert momentum_rate_error(traj, profile, p) <= 1e-5
-    assert power_balance_error(traj, profile, p) <= 1e-5
+    v, tau = _complex_step(traj, profile, p)
+    assert (traj.t[10], traj.t[20]) == (0.01, 0.02)
+    assert tau[:, 9:12].T.tolist() == [[0.05, -0.02], [0.5, 0.3], [0.5, 0.3]]
+    assert tau[:, 19:21].T.tolist() == [[0.5, 0.3], [0.05, -0.02]]
+    rates = np.stack([v[n].imag for n in LAYOUTS["full"]], axis=1) / CS_STEP
+    expected = [dynamics_full.ode_rhs(y, *profile.tau_at(t), p)
+                for y, t in zip(traj.states.tolist(), traj.t.tolist())]
+    assert np.allclose(rates, expected, rtol=1e-13, atol=1e-13)
+    assert momentum_rate_error(traj, profile, p) <= 2e-11
+    assert power_balance_error(traj, profile, p) <= 1e-9
 
 
 @pytest.mark.parametrize("T", [0.0, 1e-3])
-def test_rate_checks_without_interior_samples_are_zero(p, T):
-    # T < 2 dt leaves no sample with a central-difference stencil
+def test_rate_checks_on_one_or_two_samples_read_rounding(p, T):
+    # a complex step needs no neighbours: a run of one or two samples is
+    # checked at every sample (1.1e-16 and 1.5e-16 at T = dt)
     s = FullState.constrained(0, 0, 0, 0.15, 0, 0, 0, 0.4, 0.5, p)
     profile = TorqueProfile.constant(0.2, -0.1)
     traj = simulate("full", s, profile, T, 1e-3, p)
-    assert power_balance_error(traj, profile, p) == 0.0
-    assert momentum_rate_error(traj, profile, p) == 0.0
+    assert len(traj) == 1 + round(T / 1e-3)
+    assert momentum_rate_error(traj, profile, p) <= 2e-11
+    assert power_balance_error(traj, profile, p) <= 1e-9
+
+
+def test_rate_checks_do_not_depend_on_dt(p):
+    # the check suite's forced run at dt = 4e-3: 6.7e-15 and 1.8e-13, as at
+    # 1e-3 (6.8e-15, 2.4e-13).  Central differences read 4.6e-4 and 3.1e-4
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
+    profile = TorqueProfile(((0.0, 0.05, -0.02),))
+    traj = simulate("full", s, profile, 0.5, 4e-3, p)
+    assert momentum_rate_error(traj, profile, p) <= 2e-11
+    assert power_balance_error(traj, profile, p) <= 1e-9
 
 
 @pytest.mark.parametrize("to_forces", [None, u_from_tau])
@@ -186,8 +208,9 @@ def test_holonomic_residual_rejects_reduced(p):
     traj = simulate("reduced", red0, TorqueProfile.zero(), 0.1, 1e-2, p)
     with pytest.raises(ValueError):
         holonomic_residual(traj, p)
-    with pytest.raises(ValueError):  # nor the wheel rates, so no power balance
-        power_balance_error(traj, TorqueProfile.zero(), p)
+    for check in (momentum_rate_error, power_balance_error):  # nor the rate lines
+        with pytest.raises(ValueError):
+            check(traj, TorqueProfile.zero(), p)
 
 
 def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
@@ -196,7 +219,7 @@ def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
     profile = TorqueProfile.constant(0.01, -0.02)
     traj = simulate("full", s, profile, 0.2, 1e-3, p)
     calls = kernel_fetches(dynamics_reduced)
-    assert momentum_rate_error(traj, profile, p) <= 1e-4
+    assert momentum_rate_error(traj, profile, p) <= 2e-11  # 1.1e-15
     assert calls == [p]
 
 
@@ -244,37 +267,17 @@ def test_structural_suite_passes_and_renders(p):
 
 
 def test_power_balance_line_fails_on_mismatched_torques(p, monkeypatch):
-    # the forced run simulated under its profile, checked against the same
-    # profile with tau scaled: 6.7e-2 (x 0.9) and 1.3e-3 (x 0.998) against
-    # the run's own bound 2.03e-5, 90x the value with the right torques.  The
-    # fixed bound 2e-3 that it tightened let x 0.998 pass
-    from wipdyn import validation
-    check = validation.power_balance_error
-    for scale in (0.9, 0.998):
-        def against_scaled(traj, profile, params, scale=scale):
-            scaled = TorqueProfile(tuple((t, scale * a, scale * b)
-                                         for t, a, b in profile.segments))
-            return check(traj, scaled, params)
-
-        monkeypatch.setattr(validation, "power_balance_error", against_scaled)
-        assert [r.name for r in run_structural_checks(p) if not r.passed] == [
-            "power balance (forced)"]
-
-
-def test_power_balance_bound_is_the_runs_truncation(p):
-    # the bound is 30x |dE/dt(2 dt) - dE/dt(dt)|, 3x the O(dt^2) truncation,
-    # so 90x the value: 87-90x over 250 random sets.  With the pulse's
-    # wide stencils not masked out, the bound reads the torque steps and
-    # sits at its cap 2e-3.  Halving dt quarters it, as truncation does.
-    # With no sample interior to a 2 dt stencil (T < 4 dt) it is the cap
-    from wipdyn.validation import _power_balance_bound
-    s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
-    profile = TorqueProfile(((0.0, 0.05, -0.02), (0.0104, 0.5, 0.3), (0.0203, 0.05, -0.02)))
-    ratios, bounds = [], []
-    for dt in (2e-4, 1e-4):
-        traj = simulate("full", s, profile, 0.05, dt, p)
-        bounds.append(_power_balance_bound(traj, profile, p))
-        ratios.append(bounds[-1] / power_balance_error(traj, profile, p))
-    assert all(80.0 <= r <= 100.0 for r in ratios), ratios
-    assert 3.5 <= bounds[0] / bounds[1] <= 4.5, bounds
-    assert _power_balance_bound(simulate("full", s, profile, 3e-3, 1e-3, p), profile, p) == 2e-3
+    # a _kernel factory whose body scales both torques by 0.998: simulate
+    # inlines _BODY itself, so only the rate lines read the patched field,
+    # which no longer matches the profile's power.  The power line reads
+    # 1.3e-3 against its bound 1e-9, the momentum line 2.8e-4 (0.002 |u2|)
+    from types import FunctionType
+    body = dynamics_full._BODY.replace("f_1 = tau1", "f_1 = 0.998 * tau1")
+    body = body.replace("f_2 = tau2", "f_2 = 0.998 * tau2")
+    assert body.count("0.998") == 2
+    kernel = dynamics_full._kernel
+    monkeypatch.setattr(dynamics_full, "_kernel", lambda params: FunctionType(
+        model._code("def ode(y, tau1, tau2):" + body), kernel(params).__globals__))
+    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
+    assert list(failed) == ["momentum rate vs closed form", "power balance (forced)"]
+    assert failed["power balance (forced)"] > 1e-3
