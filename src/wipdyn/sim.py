@@ -10,16 +10,15 @@ RK4 runs on Python floats: on 8 or 9 components, lists and float tuples cost
 a fraction of numpy arrays.  ``rk4_step`` runs straight-line stages generated
 from one template per state length.  The oracle's stages call its rhs; the
 full and reduced models' fused steps inline the model's rhs body (``_BODY``)
-on its kernel's constants and read the forces once per distinct stage time,
-so they make no rhs calls.  Every model reads its forces from one per-run
-lookup that calls ``TorqueProfile.tau_at`` and maps torques to forces once
-per torque segment entered, not at every stage.  Only the sampled trajectory
+on its kernel's constants, so they make no rhs calls.  Each step runs on the
+forces of the torque segment that holds its start time, mapped from
+``TorqueProfile.tau_at`` once per segment entered, and splits at a start
+inside it, so piecewise runs keep RK4's order.  Only the sampled trajectory
 is an array; the oracle converts at its boundary.  The diagnostics read it by
 name, and map it once to the shared observables (``Trajectory.shared``).
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
-map-style; outputs are deterministic per scenario and no state is shared:
-the force lookup lives in one simulate call, never on the profile.
+map-style; outputs are deterministic per scenario and no state is shared.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ MODELS = tuple(LAYOUTS)  # ("full", "reduced", "oracle")
 
 
 class SimulationError(RuntimeError):
-    """Integration failure in one RK4 step: its index in .step, its start
-    time in .t and its start state, the last finite one, in .state."""
+    """Integration failure in one output step: its index in .step, its start
+    time in .t and its start state, the last sample, in .state."""
 
     def __init__(self, exc: Exception, step: int, t: float, state):
         super().__init__(f"step {step} (t = {t:.6g} s) failed: {type(exc).__name__}: {exc}")
@@ -81,7 +80,9 @@ class TorqueProfile:
     segments: ordered (t_start, tau1, tau2) triples with strictly increasing
     start times.  Torque lookup is left-closed: the segment starting at
     t_start applies on [t_start, t_next); before the first start time the
-    torque is zero.  ``simulate`` calls tau_at once per segment it enters.
+    torque is zero.  ``simulate`` runs each RK4 step on the segment that holds
+    its start time, splitting a step at a start inside it, and snaps a start
+    within 4 ulps of a grid time k dt onto it (k/50 is 20k dt at dt = 1e-3).
     _torques is the one table of the torques: row k holds (tau1, tau2) after
     k start times, so row 0 is the zero torque before the first.
     """
@@ -116,36 +117,35 @@ _RK4_STAGES = """
 def stages(f, y, t, dt):
     [<y{i}>] = y
     half = 0.5 * dt
-    t_half = t + half
     [<k1_{i}>] = f(t, y)
-    [<k2_{i}>] = f(t_half, [<y{i} + half * k1_{i}>])
-    [<k3_{i}>] = f(t_half, [<y{i} + half * k2_{i}>])
+    [<k2_{i}>] = f(t + half, [<y{i} + half * k1_{i}>])
+    [<k3_{i}>] = f(t + half, [<y{i} + half * k2_{i}>])
     [<k4_{i}>] = f(t + dt, [<y{i} + dt * k3_{i}>])
     w = dt / 6.0
     return [<y{i} + w * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})>]
 """
-_STAGE = re.compile(r" +\[<(.+)>\] = f\((.+?), (?:y|\[<(.+)>\])\)")
+_STAGE = re.compile(r" +\[<(.+)>\] = f\(.+?, (?:y|\[<(.+)>\])\)")
 
 
 @functools.cache
 def _rk4_stages(n: int, body: str | None = None, forces: str | None = None):
     """stages(f, y, t, dt) for n components, compiled once per template and n:
-    f is a rhs f(t, y), or, given a model's rhs body, each stage line
-    [<k{i}>] = f(T, Y) becomes the forces line at t = T if T is new, then the
-    body with y[j] read as Y's component j and its result bound to k."""
+    f is a rhs f(t, y), or, given a model's rhs body, the forces line that
+    unpacks f opens the stages and each stage line [<k{i}>] = f(T, Y) becomes
+    the body with y[j] read as Y's component j and its result bound to k."""
     def terms(template):
         return ", ".join(template.format(i=i) for i in range(n))
 
-    lines, when = [], None
+    lines = []
     for line in _RK4_STAGES.splitlines():
         stage = _STAGE.fullmatch(line) if body else None
         if stage is None:
             lines.append(re.sub(r"<(.*?)>", lambda m: terms(m[1]), line))
             continue
-        slopes, t, state = stage[1], stage[2], stage[3] or "y{i}"
-        if t != when:
-            lines.append("    " + forces.format(t=t))
-            when = t
+        if forces:
+            lines.append("    " + forces)
+            forces = None
+        slopes, state = stage[1], stage[2] or "y{i}"
         inlined = re.sub(r"\by\[(\d+)\]", lambda m: f"({state.format(i=int(m[1]))})", body)
         lines.append(inlined.replace("return ", f"{terms(slopes)} = "))
     return FunctionType(_code("\n".join(lines)), {})
@@ -156,9 +156,9 @@ def rk4_step(stages, f, y, t: float, dt: float) -> list[float]:
 
     stages(f, y, t, dt) is generated by ``_rk4_stages``: generic, calling a rhs
     f(t, y) that maps a list of floats to dy/dt, or a model's fused step,
-    taking the run's force lookup (``_force_lookup``) as f.  The new state is
-    a list, combined per element as y + (dt/6)(((k1 + 2 k2) + 2 k3) + k4),
-    the array formula's order.  Raises ValueError unless dt > 0, if the rhs
+    taking its segment's generalized forces as f, read once, and no time.
+    The new state is a list, combined per element as y + (dt/6)(((k1 + 2 k2)
+    + 2 k3) + k4), the array formula's order.  Raises ValueError unless dt > 0, if the rhs
     returns a sequence of another length, or if the new state is not finite
     (an overflowing stage may raise first, in the rhs's ``math`` calls)."""
     if not dt > 0.0:
@@ -229,61 +229,48 @@ class Trajectory:
 REDUCED_VARIABLES = LAYOUTS["reduced"]
 
 
-def _force_lookup(profile: TorqueProfile, p: Params, to_forces=None):
-    """f(t) = profile.tau_at(t), or to_forces(*profile.tau_at(t), p), for any t
-    in any order.  It keeps the last segment's bounds [start_k, start_k+1)
-    and its forces, so it calls tau_at and to_forces once per segment entered.
-    Built per run and never stored on the shared profile."""
-    bounds = (-math.inf, *profile._starts, math.inf)
-    lo = hi = 0.0  # [0, 0) holds no t: the first call looks up
-    forces = None
-
-    def f(t):
-        nonlocal lo, hi, forces
-        if lo <= t < hi:
-            return forces
-        forces = profile.tau_at(t)
-        if to_forces is not None:
-            forces = to_forces(*forces, p)
-        k = bisect.bisect_right(profile._starts, t)
-        lo, hi = bounds[k], bounds[k + 1]
-        return forces
-
-    return f
+def _entries(profile: TorqueProfile, dt: float, steps: int):
+    """Yield (k, t, start) for each torque segment that steps RK4 steps of dt
+    enter, in order: start is the segment's own start time (-inf before the
+    first), and the segment holds from t, the start of step k (t = k dt,
+    snapped to within 4 ulps) or a time inside step k, which splits there."""
+    last = (0, 0.0, -math.inf)
+    for start in profile._starts[:bisect.bisect_right(profile._starts, steps * dt)]:
+        k = round(max(start, 0.0) / dt)
+        t = k * dt
+        if start > 0.0 and abs(start - t) > 4.0 * math.ulp(start):
+            k, t = math.floor(start / dt), start
+        if last[:2] != (k, t):  # of two starts on one grid time, the later holds
+            yield last
+        last = (k, t, start)
+    yield last
 
 
-def _oracle_forces(tau1: float, tau2: float, p: Params) -> np.ndarray:
-    """The oracle's generalized forces, read-only: torques in the wheel slots."""
-    tau = np.array([0.0, 0.0, 0.0, 0.0, tau1, tau2])
-    tau.setflags(write=False)
-    return tau
-
-
-def _oracle_ode(forces, p: Params):
-    """rhs(t, y) of the oracle; forces(t) is its generalized-force 6-vector."""
+def _oracle_ode(tau1: float, tau2: float, p: Params):
+    """rhs(t, y) of the oracle under constant wheel torques (read-only forces)."""
+    forces = np.array([0.0, 0.0, 0.0, 0.0, tau1, tau2])
+    forces.setflags(write=False)
     def rhs(t, y):
         a = np.array(y)  # q, q_dot
-        qdd = _oracle.lagrange_dalembert_rhs(a[:6], a[6:], forces(t), p, check_constraints=False)
+        qdd = _oracle.lagrange_dalembert_rhs(a[:6], a[6:], forces, p, check_constraints=False)
         return [*y[6:], *qdd.tolist()]
 
     return rhs
 
 
-# How each fused step reads its generalized forces at time {t} from the run's
-# force lookup f, and the map from torques to those forces (None: the torques).
-_FORCES = {"full": (dfull, "tau1, tau2 = f({t})", None),
-           "reduced": (dred, "u1, u2 = f({t})", u_from_tau)}
+# Each fused step's line that unpacks f, and the map from torques to that f.
+_FUSED = {"full": (dfull, "tau1, tau2 = f", lambda tau1, tau2, p: (tau1, tau2)),
+          "reduced": (dred, "u1, u2 = f", u_from_tau)}
 
 
-def _stepper(model: str, profile: TorqueProfile, p: Params, n: int):
-    """(stages, f) for rk4_step: the oracle's rhs, or the model's fused step
-    with the run's force lookup."""
+def _stepper(model: str, p: Params, n: int):
+    """(stages, forces) for rk4_step: forces(tau1, tau2, p) is the f of every
+    step under those torques, the oracle's rhs or the fused step's forces."""
     if model == "oracle":
-        return _rk4_stages(n), _oracle_ode(_force_lookup(profile, p, _oracle_forces), p)
-    module, forces, to_forces = _FORCES[model]
-    stages = FunctionType(_rk4_stages(n, module._BODY, forces).__code__,
-                          module._kernel(p).__globals__)
-    return stages, _force_lookup(profile, p, to_forces)
+        return _rk4_stages(n), _oracle_ode
+    module, line, forces = _FUSED[model]
+    return FunctionType(_rk4_stages(n, module._BODY, line).__code__,
+                        module._kernel(p).__globals__), forces
 
 
 def _initial_vector(model: str, initial, p: Params) -> list[float]:
@@ -323,9 +310,8 @@ def simulate(model: str, initial, profile: TorqueProfile,
 
     The initial state must satisfy the rolling constraints for the full and
     oracle models; T and dt must pass :func:`n_samples` (T = 0 gives a
-    single-sample trajectory).  RHS failures are re-raised as
-    SimulationError with the failing step, its timestamp and the last finite
-    state.
+    single-sample trajectory).  RHS failures are re-raised as SimulationError
+    with the failing output step, its start time and its start sample.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -333,16 +319,23 @@ def simulate(model: str, initial, profile: TorqueProfile,
     y = _initial_vector(model, initial, p)
     Y = np.empty((steps + 1, len(y)))
     Y[0] = y
-    stages, f = _stepper(model, profile, p, len(y))
-    t = 0.0
+    stages, forces = _stepper(model, p, len(y))
+    entries = _entries(profile, dt, steps)
+    ek, s, start = next(entries)
     # overflow in a diverging run is detected and raised; silence the warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
+            t, h = k * dt, dt
             try:
-                y = rk4_step(stages, f, y, t, dt)
+                while k == ek:  # a segment entered: a sub-step up to its start
+                    if s > t:
+                        y = rk4_step(stages, f, y, t, s - t)
+                        t, h = s, (k + 1) * dt - s
+                    f = forces(*profile.tau_at(start), p)
+                    ek, s, start = next(entries, (None, 0.0, 0.0))
+                y = rk4_step(stages, f, y, t, h)
             except Exception as exc:
-                raise SimulationError(exc, k, t, y) from exc
-            t = (k + 1) * dt
+                raise SimulationError(exc, k, k * dt, Y[k]) from exc
             Y[k + 1] = y
     Y.setflags(write=False)
     energy, shared, res = _diagnostics(model, Y, p)

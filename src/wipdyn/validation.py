@@ -209,7 +209,7 @@ def _random_constrained_states(rng: random.Random, n: int, p: Params) -> dict:
 def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     """Fast structural suite: curvature (closed form, tilt slots), momentum
     pairing, equivariance, zero-torque energy drift and, on one forced run,
-    the momentum rate, power balance and integrated yaw relation.
+    the momentum rate, power balance, integrated power and yaw relation.
 
     Every line evaluates its formula once over all its states or samples, as
     numpy columns: the curvature over 50 headings, the momentum pairing over
@@ -260,6 +260,13 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
                                momentum_rate_error(forced, profile, p), 2e-11))
     results.append(CheckResult("power balance (forced)",
                                power_balance_error(forced, profile, p), 1e-9))
+    # |E(T) - E(0) - W| / |W|, W the work by Simpson's rule over 500 steps of
+    # 1e-3: unlike the rate lines, it fails a run integrated under other torques
+    tau1, tau2 = np.array(profile._torques)[_segments(profile, forced.t)].T
+    power = tau1 * forced.column("phi1_dot") + tau2 * forced.column("phi2_dot")
+    work = (power[0] + 4.0 * power[1::2].sum() + 2.0 * power[2:-1:2].sum() + power[-1]) * 1e-3 / 3
+    error = abs(forced.energy[-1] - forced.energy[0] - work) / abs(work)
+    results.append(CheckResult("integrated power (forced)", float(error), 1e-3))
     results.append(CheckResult("integrated yaw relation",
                                holonomic_residual(forced, p), 1e-12))
     return results

@@ -400,7 +400,7 @@ def test_check_runs_without_numpy_random(tmp_path):
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("PASS ") for line in lines) == 8
+    assert sum(line.startswith("PASS ") for line in lines) == 9
     assert lines[-1] == "False"
 
 

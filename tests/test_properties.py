@@ -19,7 +19,7 @@ from wipdyn import (Controls, FullState, Params, TorqueProfile,
                     simulate, u_from_tau)
 from wipdyn import dynamics_full, dynamics_reduced, model
 from wipdyn.oracle import CS_STEP
-from wipdyn.sim import _force_lookup, _rk4_stages, _stepper
+from wipdyn.sim import _rk4_stages, _stepper
 from wipdyn.validation import _segments
 
 # deterministic examples, no example database on disk
@@ -269,32 +269,26 @@ def test_params_check_at_alpha_zero_covers_every_tilt(values):
 @no_shrink
 @given(case(), st.floats(0.0, 10.0), st.floats(1e-4, 0.05))
 def test_fused_steps_are_the_generic_stages_bit_for_bit(c, t, dt):
-    # each model's fused step inlines its rhs body and looks the forces up
-    # once per distinct stage time; the generic stages around its ode look
-    # them up at every stage.  A second torque segment starting inside
-    # (t, t + dt/2), at t + dt/2 or inside (t + dt/2, t + dt) shows a lookup
-    # at the wrong stage time.  Another parameter set only binds constants:
-    # its ode and fused step run the same code objects.
+    # each model's fused step inlines its rhs body and reads the forces of
+    # its step's segment once; the generic stages run around its ode with the
+    # same forces held at every stage.  Another parameter set only binds
+    # constants: its ode and fused step run the same code objects.
     p, s, ctl = c
     red = full_to_reduced(s, p)
     states = {"full": [s.x, s.y, s.theta, s.alpha, s.phi1, s.phi2,
                        s.alpha_dot, s.phi1_dot, s.phi2_dot],
               "reduced": [red.x, red.y, red.theta, red.phi, red.alpha,
                           red.alpha_dot, red.p1, red.p2]}
-    for start in (t + 0.3 * dt, t + 0.5 * dt, t + 0.8 * dt):
-        profile = TorqueProfile(((t - 1.0, ctl.tau1, ctl.tau2),
-                                 (start, ctl.tau1 + 1.0, ctl.tau2 - 1.0)))
-        forces = {"full": profile.tau_at,
-                  "reduced": lambda tt: u_from_tau(*profile.tau_at(tt), p)}
-        for model, module in (("full", dynamics_full), ("reduced", dynamics_reduced)):
-            y, ode, force = states[model], module._kernel(p), forces[model]
-            ref = rk4_step(_rk4_stages(len(y)), lambda tt, yy: ode(yy, *force(tt)), y, t, dt)
-            stages, tau_at = _stepper(model, profile, p, len(y))
-            fused = rk4_step(stages, tau_at, y, t, dt)
-            assert np.array(fused).tobytes() == np.array(ref).tobytes()
-            other = Params.default()
-            assert ode.__code__ is module._kernel(other).__code__
-            assert stages.__code__ is _stepper(model, profile, other, len(y))[0].__code__
+    for model, module in (("full", dynamics_full), ("reduced", dynamics_reduced)):
+        y, ode = states[model], module._kernel(p)
+        stages, forces = _stepper(model, p, len(y))
+        f = forces(ctl.tau1, ctl.tau2, p)
+        ref = rk4_step(_rk4_stages(len(y)), lambda tt, yy: ode(yy, *f), y, t, dt)
+        fused = rk4_step(stages, f, y, t, dt)
+        assert np.array(fused).tobytes() == np.array(ref).tobytes()
+        other = Params.default()
+        assert ode.__code__ is module._kernel(other).__code__
+        assert stages.__code__ is _stepper(model, other, len(y))[0].__code__
 
 
 @st.composite
@@ -316,23 +310,15 @@ def profile_and_times(draw):
 @property_settings
 @given(params, profile_and_times())
 def test_force_lookup_is_tau_at_at_any_time_in_any_order(p, c):
-    # the per-run lookup keeps one segment's bounds and forces; it must give
-    # tau_at's value (u_from_tau's for the reduced model) for any sequence
-    # of times, and two lookups on one profile must not share that state.
-    # The torque table's rows at the times' segments, the check lines' path,
-    # are tau_at's values, and u_from_tau on their columns the reduced
-    # lookup's, bit for bit
+    # the torque table's rows at the times' segments, the check lines' path,
+    # are tau_at's values, and u_from_tau on their columns is u_from_tau on
+    # each time's tau_at, the reduced model's forces, bit for bit
     profile, times = c
-    full, reduced = _stepper("full", profile, p, 9)[1], _stepper("reduced", profile, p, 8)[1]
-    other = _force_lookup(profile, p)
-    for t, back in zip(times, reversed(times)):
-        assert full(t) == profile.tau_at(t)
-        assert other(back) == profile.tau_at(back)
-        assert reduced(t) == u_from_tau(*profile.tau_at(t), p)
     rows = np.array(profile._torques)[_segments(profile, np.array(times))]
     assert rows.tobytes() == np.array([profile.tau_at(t) for t in times]).tobytes()
     columns = np.stack(u_from_tau(*rows.T, p), axis=1)
-    assert columns.tobytes() == np.array([reduced(t) for t in times]).tobytes()
+    assert columns.tobytes() == np.array([u_from_tau(*profile.tau_at(t), p)
+                                          for t in times]).tobytes()
 
 
 @property_settings

@@ -10,8 +10,7 @@ from wipdyn import (FullState, ReducedState, SimulationError, TorqueProfile,
                     compare_trajectories, full_to_reduced, h_const, rk4_step,
                     simulate, u_from_tau)
 from wipdyn.model import LAYOUTS
-from wipdyn.sim import (MODELS, REDUCED_VARIABLES, _oracle_forces, _oracle_ode, _rk4_stages,
-                        n_samples)
+from wipdyn.sim import MODELS, REDUCED_VARIABLES, _oracle_ode, _rk4_stages, n_samples
 
 
 def test_u_from_tau_symmetric_and_antisymmetric(p):
@@ -263,6 +262,29 @@ def test_full_vs_reduced_error_shrinks_fourth_order(p):
         assert g1 / g2 > 8.0  # consistent with O(dt^4)
 
 
+@pytest.mark.parametrize("model, T", [("full", 1.0), ("reduced", 1.0), ("oracle", 0.1)])
+def test_piecewise_torques_converge_at_fourth_order(p, rng, model, T):
+    # 100 torque segments: 50 start on grid times k/50 (some 1 ulp off the
+    # float j dt) and 50 at (k + 0.37)/50, inside steps.  Each step runs on
+    # the segment that holds its start time and splits at a start inside
+    # it, so the final state converges at RK4's order against dt = 1.25e-4:
+    # 4.9 per halving (full, reduced) and 3.9 (oracle, 0.1 s).  Reading the
+    # next segment at a step's later stages reads -0.04 to 0.01 on the first
+    # halving
+    starts = sorted([k / 50 for k in range(50)] + [(k + 0.37) / 50 for k in range(50)])
+    prof = TorqueProfile(tuple(zip(starts, *rng.uniform(-0.1, 0.1, (2, 100)).tolist())))
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+
+    def final(dt):
+        return simulate(model, initial, prof, T, dt, p).states[-1]
+
+    ref = final(1.25e-4)
+    errors = [np.max(np.abs(final(dt) - ref)) for dt in (4e-3, 2e-3, 1e-3)]
+    orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+    assert min(orders) >= 3.5, orders
+
+
 @pytest.mark.parametrize("model", ["full", "reduced"])
 def test_simulate_fetches_rhs_kernel_once(p, kernel_fetches, model):
     # the per-Params kernel is fetched once per run, not once per rhs call
@@ -299,42 +321,56 @@ def test_simulate_steps_through_the_traced_names(p, monkeypatch, model):
         count(owner, name)
     s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
     initial = full_to_reduced(s, p) if model == "reduced" else s
-    steps = 5
-    traj = simulate(model, initial, TorqueProfile.constant(0.01, -0.02), steps * 1e-3, 1e-3, p)
-    assert len(traj) == steps + 1
-    assert calls["rk4_step"] == steps
-    # every model reads its forces from one per-run lookup, which calls
-    # tau_at once per torque segment entered: once for a constant profile
-    assert calls["tau_at"] == 1
-    per_step = 4 if model == "oracle" else 0
-    assert calls["lagrange_dalembert_rhs"] == calls["lagrangian_full"] == per_step * steps
+    dt, steps = 1e-3, 5
+    # simulate calls tau_at once per torque segment entered.  A start inside
+    # step 2 splits it into two rk4_step calls; a start 1 ulp past 4 dt snaps
+    # onto that grid time and splits nothing
+    off_grid = math.nextafter(4 * dt, math.inf)
+    for profile, rk4_calls, segments in (
+            (TorqueProfile.constant(0.01, -0.02), steps, 1),
+            (TorqueProfile(((0.0, 0.01, -0.02), (2.5 * dt, 0.02, 0.01), (off_grid, -0.01, 0.0))),
+             steps + 1, 3)):
+        calls.clear()
+        traj = simulate(model, initial, profile, steps * dt, dt, p)
+        assert len(traj) == steps + 1
+        assert (calls["rk4_step"], calls["tau_at"]) == (rk4_calls, segments)
+        per_step = 4 if model == "oracle" else 0
+        assert calls["lagrange_dalembert_rhs"] == calls["lagrangian_full"] == per_step * rk4_calls
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_force_lookup_steps_are_the_generic_stages_with_tau_at_per_stage(p, model):
-    # segments start at t + 0.3 dt of step 2, exactly at the stage time
-    # t + dt/2 of step 5 and exactly at the stage time t + dt of step 9.  In
-    # floats 9 dt + dt > 10 dt, so step 9's last stage is in the third
-    # segment and step 10's first is back in the second: the lookup is asked
-    # for an earlier time after a later one.  The reference runs the generic
-    # stages around the model's rhs with a tau_at call at every stage.
+    # segments start inside step 2, at the midpoint of step 5 and at 9 dt + dt,
+    # which in floats is 1 ulp past 10 dt.  The reference runs the generic
+    # stages around the model's rhs, each (sub-)step under the torques of the
+    # segment that holds its start time: steps 2 and 5 split at their starts,
+    # and the third start snaps onto 10 dt, as on the profile that starts
+    # there, so step 10 runs whole on the third segment
     from wipdyn import dynamics_full, dynamics_reduced
     dt, steps = 1e-3, 12
-    assert 9 * dt + dt > 10 * dt
-    prof = TorqueProfile(((2 * dt + 0.3 * dt, 0.01, -0.02),
-                          (5 * dt + 0.5 * dt, -0.03, 0.02),
-                          (9 * dt + dt, 0.04, 0.05)))
-    rhs = {"full": lambda t, y: dynamics_full._kernel(p)(y, *prof.tau_at(t)),
-           "reduced": lambda t, y: dynamics_reduced._kernel(p)(y, *u_from_tau(*prof.tau_at(t), p)),
-           "oracle": _oracle_ode(lambda t: _oracle_forces(*prof.tau_at(t), p), p)}[model]
+    assert 9 * dt + dt == math.nextafter(10 * dt, math.inf)
+    splits = {2: 2 * dt + 0.3 * dt, 5: 5 * dt + 0.5 * dt}
+    torques = ((0.01, -0.02), (-0.03, 0.02), (0.04, 0.05))
+    on_grid = TorqueProfile(tuple(zip((*splits.values(), 10 * dt), *zip(*torques))))
+    prof = TorqueProfile(tuple(zip((*splits.values(), 9 * dt + dt), *zip(*torques))))
+    ode = {"full": lambda tau: lambda t, y: dynamics_full.ode_rhs(y, *tau, p),
+           "reduced": lambda tau: lambda t, y: dynamics_reduced.ode_rhs(y, *u_from_tau(*tau, p), p),
+           "oracle": lambda tau: _oracle_ode(*tau, p)}[model]
     s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
     initial = full_to_reduced(s, p) if model == "reduced" else s
     traj = simulate(model, initial, prof, steps * dt, dt, p)
     ys = [traj.states[0].tolist()]
+    stages = _rk4_stages(len(ys[0]))
     for k in range(steps):
-        ys.append(rk4_step(_rk4_stages(len(ys[0])), rhs, ys[-1], k * dt, dt))
+        y, t, h = ys[-1], k * dt, dt
+        if k in splits:
+            y = rk4_step(stages, ode(on_grid.tau_at(t)), y, t, splits[k] - t)
+            t, h = splits[k], (k + 1) * dt - splits[k]
+        ys.append(rk4_step(stages, ode(on_grid.tau_at(t)), y, t, h))
     assert len(traj) == steps + 1
     assert traj.states.tobytes() == np.array(ys).tobytes()
+    snapped = simulate(model, initial, on_grid, steps * dt, dt, p)
+    assert snapped.states.tobytes() == traj.states.tobytes()
 
 
 def test_layouts_are_the_state_records():
@@ -354,7 +390,7 @@ def test_each_rhs_returns_its_layout(p, rng):
     from wipdyn import dynamics_full, dynamics_reduced
     rhs = {"full": lambda y: dynamics_full.ode_rhs(y, 0.1, -0.2, p),
            "reduced": lambda y: dynamics_reduced.ode_rhs(y, 0.1, -0.2, p),
-           "oracle": lambda y: _oracle_ode(lambda t: _oracle_forces(0.1, -0.2, p), p)(0.0, y)}
+           "oracle": lambda y: _oracle_ode(0.1, -0.2, p)(0.0, y)}
     for model, f in rhs.items():
         layout = LAYOUTS[model]
         y = rng.uniform(-1.0, 1.0, len(layout)).tolist()

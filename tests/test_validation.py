@@ -13,7 +13,7 @@ from wipdyn import (FullState, ReducedState, TorqueProfile,
 from wipdyn import dynamics_full, model
 from wipdyn.model import LAYOUTS, rolling_residuals
 from wipdyn.oracle import CS_STEP
-from wipdyn.sim import _force_lookup, u_from_tau
+from wipdyn.sim import u_from_tau
 from wipdyn.validation import _complex_step, _segments, _shift, render_check_lines
 
 
@@ -189,13 +189,14 @@ def test_rate_checks_do_not_depend_on_dt(p):
 def test_forces_per_segment_are_the_per_sample_lookups(p, rng, to_forces):
     # 500 segments, the first after t = 0, each starting on a sample time:
     # the torque table's rows at the samples' segments (to_forces applied to
-    # the columns) give the per-sample lookup's values bit for bit, on every
-    # sample and on a sparse ascending subset of them
+    # the columns) give tau_at's values at the samples (to_forces applied to
+    # each) bit for bit, on every sample and on a sparse subset of them
     t = np.arange(10_100) * 1e-3
     profile = TorqueProfile(tuple(zip(t[5::20][:500].tolist(),
                                       *rng.uniform(-0.1, 0.1, (2, 500)).tolist())))
     for times in (t, t[3::7]):
-        per_sample = np.array(list(map(_force_lookup(profile, p, to_forces), times.tolist())))
+        per_sample = np.array([profile.tau_at(tt) if to_forces is None
+                               else to_forces(*profile.tau_at(tt), p) for tt in times.tolist()])
         columns = np.array(profile._torques)[_segments(profile, times)]
         if to_forces is not None:
             columns = np.stack(to_forces(*columns.T, p), axis=1)
@@ -281,3 +282,17 @@ def test_power_balance_line_fails_on_mismatched_torques(p, monkeypatch):
     failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
     assert list(failed) == ["momentum rate vs closed form", "power balance (forced)"]
     assert failed["power balance (forced)"] > 1e-3
+
+
+def test_integrated_power_line_fails_on_a_run_under_other_torques(p, monkeypatch):
+    # simulate's full model integrates under the profile's torques x 0.998:
+    # the rate lines evaluate the field under the profile at each sample, so
+    # they pass; the integrated power line reads 2.0e-3 against its bound
+    # 1e-3 (1.2e-6 on the run under the profile's own torques)
+    from wipdyn import sim
+    module, line, _ = sim._FUSED["full"]
+    monkeypatch.setitem(sim._FUSED, "full", (module, line, lambda tau1, tau2, p: (
+        0.998 * tau1, 0.998 * tau2)))
+    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
+    assert list(failed) == ["integrated power (forced)"]
+    assert 1.9e-3 < failed["integrated power (forced)"] < 2.1e-3
