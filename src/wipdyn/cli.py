@@ -149,11 +149,11 @@ def _build_tolerance(cfg: dict) -> float:
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
     """Fixed-header CSV, one row per sample, 17 significant digits, LF endings."""
-    cols = np.column_stack((traj.t, *map(traj.column, _CSV_SHARED),
-                            traj.energy, traj.residuals))
+    cols = (traj.t, *map(traj.column, _CSV_SHARED), traj.energy, traj.residuals)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for block in np.split(cols, range(_CSV_BLOCK, len(cols), _CSV_BLOCK)):
+        for i in range(0, len(traj), _CSV_BLOCK):  # not one (N, 13) copy: 1 MB at 10,001 rows
+            block = np.column_stack([c[i:i + _CSV_BLOCK] for c in cols])
             fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 

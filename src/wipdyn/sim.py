@@ -15,7 +15,8 @@ forces of the torque segment that holds its start time, mapped from
 ``TorqueProfile.tau_at`` once per segment entered, and splits at a start
 inside it, so piecewise runs keep RK4's order.  Only the sampled trajectory
 is an array; the oracle converts at its boundary.  The diagnostics read it by
-name, and map it once to the shared observables (``Trajectory.shared``).
+name in fixed blocks of rows, and map it once to the shared observables
+(``Trajectory.shared``).
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
 map-style; outputs are deterministic per scenario and no state is shared.
@@ -284,24 +285,39 @@ def _initial_vector(model: str, initial, p: Params) -> list[float]:
     return [getattr(initial, n) for n in LAYOUTS[model]]
 
 
+_BLOCK = 1024  # rows per diagnostics block; 2048 raised a 3,001-row full run's peak 0.17 MB
+
+
 def _diagnostics(model: str, Y: np.ndarray, p: Params):
-    """(energy, shared series, residuals) of a run's states Y, read by name.
-    The full model derives its group rates by rolling and the reduced model
-    has none, so their residuals are zero by construction: one read-only
-    (N, 3) view of a zero row, not an array."""
-    v = dict(zip(LAYOUTS[model], Y.T))
+    """(energy, shared series, residuals) of a run's states Y, read by name and
+    written into preallocated outputs _BLOCK rows at a time, so the
+    temporaries are one block's.  The full model derives its group rates by
+    rolling and the reduced model has none, so their residuals are zero by
+    construction: one read-only (N, 3) view of a zero row, not an array."""
+    energy = np.empty(len(Y))
+    shared = Y if model == "reduced" else np.empty((len(Y), len(REDUCED_VARIABLES)))
     res = np.broadcast_to(np.zeros(3), (len(Y), 3))
-    if model == "reduced":
-        return reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p), Y, res
-    w = v if model == "oracle" else v | dict(zip(("x_dot", "y_dot", "theta_dot"), rolling_rates(
-        v["theta"], v["phi1_dot"], v["phi2_dot"], p)))
-    qd = np.stack([w[n] for n in LAYOUTS["oracle"][6:]], axis=1)  # FullState.q_dot
-    del w  # frees the full model's rates before the energy, the run's memory peak
-    q = Y[:, :6]  # FullState.q opens both full layouts; a copy cost the peak 0.5 MB
     if model == "oracle":
-        res = rolling_residuals(q, qd, p)
-    energy, red = total_energy((q, qd), p), dred._to_reduced(v, p)
-    return energy, np.stack([red[n] for n in REDUCED_VARIABLES], axis=1), res
+        res = np.empty(res.shape)
+    for i in range(0, len(Y), _BLOCK):
+        # a one-row last block takes the row before along: numpy's matmul in
+        # total_energy rounds one row (a dot) otherwise than several (a gemv)
+        rows = slice(max(0, min(i, len(Y) - 2)), i + _BLOCK)
+        v = dict(zip(LAYOUTS[model], Y[rows].T))
+        if model == "reduced":
+            energy[rows] = reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p)
+            continue
+        if model == "full":
+            v.update(zip(("x_dot", "y_dot", "theta_dot"),
+                         rolling_rates(v["theta"], v["phi1_dot"], v["phi2_dot"], p)))
+        qd = np.stack([v[n] for n in LAYOUTS["oracle"][6:]], axis=1)  # FullState.q_dot
+        q = Y[rows, :6]  # FullState.q opens both full layouts
+        if model == "oracle":
+            res[rows] = rolling_residuals(q, qd, p)
+        energy[rows] = total_energy((q, qd), p)
+        red = dred._to_reduced(v, p)
+        np.stack([red[n] for n in REDUCED_VARIABLES], axis=1, out=shared[rows])
+    return energy, shared, res
 
 
 def simulate(model: str, initial, profile: TorqueProfile,
@@ -311,7 +327,9 @@ def simulate(model: str, initial, profile: TorqueProfile,
     The initial state must satisfy the rolling constraints for the full and
     oracle models; T and dt must pass :func:`n_samples` (T = 0 gives a
     single-sample trajectory).  RHS failures are re-raised as SimulationError
-    with the failing output step, its start time and its start sample.
+    with the failing output step, its start time and its start sample.  A
+    run's memory peak is the arrays it returns plus one block of diagnostics
+    temporaries, however many samples it has.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -339,7 +357,8 @@ def simulate(model: str, initial, profile: TorqueProfile,
             Y[k + 1] = y
     Y.setflags(write=False)
     energy, shared, res = _diagnostics(model, Y, p)
-    t, energy = np.arange(steps + 1) * dt, np.asarray(energy, float)
+    t = np.arange(steps + 1, dtype=float)
+    t *= dt  # in place: an int grid times dt held a second N-array
     for a in (t, shared, energy, res):
         a.setflags(write=False)
     return Trajectory(model=model, t=t, states=Y, shared=shared, energy=energy, residuals=res)

@@ -1,6 +1,7 @@
 import collections
 import inspect
 import math
+import tracemalloc
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from wipdyn import (FullState, ReducedState, SimulationError, TorqueProfile,
                     compare_trajectories, full_to_reduced, h_const, rk4_step,
                     simulate, u_from_tau)
-from wipdyn.model import LAYOUTS
+from wipdyn import dynamics_reduced as dred
+from wipdyn import sim
+from wipdyn.model import (LAYOUTS, reduced_energy, rolling_rates, rolling_residuals,
+                          total_energy)
 from wipdyn.sim import MODELS, REDUCED_VARIABLES, _oracle_ode, _rk4_stages, n_samples
 
 
@@ -436,3 +440,75 @@ def test_shared_series_is_full_to_reduced_per_sample(p, model):
         row = traj.states[k].tolist()
         state = FullState.constrained(*row, p) if model == "full" else FullState(*row)
         assert traj.shared[k].tolist() == list(astuple(full_to_reduced(state, p)))
+
+
+def _diagnostics_over_all_rows(model, Y, p):
+    """The diagnostics' formulas evaluated on every row of Y at once."""
+    v = dict(zip(LAYOUTS[model], Y.T))
+    zero = np.zeros((len(Y), 3))
+    if model == "reduced":
+        return reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p), Y, zero
+    if model == "full":
+        v.update(zip(("x_dot", "y_dot", "theta_dot"),
+                     rolling_rates(v["theta"], v["phi1_dot"], v["phi2_dot"], p)))
+    q, qd = Y[:, :6], np.stack([v[n] for n in LAYOUTS["oracle"][6:]], axis=1)
+    red = dred._to_reduced(v, p)
+    return (total_energy((q, qd), p), np.stack([red[n] for n in REDUCED_VARIABLES], axis=1),
+            rolling_residuals(q, qd, p) if model == "oracle" else zero)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_diagnostics_in_row_blocks_are_the_formulas_over_all_rows(p, monkeypatch, model):
+    # with 7-row blocks, 51 samples are seven blocks and a partial one of two
+    # rows; every block's values are the all-rows values bit for bit
+    monkeypatch.setattr(sim, "_BLOCK", 7)
+    s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    profile = TorqueProfile(((0.0, 0.02, -0.01), (0.0215, -0.03, 0.04)))
+    traj = simulate(model, initial, profile, 0.05, 1e-3, p)
+    assert len(traj) == 51
+    energy, shared, res = _diagnostics_over_all_rows(model, traj.states, p)
+    assert traj.energy.tobytes() == energy.tobytes()
+    assert traj.shared.tobytes() == shared.tobytes()
+    assert traj.residuals.tobytes() == res.tobytes()
+    for a in (traj.t, traj.states, traj.shared, traj.energy, traj.residuals):
+        assert not a.flags.writeable
+    if model != "oracle":  # one zero row, viewed N times
+        assert traj.residuals.shape == (len(traj), 3) and traj.residuals.strides[0] == 0
+    if model == "reduced":
+        assert np.shares_memory(traj.shared, traj.states)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_one_row_last_block_is_the_formulas_over_all_rows(p, rng, monkeypatch, model):
+    # numpy's matmul rounds a one-row product (a dot) otherwise than a row of
+    # several (a gemv) in about half of all rows; a run of 7k + 1 samples ends
+    # in a one-row block at every k
+    monkeypatch.setattr(sim, "_BLOCK", 7)
+    Y = rng.uniform(-3.0, 3.0, (150, len(LAYOUTS[model])))
+    for n in range(8, len(Y), 7):
+        diagnosed = sim._diagnostics(model, Y[:n], p)
+        for a, b in zip(diagnosed, _diagnostics_over_all_rows(model, Y[:n], p)):
+            assert a.tobytes() == b.tobytes(), n
+
+
+@pytest.mark.parametrize("model", ["full", "reduced"])
+def test_a_long_run_peaks_near_the_arrays_it_returns(p, model):
+    # the tracemalloc peak of a 20,001-sample run stays within 1.3x the bytes
+    # it returns: 1.58x (full) and 1.50x (reduced) when the diagnostics took
+    # every row at once, about 1.02x and 1.00x in blocks
+    s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    profile = TorqueProfile.constant(0.01, -0.02)
+    simulate(model, initial, profile, 2e-3, 1e-3, p)  # compiles and caches the stepper
+    tracemalloc.start()
+    try:
+        traj = simulate(model, initial, profile, 20.0, 1e-3, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 20001
+    # the reduced shared series is states itself; the residuals are one zero row
+    arrays = (traj.t, traj.states, traj.energy) + ((traj.shared,) if model == "full" else ())
+    returned = sum(a.nbytes for a in arrays)
+    assert peak < 1.3 * returned, peak / returned
