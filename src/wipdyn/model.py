@@ -369,15 +369,6 @@ def rolling_residuals(q, q_dot, p: Params) -> np.ndarray:
 # Lagrangian
 
 
-@functools.lru_cache(maxsize=32)
-def _velocity_weights(p: Params) -> np.ndarray:
-    """The weights of the squared rates in :func:`lagrangian_full`, read-only."""
-    m_t, m_s = 0.5 * (p.m_b + 2.0 * p.m_W), 0.5 * (p.m_b * p.b ** 2 + p.I_Byy)
-    w = np.array([m_t, m_t, 0.0, m_s, 0.5 * p.I_Wyy, 0.5 * p.I_Wyy])
-    w.setflags(write=False)
-    return w
-
-
 def lagrangian_full(q, q_dot, p: Params):
     """Lagrangian of the unconstrained six-coordinate model.
 
@@ -387,7 +378,8 @@ def lagrangian_full(q, q_dot, p: Params):
     is evaluated as is, never cast to real: the oracle takes derivatives of
     this function by complex step.  Few numpy calls, for the oracle's 46 rows:
     sin/cos of (theta, alpha) once, I_theta from them via ``_i_theta`` (as
-    :func:`i_theta`), squared rates once, constant inertias as one cached sum.
+    :func:`i_theta`), squared rates once and weighted per row by ``einsum``,
+    as BLAS would round one row (a dot) otherwise than a table (a gemv).
     """
     q = np.asarray(q)
     qd = np.asarray(q_dot)
@@ -396,7 +388,9 @@ def lagrangian_full(q, q_dot, p: Params):
     cth, cal = cos[..., 0], cos[..., 1]
     xd, yd, thd, ald = (qd[..., i] for i in range(4))
     v2 = qd * qd
-    return (v2 @ _velocity_weights(p) + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
+    m_t, m_s = 0.5 * (p.m_b + 2.0 * p.m_W), 0.5 * (p.m_b * p.b ** 2 + p.I_Byy)
+    w = np.array([m_t, m_t, 0.0, m_s, 0.5 * p.I_Wyy, 0.5 * p.I_Wyy])
+    return (np.einsum("...i,i->...", v2, w) + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
             + p.m_b * p.b * (sal * thd * (cth * yd - sth * xd)
                              + cal * (ald * (cth * xd + sth * yd) - p.g)))
 

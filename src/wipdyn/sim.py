@@ -300,9 +300,7 @@ def _diagnostics(model: str, Y: np.ndarray, p: Params):
     if model == "oracle":
         res = np.empty(res.shape)
     for i in range(0, len(Y), _BLOCK):
-        # a one-row last block takes the row before along: numpy's matmul in
-        # total_energy rounds one row (a dot) otherwise than several (a gemv)
-        rows = slice(max(0, min(i, len(Y) - 2)), i + _BLOCK)
+        rows = slice(i, i + _BLOCK)
         v = dict(zip(LAYOUTS[model], Y[rows].T))
         if model == "reduced":
             energy[rows] = reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p)

@@ -79,22 +79,25 @@ def energy_drift(traj: Trajectory) -> tuple[float, float]:
     return drift, drift / abs(float(traj.energy[0]))
 
 
-def _segments(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
-    """The index of the torque segment that holds each time t, as ``tau_at``
-    bisects it: the number of start times at or before t, and so the row of
-    the profile's torque table ``_torques`` at t."""
-    return np.searchsorted(profile._starts, t, side="right")
+def _torque_rows(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
+    """The row (tau1, tau2) of the torque table ``_torques`` at each time t, as ``tau_at``'s."""
+    return np.array(profile._torques)[np.searchsorted(profile._starts, t, side="right")]
+
+
+def _power(traj: Trajectory, tau1, tau2) -> np.ndarray:
+    """The wheel torques' power tau1 phi1_dot + tau2 phi2_dot at every sample."""
+    return tau1 * traj.column("phi1_dot") + tau2 * traj.column("phi2_dot")
 
 
 def _complex_step(traj: Trajectory, profile: TorqueProfile, p: Params) -> tuple:
     """(v, tau): the samples' full-layout values moved by 1j ``CS_STEP`` times
     the full model's rates at them, with the group rates by rolling, as
     complex columns named by the FullState fields; and the (tau1, tau2)
-    columns of the samples' rows of the torque table (:func:`_segments`).
+    columns of the samples' rows of the torque table (:func:`_torque_rows`).
     The imaginary part of any function of v over ``CS_STEP`` is its time
     derivative along the vector field, exact up to rounding at every sample.
     Raises ValueError for a run that does not integrate the wheel angles."""
-    tau = np.array(profile._torques)[_segments(profile, traj.t)].T
+    tau = _torque_rows(profile, traj.t).T
     y = [traj.column(n) for n in LAYOUTS["full"]]
     rates = _on_columns(dfull._kernel(p))(y, *tau)
     v = {n: a + 1j * CS_STEP * b for n, a, b in zip(LAYOUTS["full"], y, rates)}
@@ -125,10 +128,10 @@ def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
     the full vector field (:func:`_complex_step`).  Raises ValueError for a
     run that does not integrate the wheel angles.
     """
-    v, (tau1, tau2) = _complex_step(traj, profile, p)
+    v, tau = _complex_step(traj, profile, p)
     q, q_dot = (np.stack([v[n] for n in names], axis=1)
                 for names in (LAYOUTS["oracle"][:6], LAYOUTS["oracle"][6:]))
-    power = tau1 * traj.column("phi1_dot") + tau2 * traj.column("phi2_dot")
+    power = _power(traj, *tau)
     residual = np.imag(total_energy((q, q_dot), p)) / CS_STEP - power
     return float(np.max(np.abs(residual)) / max(1.0, np.max(np.abs(power))))
 
@@ -262,8 +265,7 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
                                power_balance_error(forced, profile, p), 1e-9))
     # |E(T) - E(0) - W| / |W|, W the work by Simpson's rule over 500 steps of
     # 1e-3: unlike the rate lines, it fails a run integrated under other torques
-    tau1, tau2 = np.array(profile._torques)[_segments(profile, forced.t)].T
-    power = tau1 * forced.column("phi1_dot") + tau2 * forced.column("phi2_dot")
+    power = _power(forced, *_torque_rows(profile, forced.t).T)
     work = (power[0] + 4.0 * power[1::2].sum() + 2.0 * power[2:-1:2].sum() + power[-1]) * 1e-3 / 3
     error = abs(forced.energy[-1] - forced.energy[0] - work) / abs(work)
     results.append(CheckResult("integrated power (forced)", float(error), 1e-3))

@@ -136,6 +136,24 @@ def test_lagrangian_full_frozen_complex_value(p):
         assert value.imag == pytest.approx(COMPLEX_FROZEN.imag, rel=1e-14)
 
 
+def test_a_state_has_one_lagrangian_value_in_any_table(p, rng):
+    # L and E of 2000 real states, alone and as rows of tables of 1, 2, 7, 46
+    # (the oracle's) and 2000 rows, bit for bit; and of their complex-step
+    # rows (q + i h q_dot, q_dot) in complex tables.  A matmul of the squared
+    # rates would fail: BLAS rounds one row (a dot) otherwise than a table (a
+    # gemv), in about a third of these rows
+    q, qd = rng.uniform(-3.0, 3.0, (2, 2000, 6))
+    functions = (lambda q, qd: lagrangian_full(q, qd, p), lambda q, qd: total_energy((q, qd), p))
+    for f in functions:
+        for a, b in ((q, qd), (q + 1j * CS_STEP * qd, qd.astype(complex))):
+            table = f(a, b)
+            for n in (1, 2, 7, 46):
+                rows = np.concatenate([f(a[i:i + n], b[i:i + n]) for i in range(0, len(a), n)])
+                assert rows.tobytes() == table.tobytes(), (a.dtype, n)
+        alone = np.array([f(x, y) for x, y in zip(q, qd)])
+        assert alone.tobytes() == f(q, qd).tobytes()
+
+
 def test_frozen_values_are_the_rigid_body_assembly_in_mpmath(p):
     # re-derives every frozen number above, so none of them comes from wipdyn
     mpmath = pytest.importorskip("mpmath")

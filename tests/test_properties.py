@@ -20,7 +20,7 @@ from wipdyn import (Controls, FullState, Params, TorqueProfile,
 from wipdyn import dynamics_full, dynamics_reduced, model
 from wipdyn.oracle import CS_STEP
 from wipdyn.sim import _rk4_stages, _stepper
-from wipdyn.validation import _segments
+from wipdyn.validation import _torque_rows
 
 # deterministic examples, no example database on disk
 property_settings = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -314,7 +314,7 @@ def test_force_lookup_is_tau_at_at_any_time_in_any_order(p, c):
     # are tau_at's values, and u_from_tau on their columns is u_from_tau on
     # each time's tau_at, the reduced model's forces, bit for bit
     profile, times = c
-    rows = np.array(profile._torques)[_segments(profile, np.array(times))]
+    rows = _torque_rows(profile, np.array(times))
     assert rows.tobytes() == np.array([profile.tau_at(t) for t in times]).tobytes()
     columns = np.stack(u_from_tau(*rows.T, p), axis=1)
     assert columns.tobytes() == np.array([u_from_tau(*profile.tau_at(t), p)

@@ -158,6 +158,18 @@ def test_simulate_zero_duration_single_sample(p):
     assert traj.t[0] == 0.0
 
 
+@pytest.mark.parametrize("model", ["full", "oracle"])
+def test_a_zero_duration_run_has_a_longer_runs_first_energy(p, random_constrained, model):
+    # one sample's energy is its value as a row of a longer run's, bit for
+    # bit, over 200 states: a matmul in the energy would round one row (a
+    # BLAS dot) otherwise than two (a gemv)
+    for _ in range(200):
+        s = random_constrained()
+        alone = simulate(model, s, TorqueProfile.zero(), 0.0, 1e-3, p).energy
+        longer = simulate(model, s, TorqueProfile.zero(), 2e-3, 1e-3, p).energy
+        assert alone[0] == longer[0], s
+
+
 def test_simulate_equilibrium_is_exactly_stationary(p):
     s = FullState.constrained(0, 0, 0, 0.0, 0, 0, 0, 0, 0, p)
     traj = simulate("full", s, TorqueProfile.zero(), 1.0, 1e-2, p)
@@ -460,36 +472,25 @@ def _diagnostics_over_all_rows(model, Y, p):
 @pytest.mark.parametrize("model", MODELS)
 def test_diagnostics_in_row_blocks_are_the_formulas_over_all_rows(p, monkeypatch, model):
     # with 7-row blocks, 51 samples are seven blocks and a partial one of two
-    # rows; every block's values are the all-rows values bit for bit
+    # rows, 50 samples seven and a partial one of one row; every block's
+    # values are the all-rows values bit for bit
     monkeypatch.setattr(sim, "_BLOCK", 7)
     s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
     initial = full_to_reduced(s, p) if model == "reduced" else s
     profile = TorqueProfile(((0.0, 0.02, -0.01), (0.0215, -0.03, 0.04)))
-    traj = simulate(model, initial, profile, 0.05, 1e-3, p)
-    assert len(traj) == 51
-    energy, shared, res = _diagnostics_over_all_rows(model, traj.states, p)
-    assert traj.energy.tobytes() == energy.tobytes()
-    assert traj.shared.tobytes() == shared.tobytes()
-    assert traj.residuals.tobytes() == res.tobytes()
-    for a in (traj.t, traj.states, traj.shared, traj.energy, traj.residuals):
-        assert not a.flags.writeable
-    if model != "oracle":  # one zero row, viewed N times
-        assert traj.residuals.shape == (len(traj), 3) and traj.residuals.strides[0] == 0
-    if model == "reduced":
-        assert np.shares_memory(traj.shared, traj.states)
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_a_one_row_last_block_is_the_formulas_over_all_rows(p, rng, monkeypatch, model):
-    # numpy's matmul rounds a one-row product (a dot) otherwise than a row of
-    # several (a gemv) in about half of all rows; a run of 7k + 1 samples ends
-    # in a one-row block at every k
-    monkeypatch.setattr(sim, "_BLOCK", 7)
-    Y = rng.uniform(-3.0, 3.0, (150, len(LAYOUTS[model])))
-    for n in range(8, len(Y), 7):
-        diagnosed = sim._diagnostics(model, Y[:n], p)
-        for a, b in zip(diagnosed, _diagnostics_over_all_rows(model, Y[:n], p)):
-            assert a.tobytes() == b.tobytes(), n
+    for T, samples in ((0.05, 51), (0.049, 50)):
+        traj = simulate(model, initial, profile, T, 1e-3, p)
+        assert len(traj) == samples
+        energy, shared, res = _diagnostics_over_all_rows(model, traj.states, p)
+        assert traj.energy.tobytes() == energy.tobytes()
+        assert traj.shared.tobytes() == shared.tobytes()
+        assert traj.residuals.tobytes() == res.tobytes()
+        for a in (traj.t, traj.states, traj.shared, traj.energy, traj.residuals):
+            assert not a.flags.writeable
+        if model != "oracle":  # one zero row, viewed N times
+            assert traj.residuals.shape == (len(traj), 3) and traj.residuals.strides[0] == 0
+        if model == "reduced":
+            assert np.shares_memory(traj.shared, traj.states)
 
 
 @pytest.mark.parametrize("model", ["full", "reduced"])

@@ -14,7 +14,7 @@ from wipdyn import dynamics_full, model
 from wipdyn.model import LAYOUTS, rolling_residuals
 from wipdyn.oracle import CS_STEP
 from wipdyn.sim import u_from_tau
-from wipdyn.validation import _complex_step, _segments, _shift, render_check_lines
+from wipdyn.validation import _complex_step, _shift, _torque_rows, render_check_lines
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
@@ -197,7 +197,7 @@ def test_forces_per_segment_are_the_per_sample_lookups(p, rng, to_forces):
     for times in (t, t[3::7]):
         per_sample = np.array([profile.tau_at(tt) if to_forces is None
                                else to_forces(*profile.tau_at(tt), p) for tt in times.tolist()])
-        columns = np.array(profile._torques)[_segments(profile, times)]
+        columns = _torque_rows(profile, times)
         if to_forces is not None:
             columns = np.stack(to_forces(*columns.T, p), axis=1)
         assert columns.shape == (len(times), 2)
