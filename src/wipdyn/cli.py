@@ -13,8 +13,10 @@ Config layout (all blocks are strict: unknown keys are rejected)::
     }
 
 The initial block is auto-converted to whatever representation the chosen
-model needs.  Exit codes: 0 success, 2 config error, 3 simulation failure,
-4 tolerance exceeded / structural check failure, 5 output cannot be written.
+model needs; ``check`` validates every block (exit 2 before any line) but
+runs its fixed suite on the params block alone.  Exit codes: 0 success, 2
+config error, 3 simulation failure, 4 tolerance exceeded / structural check
+failure, 5 output cannot be written.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # y[j] reads state component j; other free names are the torques or
-# _kernel(p)'s constants.  No local may reuse a name of sim's fused step (y<i>,
-# k<s>_<i>, half, t_half, w).  I_theta inline: model.i_theta cost 8 % a step.
+# _kernel(p)'s constants.  No local may reuse a name of sim's fused step (f, y,
+# t, dt, y<i>, k<s>_<i>, half, w).  I_theta inline: model.i_theta cost 8 % a step.
 _BODY = """
     th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]
     sa, ca = sin(al), cos(al)

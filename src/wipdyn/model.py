@@ -344,6 +344,13 @@ def rolling_rates(theta, phi1_dot, phi2_dot, p: Params):
     return v * c, v * s, p.r / p.d * (phi2_dot - phi1_dot)
 
 
+def _lift(v, p: Params) -> np.ndarray:
+    """q_dot, last axis 6, of a constrained state's named full-layout values (floats or
+    columns, real or complex): the horizontal lift of (alpha_dot, phi1_dot, phi2_dot)."""
+    return np.stack([*rolling_rates(v["theta"], v["phi1_dot"], v["phi2_dot"], p),
+                     v["alpha_dot"], v["phi1_dot"], v["phi2_dot"]], axis=-1)
+
+
 def _generators(p: Params) -> tuple:
     """Shape rates (alpha_dot, phi1_dot, phi2_dot) of the symmetry generators
     X_1 (rolling) and X_2 (yaw), whose group rates :func:`rolling_rates` gives.

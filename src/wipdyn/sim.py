@@ -38,7 +38,7 @@ from . import dynamics_reduced as dred
 from . import model as _model
 from . import oracle as _oracle
 from .model import (LAYOUTS, FullState, Params, ReducedState, _code, _finite,
-                    reduced_energy, rolling_rates, rolling_residuals, total_energy)
+                    reduced_energy, rolling_residuals, total_energy)
 
 __all__ = [
     "SimulationError",
@@ -185,10 +185,14 @@ def n_samples(T: float, dt: float) -> int:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"T must be non-negative and finite, got {T!r}")
-    steps = T / dt + 1e-9
+    steps = T / dt
     if not steps <= 2.0 ** 53:
         raise ValueError(f"T/dt = {T!r}/{dt!r} exceeds 2**53 steps")
-    return int(math.floor(steps)) + 1
+    # T/dt may round a few ulps below the whole count T holds: take that count if it
+    # is within max(1e-9, 4 ulps), as _entries snaps a start, and under half a step
+    whole = math.ceil(steps)
+    gap = whole - steps
+    return whole + 1 if gap <= max(1e-9, 4.0 * math.ulp(steps)) and gap < 0.5 else whole
 
 
 @dataclass(frozen=True)
@@ -305,11 +309,8 @@ def _diagnostics(model: str, Y: np.ndarray, p: Params):
         if model == "reduced":
             energy[rows] = reduced_energy((v["alpha"], v["alpha_dot"], v["p1"], v["p2"]), p)
             continue
-        if model == "full":
-            v.update(zip(("x_dot", "y_dot", "theta_dot"),
-                         rolling_rates(v["theta"], v["phi1_dot"], v["phi2_dot"], p)))
-        qd = np.stack([v[n] for n in LAYOUTS["oracle"][6:]], axis=1)  # FullState.q_dot
         q = Y[rows, :6]  # FullState.q opens both full layouts
+        qd = _model._lift(v, p) if model == "full" else Y[rows, 6:]
         if model == "oracle":
             res[rows] = rolling_residuals(q, qd, p)
         energy[rows] = total_energy((q, qd), p)

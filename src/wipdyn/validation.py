@@ -18,8 +18,8 @@ from .connection import curvature_at, curvature_fd, ehresmann_at
 from . import dynamics_full as dfull
 from . import dynamics_reduced as dred
 from . import model as _model
-from .model import (LAYOUTS, FullState, Params, _on_columns, lagrangian_full, rolling_rates,
-                    total_energy)
+from .model import (LAYOUTS, FullState, Params, _lift, _on_columns, lagrangian_full,
+                    rolling_rates, total_energy)
 from .oracle import CS_STEP
 from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate, u_from_tau
 
@@ -91,19 +91,15 @@ def _power(traj: Trajectory, tau1, tau2) -> np.ndarray:
 
 def _complex_step(traj: Trajectory, profile: TorqueProfile, p: Params) -> tuple:
     """(v, tau): the samples' full-layout values moved by 1j ``CS_STEP`` times
-    the full model's rates at them, with the group rates by rolling, as
-    complex columns named by the FullState fields; and the (tau1, tau2)
-    columns of the samples' rows of the torque table (:func:`_torque_rows`).
+    the full model's rates at them, as named complex columns, and the (tau1,
+    tau2) columns of the samples' rows of the torque table (:func:`_torque_rows`).
     The imaginary part of any function of v over ``CS_STEP`` is its time
     derivative along the vector field, exact up to rounding at every sample.
     Raises ValueError for a run that does not integrate the wheel angles."""
     tau = _torque_rows(profile, traj.t).T
     y = [traj.column(n) for n in LAYOUTS["full"]]
     rates = _on_columns(dfull._kernel(p))(y, *tau)
-    v = {n: a + 1j * CS_STEP * b for n, a, b in zip(LAYOUTS["full"], y, rates)}
-    v["x_dot"], v["y_dot"], v["theta_dot"] = rolling_rates(
-        v["theta"], v["phi1_dot"], v["phi2_dot"], p)
-    return v, tau
+    return {n: a + 1j * CS_STEP * b for n, a, b in zip(LAYOUTS["full"], y, rates)}, tau
 
 
 def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
@@ -125,14 +121,13 @@ def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
     """Max |dE/dt - (tau1 phi1_dot + tau2 phi2_dot)| / max(1, |power|) over
     every sample, with dE/dt of ``total_energy`` by one complex step along
-    the full vector field (:func:`_complex_step`).  Raises ValueError for a
-    run that does not integrate the wheel angles.
+    the full vector field (:func:`_complex_step`) and q_dot by ``model._lift``.
+    Raises ValueError for a run that does not integrate the wheel angles.
     """
     v, tau = _complex_step(traj, profile, p)
-    q, q_dot = (np.stack([v[n] for n in names], axis=1)
-                for names in (LAYOUTS["oracle"][:6], LAYOUTS["oracle"][6:]))
+    q = np.stack([v[n] for n in LAYOUTS["oracle"][:6]], axis=1)
     power = _power(traj, *tau)
-    residual = np.imag(total_energy((q, q_dot), p)) / CS_STEP - power
+    residual = np.imag(total_energy((q, _lift(v, p)), p)) / CS_STEP - power
     return float(np.max(np.abs(residual)) / max(1.0, np.max(np.abs(power))))
 
 
@@ -198,17 +193,6 @@ class CheckResult:
 _STATE_SPREAD = (1.0, 1.0, math.pi, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0)
 
 
-def _random_constrained_states(rng: random.Random, n: int, p: Params) -> dict:
-    """n constrained states as (n,) columns named by the FullState fields: one
-    draw of the full-layout values, state after state, and the group rates
-    by rolling."""
-    draws = [[rng.uniform(-s, s) for s in _STATE_SPREAD] for _ in range(n)]
-    v = dict(zip(LAYOUTS["full"], np.array(draws).T))
-    v["x_dot"], v["y_dot"], v["theta_dot"] = rolling_rates(
-        v["theta"], v["phi1_dot"], v["phi2_dot"], p)
-    return v
-
-
 def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     """Fast structural suite: curvature (closed form, tilt slots), momentum
     pairing, equivariance, zero-torque energy drift and, on one forced run,
@@ -237,11 +221,10 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     worst = float(max(np.max(np.abs(B[:, 0, :])), np.max(np.abs(B[:, :, 0]))))
     results.append(CheckResult("curvature tilt slots exactly zero", worst, 0.0))
 
-    states = _random_constrained_states(rng, 50, p)
-    q, q_dot = (np.stack([states[n] for n in names], axis=1)
-                for names in (LAYOUTS["oracle"][:6], LAYOUTS["oracle"][6:]))
+    draws = np.array([[rng.uniform(-s, s) for s in _STATE_SPREAD] for _ in range(50)])
+    states = dict(zip(LAYOUTS["full"], draws.T))
     red = dred._to_reduced(states, p)
-    p1, p2 = momentum_pairing(q, q_dot, p)
+    p1, p2 = momentum_pairing(draws[:, :6], _lift(states, p), p)
     worst = max(np.max(np.abs(p1 - red["p1"])), np.max(np.abs(p2 - red["p2"])))
     results.append(CheckResult("momentum pairing vs closed form", float(worst), 1e-12))
 

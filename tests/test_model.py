@@ -8,7 +8,7 @@ import pytest
 from wipdyn import (Controls, FullState, Params, ReducedState, TorqueProfile, f_of_alpha,
                     h_const, i_theta, lagrangian_full,
                     reduced_energy, shape_mass, total_energy)
-from wipdyn.model import _inertias, rolling_rates, rolling_residuals
+from wipdyn.model import LAYOUTS, _inertias, _lift, rolling_rates, rolling_residuals
 from wipdyn.oracle import CS_STEP, lagrangian_derivatives
 
 from conftest import contact_velocities, rigid_body_lagrangian
@@ -348,6 +348,22 @@ def test_constrained_constructor_satisfies_rolling(p, random_constrained):
     for _ in range(5):
         s = random_constrained()
         assert np.max(rolling_residuals(s.q, s.q_dot, p)) == 0.0
+
+
+def test_lift_is_the_constrained_velocity(p, rng):
+    # one state's floats lift to FullState.constrained's q_dot bit for bit;
+    # real columns lift to rates that roll exactly, complex ones stay complex
+    for row in rng.uniform(-3.0, 3.0, (20, 9)).tolist():
+        lifted = _lift(dict(zip(LAYOUTS["full"], row)), p)
+        assert lifted.tobytes() == FullState.constrained(*row, p).q_dot.tobytes()
+    draws = rng.uniform(-3.0, 3.0, (50, 9))
+    v = dict(zip(LAYOUTS["full"], draws.T))
+    q_dot = _lift(v, p)
+    assert (q_dot.shape, q_dot.dtype) == ((50, 6), np.float64)
+    assert np.max(rolling_residuals(draws[:, :6], q_dot, p)) == 0.0
+    stepped = _lift({n: c + 1j * CS_STEP for n, c in v.items()}, p)
+    assert (stepped.shape, stepped.dtype) == ((50, 6), np.complex128)
+    assert np.allclose(stepped.real, q_dot, rtol=1e-15, atol=1e-15)
 
 
 def test_rolling_rates_leave_both_contact_points_at_rest(p, rng):

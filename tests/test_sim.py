@@ -1,8 +1,10 @@
 import collections
 import inspect
 import math
+import random
 import tracemalloc
 from dataclasses import astuple, fields
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -149,6 +151,18 @@ def test_n_samples_grid():
     assert n_samples(0.3, 0.1) == 4
     assert n_samples(5.0, 1e-3) == 5001
     assert n_samples(2.0 ** 53, 1.0) == 2 ** 53 + 1
+    # 2160.9536/1e-4 rounds to 21609535.999999996: past 2**23 steps an ulp of
+    # T/dt exceeds the 1e-9 slack that alone dropped the last sample here
+    assert n_samples(2160.9536, 1e-4) == 21_609_537
+    assert n_samples(2.0 ** 50 + 0.5, 1.0) == 2 ** 50 + 1  # 4 ulps reach half a step
+    # decimal grids T = k dt and T = (k + 1/2) dt, k up to 1e9: the slack alone
+    # dropped the last sample of 252 of these 2000 whole grids
+    rng = random.Random(30)
+    for _ in range(2000):
+        k = rng.randint(1, 10 ** 9)
+        dt = Decimal(rng.randint(1, 999)).scaleb(-rng.randint(1, 8))
+        assert n_samples(float(k * dt), float(dt)) == k + 1
+        assert n_samples(float((k + Decimal("0.5")) * dt), float(dt)) == k + 1
 
 
 def test_simulate_zero_duration_single_sample(p):
