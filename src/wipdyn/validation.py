@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import model as _model
 from .model import (LAYOUTS, FullState, Params, _lift, _on_columns, lagrangian_full,
                     rolling_rates, total_energy)
 from .oracle import CS_STEP
-from .sim import REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate, u_from_tau
+from .sim import _FUSED, REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate, u_from_tau
 
 __all__ = [
     "momentum_pairing",
@@ -103,19 +103,17 @@ def _complex_step(traj: Trajectory, profile: TorqueProfile, p: Params) -> tuple:
 
 
 def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
-    """Max |d/dt p_i - closed-form momentum equation| over every sample.
-
-    d/dt p_i is ``dynamics_full.momenta`` differentiated along the full
-    vector field by one complex step (:func:`_complex_step`).  The closed form
-    is the reduced model's rhs body, evaluated once on the samples' shared
-    columns (``model._on_columns``), with the forces ``u_from_tau`` of the
-    same rows of the torque table.  Raises ValueError for a run that does not
-    integrate the wheel angles.
-    """
+    """Max |d/dt s - reduced rate| / max(1, |reduced rate|) over the eight shared
+    values s at every sample: ``dynamics_reduced._to_reduced`` of the samples
+    moved along the full vector field (:func:`_complex_step`), against the
+    reduced rhs body on the shared columns (``model._on_columns``) under
+    ``u_from_tau`` of the same torque rows.  Raises ValueError for a run that
+    does not integrate the wheel angles."""
     v, tau = _complex_step(traj, profile, p)
-    rates = np.imag(dfull.momenta(v["alpha"], v["alpha_dot"], v["phi1_dot"], v["phi2_dot"], p))
-    closed = _on_columns(dred._kernel(p))(traj.shared.T, *u_from_tau(*tau, p))[6:]  # (p1, p2)
-    return float(np.max(np.abs(rates / CS_STEP - closed)))
+    red = dred._to_reduced(v, p)
+    pushed = np.stack([np.imag(red[n]) for n in REDUCED_VARIABLES]) / CS_STEP
+    rates = np.array(_on_columns(dred._kernel(p))(traj.shared.T, *u_from_tau(*tau, p)))
+    return float(np.max(np.abs(pushed - rates) / np.maximum(1.0, np.abs(rates))))
 
 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
@@ -142,34 +140,35 @@ def holonomic_residual(traj: Trajectory, p: Params) -> float:
 
 
 def _shift(v: dict, gx, gy, gth, gphi) -> dict:
-    """Left action of (gx, gy, gth, gphi) in SE(2) x S1 on named values,
-    floats or columns: the planar position rotates by gth and translates by
-    (gx, gy), a planar velocity rotates, the heading shifts by gth and every
-    wheel angle (phi, phi1, phi2) by gphi.  Other values stay."""
+    """Left action of (gx, gy, gth, gphi) in SE(2) x S1 on a state's named
+    values in a model's layout, floats or columns: the planar position
+    rotates by gth and translates by (gx, gy), the heading shifts by gth and
+    every wheel angle (phi, phi1, phi2) by gphi.  Other values stay."""
     c, si = math.cos(gth), math.sin(gth)
     out = dict(v)
     out["x"], out["y"] = c * v["x"] - si * v["y"] + gx, si * v["x"] + c * v["y"] + gy
-    if "x_dot" in v:
-        xd, yd = v["x_dot"], v["y_dot"]
-        out["x_dot"], out["y_dot"] = c * xd - si * yd, si * xd + c * yd
     out["theta"] = v["theta"] + gth
     for name in v.keys() & {"phi", "phi1", "phi2"}:
         out[name] = v[name] + gphi
     return out
 
 
-def equivariance_error(model: str, initial, profile: TorqueProfile,
-                       T: float, dt: float, p: Params,
-                       shifts) -> float:
-    """Max pointwise error between shift-then-simulate and simulate-then-shift."""
-    traj = simulate(model, initial, profile, T, dt, p)
-    base = {name: traj.column(name) for name in REDUCED_VARIABLES}
+def equivariance_error(model: str, v: dict, tau, p: Params, shifts) -> float:
+    """Max |rates at g v - g_*(rates at v)| over the states v, named columns in
+    the model's layout, and the shifts g (:func:`_shift`): its rhs body on
+    columns (``model._on_columns``) under torques tau, with g_* rotating
+    (x_dot, y_dot) by g's angle.  RK4 commutes with the affine group action, so
+    a run is equivariant to rounding wherever its rhs is.  Raises KeyError for the oracle."""
+    module, _, forces = _FUSED[model]
+    rhs, u = _on_columns(module._kernel(p)), forces(*tau, p)
+    xd, yd, *rest = rhs([v[n] for n in LAYOUTS[model]], *u)
     worst = 0.0
     for g in shifts:
-        shifted0 = type(initial)(**_shift(asdict(initial), *g))
-        moved = simulate(model, shifted0, profile, T, dt, p).shared
-        expected = np.stack(list(_shift(base, *g).values()), axis=1)
-        worst = max(worst, float(np.max(np.abs(moved - expected))))
+        moved = _shift(v, *g)
+        c, si = math.cos(g[2]), math.sin(g[2])
+        error = np.subtract(rhs([moved[n] for n in LAYOUTS[model]], *u),
+                            (c * xd - si * yd, si * xd + c * yd, *rest))
+        worst = max(worst, float(np.max(np.abs(error))))
     return worst
 
 
@@ -196,13 +195,14 @@ _STATE_SPREAD = (1.0, 1.0, math.pi, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0)
 def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     """Fast structural suite: curvature (closed form, tilt slots), momentum
     pairing, equivariance, zero-torque energy drift and, on one forced run,
-    the momentum rate, power balance, integrated power and yaw relation.
+    the full vector field vs the reduced model, power balance, integrated
+    power and yaw relation.
 
     Every line evaluates its formula once over all its states or samples, as
-    numpy columns: the curvature over 50 headings, the momentum pairing over
-    50 random constrained states and the rate checks over all 501 samples of
-    the forced run (0.5 s at dt = 1e-3), whose rates are exact to rounding at
-    any dt; only the 14 simulate runs step one sample at a time.
+    numpy columns: the curvature over 50 headings, the pairing and the
+    equivariance over 50 random constrained states, and the rate lines over
+    the forced run's 501 samples.  Only its two simulate runs, the drift run
+    and the forced run (0.5 s at dt = 1e-3), step in time.
 
     The random inputs are uniform draws of ``random.Random(seed)``, in this
     order: 50 headings in [-pi, pi], one heading for the tilt slots, 50
@@ -228,21 +228,20 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     worst = max(np.max(np.abs(p1 - red["p1"])), np.max(np.abs(p2 - red["p2"])))
     results.append(CheckResult("momentum pairing vs closed form", float(worst), 1e-12))
 
-    initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
-    profile = TorqueProfile(((0.0, 0.05, -0.02),))
+    tau = (0.05, -0.02)
     shifts = [tuple(rng.uniform(-2.0, 2.0) for _ in range(4)) for _ in range(5)]
-    err_full = equivariance_error("full", initial, profile, 1.0, 1e-3, p, shifts)
-    err_red = equivariance_error("reduced", dred.full_to_reduced(initial, p), profile,
-                                 1.0, 1e-3, p, shifts)
-    results.append(CheckResult("SE(2) x S1 equivariance (full and reduced)",
-                               max(err_full, err_red), 1e-9))
+    err = max(equivariance_error(name, v, tau, p, shifts)
+              for name, v in (("full", states), ("reduced", red)))
+    results.append(CheckResult("SE(2) x S1 equivariance (full and reduced)", err, 1e-13))
 
     rest = FullState.constrained(0.0, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, p)
     drift = energy_drift(simulate("full", rest, TorqueProfile.zero(), 1.0, 1e-4, p))[1]
     results.append(CheckResult("energy drift (zero torque)", drift, 1e-8))
 
+    initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
+    profile = TorqueProfile.constant(*tau)
     forced = simulate("full", initial, profile, 0.5, 1e-3, p)
-    results.append(CheckResult("momentum rate vs closed form",
+    results.append(CheckResult("full vector field vs reduced model (8 shared rates)",
                                momentum_rate_error(forced, profile, p), 2e-11))
     results.append(CheckResult("power balance (forced)",
                                power_balance_error(forced, profile, p), 1e-9))

@@ -366,7 +366,7 @@ def test_error_paths_exit_code_and_message(tmp_path, capsys, case):
 
 
 def test_check_exits_3_when_a_run_diverges(tmp_path, capsys):
-    # a valid set whose equivariance run diverges (at step 6): exit 3, as
+    # a valid set whose forced run diverges (at step 6): exit 3, as
     # simulate and compare, not a traceback
     params = {**Params.default().to_dict(), "g": 1e6}
     cfg = write_config(tmp_path / "c.json", params=params)

@@ -1,5 +1,5 @@
+import collections
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from wipdyn import (FullState, ReducedState, TorqueProfile,
                     holonomic_residual, momentum_pairing,
                     momentum_rate_error, power_balance_error,
                     reduced_to_full, run_structural_checks, simulate)
-from wipdyn import dynamics_full, model
+from wipdyn import dynamics_full, dynamics_reduced, model
 from wipdyn.model import LAYOUTS, rolling_residuals
 from wipdyn.oracle import CS_STEP
 from wipdyn.sim import u_from_tau
@@ -215,7 +215,6 @@ def test_holonomic_residual_rejects_reduced(p):
 
 
 def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
-    from wipdyn import dynamics_reduced
     s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
     profile = TorqueProfile.constant(0.01, -0.02)
     traj = simulate("full", s, profile, 0.2, 1e-3, p)
@@ -224,39 +223,108 @@ def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
     assert calls == [p]
 
 
-def test_momentum_rate_line_fails_without_yaw_forcing(p, monkeypatch):
-    # a _kernel factory whose body drops u2 from the yaw momentum equation:
-    # simulate inlines _BODY itself, so only the momentum-rate line reads the
-    # patched kernel, and it must fail (value 0.14, the forced run's |u2|)
+def _patch_body(monkeypatch, module, *edits):
+    """Patch module._kernel to a factory of _BODY with each edit's old text,
+    which occurs once, replaced by its new text.  simulate inlines _BODY
+    itself, so only the lines that evaluate a body on columns read the edits."""
     from types import FunctionType
-    from wipdyn import dynamics_reduced, model
-    body = dynamics_reduced._BODY.replace(" + u2", "")
-    assert body != dynamics_reduced._BODY
-    kernel = dynamics_reduced._kernel
-    monkeypatch.setattr(dynamics_reduced, "_kernel", lambda params: FunctionType(
-        model._code("def ode(y, u1, u2):" + body), kernel(params).__globals__))
-    assert [r.name for r in run_structural_checks(p) if not r.passed] == [
-        "momentum rate vs closed form"]
+    body = module._BODY
+    for old, new in edits:
+        assert body.count(old) == 1
+        body = body.replace(old, new)
+    header = "def ode(y, tau1, tau2):" if module is dynamics_full else "def ode(y, u1, u2):"
+    kernel = module._kernel
+    monkeypatch.setattr(module, "_kernel", lambda params: FunctionType(
+        model._code(header + body), kernel(params).__globals__))
+
+
+_PUSHFORWARD = "full vector field vs reduced model (8 shared rates)"
+_EQUIVARIANCE = "SE(2) x S1 equivariance (full and reduced)"
+
+
+def test_momentum_rate_line_fails_without_yaw_forcing(p, monkeypatch):
+    # a reduced body that drops u2 from the yaw momentum equation: the
+    # pushforward line, which holds the momentum rates, must fail (value
+    # 0.14, the forced run's |u2|)
+    _patch_body(monkeypatch, dynamics_reduced, (" + u2", ""))
+    assert [r.name for r in run_structural_checks(p) if not r.passed] == [_PUSHFORWARD]
+
+
+@pytest.mark.parametrize("old, new, value", [
+    ("\n                - kappa / h * u1", "", 3.9e-2),  # the tilt equation's u1 reaction
+    ("mgb * sa", "1.01 * mgb * sa", 1.5e-2),
+])
+def test_pushforward_line_fails_on_a_broken_tilt_equation(p, monkeypatch, old, new, value):
+    # edits of the reduced alpha_dd that keep the symmetry: the pushforward
+    # line is the only one that reads it
+    _patch_body(monkeypatch, dynamics_reduced, (old, new))
+    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
+    assert list(failed) == [_PUSHFORWARD]
+    assert failed[_PUSHFORWARD] == pytest.approx(value, rel=0.05)
+
+
+@pytest.mark.parametrize("name, old, new, value", [
+    ("full", "v * sin(th)", "v * sin(th + 1e-6)", 8.6e-8),
+    ("full", "mgb * sa", "mgb * sa * (1 + 1e-6 * cos(th))", 6.8e-5),
+    ("reduced", "xi1 * sin(th)", "xi1 * sin(th) + 1e-6 * y[1]", 2.9e-6),
+    ("reduced", "mgb * sa", "mgb * sa * (1 + 1e-6 * sin(th))", 5.9e-5),
+])
+def test_equivariance_line_fails_on_a_symmetry_breaking_body(p, monkeypatch,
+                                                             name, old, new, value):
+    # a body that reads the heading or the position where the symmetry
+    # forbids it fails the equivariance line, 1e-13 against 4.2e-17 unedited
+    module = dynamics_full if name == "full" else dynamics_reduced
+    _patch_body(monkeypatch, module, (old, new))
+    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
+    assert failed[_EQUIVARIANCE] == pytest.approx(value, rel=0.05)
 
 
 def test_shift_rotates_velocities(p):
+    # the action on the layouts' values: positions rotate, heading and wheel
+    # angles shift, rates stay; a constrained state built from the shifted
+    # full values has its planar velocity rotated
     s = FullState.constrained(1.0, 0.0, 0.0, 0.1, 0, 0, 0.0, 1.0, 1.0, p)
-    moved = FullState(**_shift(asdict(s), 0.0, 0.0, math.pi / 2, 0.3))
-    assert moved.x == pytest.approx(0.0, abs=1e-16)
-    assert moved.y == pytest.approx(1.0)
+    values = {n: getattr(s, n) for n in LAYOUTS["full"]}
+    shifted = _shift(values, 0.0, 0.0, math.pi / 2, 0.3)
+    assert (shifted["x"], shifted["y"]) == pytest.approx((0.0, 1.0), abs=1e-16)
+    assert (shifted["theta"], shifted["phi1"], shifted["phi2"]) == (math.pi / 2, 0.3, 0.3)
+    assert [shifted[n] for n in LAYOUTS["full"][6:]] == [values[n] for n in LAYOUTS["full"][6:]]
+    moved = FullState.constrained(*[shifted[n] for n in LAYOUTS["full"]], p)
     assert moved.x_dot == pytest.approx(0.0, abs=1e-16)
     assert moved.y_dot == pytest.approx(s.x_dot)
-    assert moved.phi1 == pytest.approx(s.phi1 + 0.3)
+    red = vars(full_to_reduced(s, p))
+    assert _shift(red, 2.0, -1.0, math.pi, 0.3) == pytest.approx(
+        {**red, "x": 1.0, "y": -1.0, "theta": math.pi, "phi": 0.3}, abs=1e-15)
 
 
 def test_equivariance_short_run(p, rng):
+    # simulate-then-shift is shift-then-simulate: the base run's shifted
+    # columns against runs from the shifted initial states
     initial = FullState.constrained(0.2, -0.1, 0.4, 0.1, 0, 0, 0.1, 0.6, 0.9, p)
-    shifts = [tuple(rng.uniform(-2, 2, 4)) for _ in range(3)]
-    err = equivariance_error("full", initial, TorqueProfile.zero(), 0.5, 1e-3, p, shifts)
-    assert err <= 1e-9
-    red = full_to_reduced(initial, p)
-    err = equivariance_error("reduced", red, TorqueProfile.zero(), 0.5, 1e-3, p, shifts)
-    assert err <= 1e-9
+    profile = TorqueProfile.constant(0.05, -0.02)
+    for name, state in (("full", initial), ("reduced", full_to_reduced(initial, p))):
+        base = simulate(name, state, profile, 0.5, 1e-3, p)
+        columns = {n: base.column(n) for n in LAYOUTS[name]}
+        for g in [tuple(rng.uniform(-2, 2, 4)) for _ in range(3)]:
+            values = _shift({n: getattr(state, n) for n in LAYOUTS[name]}, *g)
+            moved0 = (FullState.constrained(*values.values(), p) if name == "full"
+                      else ReducedState(**values))
+            moved = simulate(name, moved0, profile, 0.5, 1e-3, p).states
+            expected = np.stack(list(_shift(columns, *g).values()), axis=1)
+            assert np.max(np.abs(moved - expected)) <= 1e-9
+
+
+def test_equivariance_error_is_a_vector_field_identity(p, random_constrained, rng):
+    # both bodies on columns of states, under torques: rounding alone, and
+    # the oracle, which has no body, is refused
+    states = [random_constrained() for _ in range(20)]
+    v = {n: np.array([getattr(s, n) for s in states]) for n in LAYOUTS["full"]}
+    red = dynamics_reduced._to_reduced(v, p)
+    shifts = [tuple(rng.uniform(-2, 2, 4)) for _ in range(5)]
+    for name, columns in (("full", v), ("reduced", red)):
+        assert equivariance_error(name, columns, (0.05, -0.02), p, shifts) <= 1e-13
+    with pytest.raises(KeyError):
+        equivariance_error("oracle", v, (0.05, -0.02), p, shifts)
 
 
 def test_structural_suite_passes_and_renders(p):
@@ -267,20 +335,36 @@ def test_structural_suite_passes_and_renders(p):
     assert [r.name for r in results if type(r.value) is not float] == []
 
 
+def test_structural_suite_runs_two_simulations(p, monkeypatch):
+    # the drift run (10,000 steps) and the forced run (500); every other
+    # line evaluates its formula on columns
+    from wipdyn import sim, validation
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(validation, "simulate")
+    count(sim, "rk4_step")
+    run_structural_checks(p)
+    assert calls == {"simulate": 2, "rk4_step": 10_500}
+
+
 def test_power_balance_line_fails_on_mismatched_torques(p, monkeypatch):
-    # a _kernel factory whose body scales both torques by 0.998: simulate
-    # inlines _BODY itself, so only the rate lines read the patched field,
-    # which no longer matches the profile's power.  The power line reads
-    # 1.3e-3 against its bound 1e-9, the momentum line 2.8e-4 (0.002 |u2|)
-    from types import FunctionType
-    body = dynamics_full._BODY.replace("f_1 = tau1", "f_1 = 0.998 * tau1")
-    body = body.replace("f_2 = tau2", "f_2 = 0.998 * tau2")
-    assert body.count("0.998") == 2
-    kernel = dynamics_full._kernel
-    monkeypatch.setattr(dynamics_full, "_kernel", lambda params: FunctionType(
-        model._code("def ode(y, tau1, tau2):" + body), kernel(params).__globals__))
+    # a body that scales both torques by 0.998: only the rate lines read
+    # the patched field, which no longer matches the profile's power.  The
+    # power line reads 1.3e-3 against its bound 1e-9, the pushforward line
+    # 2.8e-4 (0.002 |u2|)
+    _patch_body(monkeypatch, dynamics_full, ("f_1 = tau1", "f_1 = 0.998 * tau1"),
+                ("f_2 = tau2", "f_2 = 0.998 * tau2"))
     failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
-    assert list(failed) == ["momentum rate vs closed form", "power balance (forced)"]
+    assert list(failed) == [_PUSHFORWARD, "power balance (forced)"]
     assert failed["power balance (forced)"] > 1e-3
 
 
