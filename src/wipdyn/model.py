@@ -345,10 +345,10 @@ def rolling_rates(theta, phi1_dot, phi2_dot, p: Params):
 
 
 def _lift(v, p: Params) -> np.ndarray:
-    """q_dot, last axis 6, of a constrained state's named full-layout values (floats or
-    columns, real or complex): the horizontal lift of (alpha_dot, phi1_dot, phi2_dot)."""
-    return np.stack([*rolling_rates(v["theta"], v["phi1_dot"], v["phi2_dot"], p),
-                     v["alpha_dot"], v["phi1_dot"], v["phi2_dot"]], axis=-1)
+    """q_dot, last axis 6: the horizontal lift of (alpha_dot, phi1_dot, phi2_dot) at theta,
+    named full-layout values (floats or columns that broadcast, real or complex)."""
+    a, w1, w2 = v["alpha_dot"], v["phi1_dot"], v["phi2_dot"]
+    return np.stack(np.broadcast_arrays(*rolling_rates(v["theta"], w1, w2, p), a, w1, w2), -1)
 
 
 def _generators(p: Params) -> tuple:

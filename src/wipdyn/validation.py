@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import curvature_at, curvature_fd, ehresmann_at
+from .connection import curvature_at, curvature_fd
 from . import dynamics_full as dfull
 from . import dynamics_reduced as dred
 from . import model as _model
@@ -43,15 +43,14 @@ def momentum_pairing(q, q_dot, p: Params) -> tuple:
     and q_dot, arrays whose last axis holds the six coordinates or their
     rates; broadcasts over leading axes, one pair per state.
 
-    X_i is the horizontal lift (-A(theta) r_dot, r_dot) of the shape rates
-    r_dot of ``model._generators`` by :func:`~wipdyn.connection.ehresmann_at`.
-    L is quadratic in q_dot, so (L(q, q_dot + X_i) - L(q, q_dot - X_i))/2 is
-    the pairing exactly, up to round-off: one ``lagrangian_full`` call.
+    X_i is the horizontal lift (``model._lift``) at q's heading of the shape
+    rates (alpha_dot, phi1_dot, phi2_dot) of ``model._generators``.  L is
+    quadratic in q_dot, so (L(q, q_dot + X_i) - L(q, q_dot - X_i))/2 is the
+    pairing exactly, up to round-off: one ``lagrangian_full`` call.
     """
     q, q_dot = np.asarray(q), np.asarray(q_dot)
-    r_dot = np.array(_model._generators(p))  # (2, 3): one generator per row
-    s_dot = -(ehresmann_at(q[..., 2], p)[..., None, :, :] @ r_dot[..., None])[..., 0]
-    xi = np.concatenate([s_dot, np.broadcast_to(r_dot, s_dot.shape)], axis=-1)
+    xi = np.stack([_lift(dict(zip(("alpha_dot", "phi1_dot", "phi2_dot"), g), theta=q[..., 2]), p)
+                   for g in _model._generators(p)], axis=-2)
     plus, minus = lagrangian_full(q[..., None, :], q_dot[..., None, :] + np.stack([xi, -xi]), p)
     return tuple(np.moveaxis(0.5 * (plus - minus), -1, 0))
 
@@ -194,15 +193,15 @@ _STATE_SPREAD = (1.0, 1.0, math.pi, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0)
 
 def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     """Fast structural suite: curvature (closed form, tilt slots), momentum
-    pairing, equivariance, zero-torque energy drift and, on one forced run,
-    the full vector field vs the reduced model, power balance, integrated
-    power and yaw relation.
+    pairing, equivariance, zero-torque energy drift and its order (RK4's 4 on
+    a step-halving pair) and, on one forced run, the full vector field vs the
+    reduced model, power balance, integrated power and yaw relation.
 
     Every line evaluates its formula once over all its states or samples, as
     numpy columns: the curvature over 50 headings, the pairing and the
     equivariance over 50 random constrained states, and the rate lines over
-    the forced run's 501 samples.  Only its two simulate runs, the drift run
-    and the forced run (0.5 s at dt = 1e-3), step in time.
+    the forced run's 501 samples.  Only three simulate runs step in time, 2,000
+    steps: the drift runs (1 s at dt = 2e-3, 1e-3) and the forced run (0.5 s at 1e-3).
 
     The random inputs are uniform draws of ``random.Random(seed)``, in this
     order: 50 headings in [-pi, pi], one heading for the tilt slots, 50
@@ -232,11 +231,15 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     shifts = [tuple(rng.uniform(-2.0, 2.0) for _ in range(4)) for _ in range(5)]
     err = max(equivariance_error(name, v, tau, p, shifts)
               for name, v in (("full", states), ("reduced", red)))
-    results.append(CheckResult("SE(2) x S1 equivariance (full and reduced)", err, 1e-13))
+    results.append(CheckResult("SE(2) x S1 equivariance (full and reduced)", err, 1e-14))
 
     rest = FullState.constrained(0.0, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, p)
-    drift = energy_drift(simulate("full", rest, TorqueProfile.zero(), 1.0, 1e-4, p))[1]
-    results.append(CheckResult("energy drift (zero torque)", drift, 1e-8))
+    coarse, fine = (energy_drift(simulate("full", rest, TorqueProfile.zero(), 1.0, dt, p))[1]
+                    for dt in (2e-3, 1e-3))
+    order = math.log2(coarse / fine) if coarse and fine else math.nan  # nan fails both lines
+    results.append(CheckResult("energy drift (zero torque, extrapolated to dt = 1e-4)",
+                               fine * 10.0 ** -order, 1e-8))
+    results.append(CheckResult("energy drift order short of 4 (zero torque)", 4.0 - order, 0.5))
 
     initial = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
     profile = TorqueProfile.constant(*tau)
@@ -252,7 +255,7 @@ def run_structural_checks(p: Params, seed: int = 0) -> list[CheckResult]:
     error = abs(forced.energy[-1] - forced.energy[0] - work) / abs(work)
     results.append(CheckResult("integrated power (forced)", float(error), 1e-3))
     results.append(CheckResult("integrated yaw relation",
-                               holonomic_residual(forced, p), 1e-12))
+                               holonomic_residual(forced, p), 3e-13))
     return results
 
 

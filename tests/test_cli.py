@@ -366,8 +366,8 @@ def test_error_paths_exit_code_and_message(tmp_path, capsys, case):
 
 
 def test_check_exits_3_when_a_run_diverges(tmp_path, capsys):
-    # a valid set whose forced run diverges (at step 6): exit 3, as
-    # simulate and compare, not a traceback
+    # a valid set whose coarse drift run diverges first (at step 5): exit 3,
+    # as simulate and compare, not a traceback
     params = {**Params.default().to_dict(), "g": 1e6}
     cfg = write_config(tmp_path / "c.json", params=params)
     assert main(["check", "--config", str(cfg)]) == 3
@@ -400,7 +400,7 @@ def test_check_runs_without_numpy_random(tmp_path):
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("PASS ") for line in lines) == 9
+    assert sum(line.startswith("PASS ") for line in lines) == 10
     assert lines[-1] == "False"
 
 

@@ -364,6 +364,11 @@ def test_lift_is_the_constrained_velocity(p, rng):
     stepped = _lift({n: c + 1j * CS_STEP for n, c in v.items()}, p)
     assert (stepped.shape, stepped.dtype) == ((50, 6), np.complex128)
     assert np.allclose(stepped.real, q_dot, rtol=1e-15, atol=1e-15)
+    # scalar rates broadcast against a column of headings: each row is its heading's call
+    rates = dict(zip(("alpha_dot", "phi1_dot", "phi2_dot"), draws[0, 6:].tolist()))
+    lifted = _lift({**rates, "theta": v["theta"]}, p)
+    assert lifted.tobytes() == np.array([_lift({**rates, "theta": th}, p)
+                                         for th in v["theta"].tolist()]).tobytes()
 
 
 def test_rolling_rates_leave_both_contact_points_at_rest(p, rng):

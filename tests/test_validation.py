@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wipdyn import (FullState, ReducedState, TorqueProfile,
+from wipdyn import (FullState, Params, ReducedState, TorqueProfile,
                     compare_trajectories, energy_drift,
                     equivariance_error, f_of_alpha, full_to_reduced, h_const,
                     holonomic_residual, momentum_pairing,
@@ -240,6 +240,27 @@ def _patch_body(monkeypatch, module, *edits):
 
 _PUSHFORWARD = "full vector field vs reduced model (8 shared rates)"
 _EQUIVARIANCE = "SE(2) x S1 equivariance (full and reduced)"
+_DRIFT = "energy drift (zero torque, extrapolated to dt = 1e-4)"
+_ORDER = "energy drift order short of 4 (zero torque)"
+_WORK = "integrated power (forced)"
+
+
+@pytest.fixture()
+def edit_text(monkeypatch):
+    """edit(owner, name, old, new) patches the text owner.name with old, which
+    occurs once, replaced by new.  sim caches the stages it compiles on (n,
+    body, forces), not on ``_RK4_STAGES``, so the cache is cleared before and
+    after the test."""
+    from wipdyn import sim
+
+    def edit(owner, name, old, new):
+        text = getattr(owner, name)
+        assert text.count(old) == 1
+        monkeypatch.setattr(owner, name, text.replace(old, new))
+
+    sim._rk4_stages.cache_clear()
+    yield edit
+    sim._rk4_stages.cache_clear()
 
 
 def test_momentum_rate_line_fails_without_yaw_forcing(p, monkeypatch):
@@ -272,11 +293,41 @@ def test_pushforward_line_fails_on_a_broken_tilt_equation(p, monkeypatch, old, n
 def test_equivariance_line_fails_on_a_symmetry_breaking_body(p, monkeypatch,
                                                              name, old, new, value):
     # a body that reads the heading or the position where the symmetry
-    # forbids it fails the equivariance line, 1e-13 against 4.2e-17 unedited
+    # forbids it fails the equivariance line, 1e-14 against 4.2e-17 unedited
     module = dynamics_full if name == "full" else dynamics_reduced
     _patch_body(monkeypatch, module, (old, new))
     failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
     assert failed[_EQUIVARIANCE] == pytest.approx(value, rel=0.05)
+
+
+@pytest.mark.parametrize("name, old, new, failed", [
+    # k4 at y + dt k2: third order, with a drift of 1.1e-9 at dt = 1e-4 that the
+    # drift bound passes, as every other line does
+    ("_RK4_STAGES", "[<y{i} + dt * k3_{i}>]", "[<y{i} + dt * k2_{i}>]", {_ORDER: 1.00}),
+    ("_RK4_STAGES", "[<y{i} + half * k2_{i}>]", "[<y{i} + dt * k2_{i}>]",
+     {_DRIFT: 9.73e-4, _ORDER: 3.00, _WORK: 2.51}),
+    ("_RK4_STAGES", "((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i})",
+     "((k1_{i} + 3.0 * k2_{i}) + 1.0 * k3_{i})", {_DRIFT: 5.31e-8, _ORDER: 1.90, _WORK: 5.25e-3}),
+    # the full model's fused step alone: the column lines read the kernel
+    ("_BODY", "quad = k_0", "quad = -k_0", {_DRIFT: 10.6, _ORDER: 4.00, _WORK: 556}),
+    ("_BODY", "+ mgb * sa", "+ 1.01 * mgb * sa", {_DRIFT: 2.02e-2, _ORDER: 4.00, _WORK: 18.1}),
+])
+def test_drift_lines_fail_on_broken_stages_or_fused_body(p, edit_text, name, old, new, failed):
+    # an edit of the RK4 stages or of the fused step alone fails a drift line,
+    # and a lower order fails the order line whatever the drift's size
+    from wipdyn import sim
+    edit_text(sim if name == "_RK4_STAGES" else dynamics_full, name, old, new)
+    values = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
+    assert values == pytest.approx(failed, rel=0.05)
+
+
+def test_drift_lines_fail_on_a_drift_of_zero(p):
+    # at g = 1e-20 the run from rest moves by rounding alone and both drifts
+    # read 0: no order is observed, so both drift lines fail (nan), no error
+    slow = Params.from_dict({**p.to_dict(), "g": 1e-20})
+    failed = {r.name: r.value for r in run_structural_checks(slow) if not r.passed}
+    assert list(failed) == [_DRIFT, _ORDER]
+    assert all(math.isnan(v) for v in failed.values())
 
 
 def test_shift_rotates_velocities(p):
@@ -322,7 +373,7 @@ def test_equivariance_error_is_a_vector_field_identity(p, random_constrained, rn
     red = dynamics_reduced._to_reduced(v, p)
     shifts = [tuple(rng.uniform(-2, 2, 4)) for _ in range(5)]
     for name, columns in (("full", v), ("reduced", red)):
-        assert equivariance_error(name, columns, (0.05, -0.02), p, shifts) <= 1e-13
+        assert equivariance_error(name, columns, (0.05, -0.02), p, shifts) <= 1e-14
     with pytest.raises(KeyError):
         equivariance_error("oracle", v, (0.05, -0.02), p, shifts)
 
@@ -335,9 +386,9 @@ def test_structural_suite_passes_and_renders(p):
     assert [r.name for r in results if type(r.value) is not float] == []
 
 
-def test_structural_suite_runs_two_simulations(p, monkeypatch):
-    # the drift run (10,000 steps) and the forced run (500); every other
-    # line evaluates its formula on columns
+def test_structural_suite_runs_three_simulations(p, monkeypatch):
+    # the drift runs (500 and 1,000 steps) and the forced run (500); every
+    # other line evaluates its formula on columns
     from wipdyn import sim, validation
     calls = collections.Counter()
 
@@ -353,7 +404,7 @@ def test_structural_suite_runs_two_simulations(p, monkeypatch):
     count(validation, "simulate")
     count(sim, "rk4_step")
     run_structural_checks(p)
-    assert calls == {"simulate": 2, "rk4_step": 10_500}
+    assert calls == {"simulate": 3, "rk4_step": 2_000}
 
 
 def test_power_balance_line_fails_on_mismatched_torques(p, monkeypatch):
