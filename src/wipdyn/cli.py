@@ -13,15 +13,20 @@ Config layout (all blocks are strict: unknown keys are rejected)::
     }
 
 The initial block is auto-converted to whatever representation the chosen
-model needs; ``check`` validates every block (exit 2 before any line) but
-runs its fixed suite on the params block alone.  Exit codes: 0 success, 2
-config error, 3 simulation failure, 4 tolerance exceeded / structural check
-failure, 5 output cannot be written.
+model needs.  :func:`_scenario` checks each block's shape and keys and reads
+the initial and sim values as finite numbers; ``Params``, the states,
+``TorqueProfile`` (the one check of the torque values) and ``n_samples`` check
+the values they hold.  A bad value exits 2 and names its block.  ``check``
+reads every block but the tolerances, which only ``compare`` reads, and runs
+its fixed suite on the params block alone (exit 2 before any line).  Exit
+codes: 0 success, 2 config error, 3 simulation failure, 4 tolerance exceeded /
+structural check failure, 5 output cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -46,6 +51,7 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str) -> dict:
+    """The config at path: its blocks known and the required ones present, values unchecked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -70,83 +76,29 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _build_params(cfg: dict) -> Params:
-    if not isinstance(cfg["params"], dict):
-        raise ConfigError("params block must be an object")
-    try:
-        return Params.from_dict(cfg["params"])
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"params block: {exc}") from exc
+def _object(data, name: str) -> dict:
+    """data if it is a JSON object, else ConfigError '<name> must be an object'."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be an object")
+    return data
 
 
-def _strict_floats(block: dict, keys: tuple[str, ...], name: str) -> dict:
-    try:
-        _strict_keys(block, keys)
-        return {k: _finite(block[k], k) for k in keys}
-    except ValueError as exc:
-        raise ConfigError(f"{name} block: {exc}") from exc
+class _Block(contextlib.AbstractContextManager):
+    """The error context of a config block: a ValueError, TypeError or
+    OverflowError raised inside leaves as a ConfigError '<name> block: ...'."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, TypeError, OverflowError)) and kind is not ConfigError:
+            raise ConfigError(f"{self.name} block: {exc}") from exc
 
 
-def _build_initial(cfg: dict, p: Params) -> tuple[FullState, ReducedState]:
-    block = cfg["initial"]
-    if not isinstance(block, dict):
-        raise ConfigError("initial block must be an object")
-    reduced_form = "p1" in block or "phi" in block
-    form = "reduced" if reduced_form else "full"
-    vals = _strict_floats(block, LAYOUTS[form], f"initial ({form} form)")
-    try:
-        if reduced_form:
-            red = ReducedState(**vals)
-            full = reduced_to_full(red, p)
-        else:
-            full = FullState.constrained(**vals, p=p)
-            red = full_to_reduced(full, p)
-    except ValueError as exc:
-        raise ConfigError(f"initial block: {exc}") from exc
-    return full, red
-
-
-def _build_profile(cfg: dict) -> TorqueProfile:
-    segs = cfg.get("torques", [])
-    if not isinstance(segs, list):
-        raise ConfigError("torques block must be a list of segments")
-    triples = []
-    for i, seg in enumerate(segs):
-        if not isinstance(seg, dict):
-            raise ConfigError(f"torques[{i}]: each segment must be an object")
-        vals = _strict_floats(seg, ("t_start", "tau1", "tau2"), f"torques[{i}]")
-        triples.append((vals["t_start"], vals["tau1"], vals["tau2"]))
-    try:
-        return TorqueProfile(tuple(triples))
-    except ValueError as exc:
-        raise ConfigError(f"torques block: {exc}") from exc
-
-
-def _build_sim(cfg: dict) -> tuple[float, float, str]:
-    block = cfg["sim"]
-    if not isinstance(block, dict):
-        raise ConfigError("sim block must be an object")
-    times = _strict_floats({k: v for k, v in block.items() if k != "model"},
-                           ("T", "dt"), "sim")
-    T, dt = times["T"], times["dt"]
-    model = block.get("model", "full")
-    if model not in MODELS:
-        raise ConfigError(f"sim block: unknown model {model!r}")
-    try:
-        n_samples(T, dt)
-    except ValueError as exc:
-        raise ConfigError(f"sim block: {exc}") from exc
-    return T, dt, model
-
-
-def _build_tolerance(cfg: dict) -> float:
-    block = cfg.get("tolerances")
-    if not isinstance(block, dict):
-        raise ConfigError("compare needs a tolerances block with a max_abs entry")
-    tol = _strict_floats(block, ("max_abs",), "tolerances")["max_abs"]
-    if tol < 0.0:
-        raise ConfigError(f"tolerances block: max_abs must be >= 0, got {tol!r}")
-    return tol
+def _floats(data: dict, keys) -> dict:
+    """data's values at exactly keys (``model._strict_keys``), each a finite float."""
+    _strict_keys(data, keys)
+    return {k: _finite(data[k], k) for k in keys}
 
 
 def write_trajectory_csv(traj, p: Params, path: str) -> None:
@@ -170,10 +122,35 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _scenario(cfg: dict) -> tuple:
-    """(p, full initial, reduced initial, profile, T, dt, model) of a config."""
-    p = _build_params(cfg)
-    full0, red0 = _build_initial(cfg, p)
-    return (p, full0, red0, _build_profile(cfg), *_build_sim(cfg))
+    """(p, full initial, reduced initial, profile, T, dt, model) of a config's blocks."""
+    with _Block("params"):
+        p = Params.from_dict(_object(cfg["params"], "params block"))
+    initial = _object(cfg["initial"], "initial block")
+    form = "reduced" if "p1" in initial or "phi" in initial else "full"
+    with _Block(f"initial ({form} form)"):
+        vals = _floats(initial, LAYOUTS[form])
+        if form == "reduced":
+            red = ReducedState(**vals)
+            full = reduced_to_full(red, p)
+        else:
+            full = FullState.constrained(**vals, p=p)
+            red = full_to_reduced(full, p)
+    segs = cfg.get("torques", [])
+    if not isinstance(segs, list):
+        raise ConfigError("torques block must be a list of segments")
+    for i, seg in enumerate(segs):  # shapes and keys: TorqueProfile checks the values
+        with _Block(f"torques[{i}]"):
+            _strict_keys(_object(seg, f"torques[{i}]: each segment"), ("t_start", "tau1", "tau2"))
+    with _Block("torques"):
+        profile = TorqueProfile(tuple((s["t_start"], s["tau1"], s["tau2"]) for s in segs))
+    sim = _object(cfg["sim"], "sim block")
+    with _Block("sim"):
+        T, dt = _floats({k: v for k, v in sim.items() if k != "model"}, ("T", "dt")).values()
+        model = sim.get("model", "full")
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        n_samples(T, dt)
+    return p, full, red, profile, T, dt, model
 
 
 def cmd_simulate(args) -> int:
@@ -192,7 +169,12 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     p, full0, red0, profile, T, dt, _ = _scenario(cfg)
-    tol = _build_tolerance(cfg)
+    if "tolerances" not in cfg:
+        raise ConfigError("compare needs a tolerances block with a max_abs entry")
+    with _Block("tolerances"):
+        tol = _floats(_object(cfg["tolerances"], "tolerances block"), ("max_abs",))["max_abs"]
+        if tol < 0.0:
+            raise ValueError(f"max_abs must be >= 0, got {tol!r}")
 
     runs = {model: simulate(model, red0 if model == "reduced" else full0, profile, T, dt, p)
             for model in ("full", "reduced", "oracle")}
@@ -231,8 +213,7 @@ def main(argv=None) -> int:
 
     sim_p = sub.add_parser("simulate", help="integrate one model, write a CSV trajectory")
     sim_p.add_argument("--config", required=True)
-    sim_p.add_argument("--model", choices=MODELS, default=None,
-                       help="override the sim.model config entry")
+    sim_p.add_argument("--model", choices=MODELS, help="override the sim.model config entry")
     sim_p.add_argument("--out", required=True)
     sim_p.add_argument("--quiet", action="store_true")
     sim_p.set_defaults(func=cmd_simulate)

@@ -91,8 +91,9 @@ class TorqueProfile:
     segments: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        segs = tuple((_finite(t, "t_start"), _finite(a, "tau1"), _finite(b, "tau2"))
-                     for t, a, b in self.segments)
+        segs = tuple((_finite(t, f"segment {i} t_start"), _finite(a, f"segment {i} tau1"),
+                      _finite(b, f"segment {i} tau2"))
+                     for i, (t, a, b) in enumerate(self.segments))
         starts = tuple(t for t, _, _ in segs)
         if any(t0 >= t1 for t0, t1 in zip(starts, starts[1:])):
             raise ValueError("segment start times must be strictly increasing")

@@ -21,7 +21,8 @@ from . import model as _model
 from .model import (LAYOUTS, FullState, Params, _lift, _on_columns, lagrangian_full,
                     rolling_rates, total_energy)
 from .oracle import CS_STEP
-from .sim import _FUSED, REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate, u_from_tau
+from .sim import (_BLOCK, _FUSED, REDUCED_VARIABLES, Trajectory, TorqueProfile, simulate,
+                  u_from_tau)
 
 __all__ = [
     "momentum_pairing",
@@ -83,49 +84,58 @@ def _torque_rows(profile: TorqueProfile, t: np.ndarray) -> np.ndarray:
     return np.array(profile._torques)[np.searchsorted(profile._starts, t, side="right")]
 
 
-def _power(traj: Trajectory, tau1, tau2) -> np.ndarray:
-    """The wheel torques' power tau1 phi1_dot + tau2 phi2_dot at every sample."""
-    return tau1 * traj.column("phi1_dot") + tau2 * traj.column("phi2_dot")
+def _power(traj: Trajectory, tau1, tau2, rows=slice(None)) -> np.ndarray:
+    """The wheel torques' power tau1 phi1_dot + tau2 phi2_dot at the samples in rows."""
+    return tau1 * traj.column("phi1_dot")[rows] + tau2 * traj.column("phi2_dot")[rows]
 
 
-def _complex_step(traj: Trajectory, profile: TorqueProfile, p: Params) -> tuple:
-    """(v, tau): the samples' full-layout values moved by 1j ``CS_STEP`` times
-    the full model's rates at them, as named complex columns, and the (tau1,
-    tau2) columns of the samples' rows of the torque table (:func:`_torque_rows`).
-    The imaginary part of any function of v over ``CS_STEP`` is its time
-    derivative along the vector field, exact up to rounding at every sample.
-    Raises ValueError for a run that does not integrate the wheel angles."""
-    tau = _torque_rows(profile, traj.t).T
-    y = [traj.column(n) for n in LAYOUTS["full"]]
-    rates = _on_columns(dfull._kernel(p))(y, *tau)
-    return {n: a + 1j * CS_STEP * b for n, a, b in zip(LAYOUTS["full"], y, rates)}, tau
+def _complex_step(traj: Trajectory, profile: TorqueProfile, p: Params):
+    """Yield (rows, v, tau) per block of ``sim._BLOCK`` samples: v their full-layout values
+    moved by 1j ``CS_STEP`` times the full model's rates at them, as named complex columns,
+    and tau the (tau1, tau2) columns of their rows of the torque table (:func:`_torque_rows`).
+    The imaginary part of any function of v over ``CS_STEP`` is its time derivative along
+    the vector field, exact up to rounding at every sample.  numpy rounds complex products
+    past 8192 elements in chunks, so blocks keep a sample's value independent of the run's
+    length.  Raises ValueError for a run that does not integrate the wheel angles."""
+    rhs = _on_columns(dfull._kernel(p))
+    for rows in (slice(i, i + _BLOCK) for i in range(0, len(traj), _BLOCK)):
+        tau = _torque_rows(profile, traj.t[rows]).T
+        y = [traj.column(n)[rows] for n in LAYOUTS["full"]]
+        rates = rhs(y, *tau)
+        yield rows, {n: a + 1j * CS_STEP * b for n, a, b in zip(LAYOUTS["full"], y, rates)}, tau
 
 
 def momentum_rate_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
     """Max |d/dt s - reduced rate| / max(1, |reduced rate|) over the eight shared
-    values s at every sample: ``dynamics_reduced._to_reduced`` of the samples
-    moved along the full vector field (:func:`_complex_step`), against the
-    reduced rhs body on the shared columns (``model._on_columns``) under
-    ``u_from_tau`` of the same torque rows.  Raises ValueError for a run that
-    does not integrate the wheel angles."""
-    v, tau = _complex_step(traj, profile, p)
-    red = dred._to_reduced(v, p)
-    pushed = np.stack([np.imag(red[n]) for n in REDUCED_VARIABLES]) / CS_STEP
-    rates = np.array(_on_columns(dred._kernel(p))(traj.shared.T, *u_from_tau(*tau, p)))
-    return float(np.max(np.abs(pushed - rates) / np.maximum(1.0, np.abs(rates))))
+    values s at every sample: ``dynamics_reduced._to_reduced`` of the samples moved
+    along the full vector field (:func:`_complex_step`), against the reduced rhs body
+    on the shared columns (``model._on_columns``) under ``u_from_tau`` of the same
+    torque rows.  Raises ValueError for a run that does not integrate the wheel angles."""
+    rhs, worst = _on_columns(dred._kernel(p)), []
+    for rows, v, tau in _complex_step(traj, profile, p):
+        red = dred._to_reduced(v, p)
+        pushed = np.stack([np.imag(red[n]) for n in REDUCED_VARIABLES]) / CS_STEP
+        rates = np.array(rhs(traj.shared[rows].T, *u_from_tau(*tau, p)))
+        worst.append(np.max(np.abs(pushed - rates) / np.maximum(1.0, np.abs(rates))))
+    return float(np.max(worst))  # a nan in any block stays nan
+
+
+def _power_residuals(traj: Trajectory, profile: TorqueProfile, p: Params) -> np.ndarray:
+    """dE/dt - (tau1 phi1_dot + tau2 phi2_dot) at every sample, with dE/dt of
+    ``total_energy`` by one complex step (:func:`_complex_step`), q_dot by ``model._lift``."""
+    out = np.empty(len(traj))
+    for rows, v, tau in _complex_step(traj, profile, p):
+        q = np.stack([v[n] for n in LAYOUTS["oracle"][:6]], axis=1)
+        rate = np.imag(total_energy((q, _lift(v, p)), p)) / CS_STEP
+        out[rows] = rate - _power(traj, *tau, rows)
+    return out
 
 
 def power_balance_error(traj: Trajectory, profile: TorqueProfile, p: Params) -> float:
-    """Max |dE/dt - (tau1 phi1_dot + tau2 phi2_dot)| / max(1, |power|) over
-    every sample, with dE/dt of ``total_energy`` by one complex step along
-    the full vector field (:func:`_complex_step`) and q_dot by ``model._lift``.
-    Raises ValueError for a run that does not integrate the wheel angles.
-    """
-    v, tau = _complex_step(traj, profile, p)
-    q = np.stack([v[n] for n in LAYOUTS["oracle"][:6]], axis=1)
-    power = _power(traj, *tau)
-    residual = np.imag(total_energy((q, _lift(v, p)), p)) / CS_STEP - power
-    return float(np.max(np.abs(residual)) / max(1.0, np.max(np.abs(power))))
+    """Max |:func:`_power_residuals`| / max(1, |tau1 phi1_dot + tau2 phi2_dot|) over every
+    sample.  Raises ValueError for a run that does not integrate the wheel angles."""
+    power = np.max(np.abs(_power(traj, *_torque_rows(profile, traj.t).T)))
+    return float(np.max(np.abs(_power_residuals(traj, profile, p))) / max(1.0, power))
 
 
 def holonomic_residual(traj: Trajectory, p: Params) -> float:

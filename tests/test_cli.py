@@ -335,6 +335,10 @@ _ERROR_PATHS = {
                        "torques block must be a list of segments"),
     "segment-list": ("simulate", lambda c: {**c, "torques": [[0.0, 0.1, 0.1]]}, 2,
                      "torques[0]: each segment must be an object"),
+    "segment-value": ("simulate", lambda c: {**c, "torques": [
+        {"t_start": 0.0, "tau1": 0.0, "tau2": 0.0}, {"t_start": 0.05, "tau1": 0.1, "tau2": 0.1},
+        {"t_start": 0.08, "tau1": "x", "tau2": 0.1}]}, 2,
+                      "config error: torques block: segment 2 tau1 must be a finite number"),
     "sim-number": ("simulate", lambda c: {**c, "sim": 0.1}, 2, "sim block must be an object"),
     "unknown-model": ("simulate", lambda c: {**c, "sim": {"T": 0.1, "dt": 1e-3, "model": "euler"}},
                       2, "sim block: unknown model 'euler'"),

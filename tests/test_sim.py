@@ -49,6 +49,14 @@ def test_torque_profile_validation():
         TorqueProfile(((0.0, float("inf"), 0.0),))
 
 
+def test_torque_profile_names_a_bad_value_by_segment_and_field():
+    # each torque value is checked once, here, and its message locates it
+    with pytest.raises(ValueError, match="^segment 1 tau1 must be a finite number, got nan$"):
+        TorqueProfile(((0.0, 0.1, 0.1), (1.0, float("nan"), 0.0)))
+    with pytest.raises(ValueError, match="^segment 0 t_start must be a finite number, got True"):
+        TorqueProfile(((True, 0.1, 0.1),))
+
+
 def test_torque_profile_left_closed_lookup():
     prof = TorqueProfile(((1.0, 0.5, -0.5), (2.0, 0.0, 0.0)))
     assert prof.tau_at(0.999) == (0.0, 0.0)

@@ -13,8 +13,9 @@ from wipdyn import (FullState, Params, ReducedState, TorqueProfile,
 from wipdyn import dynamics_full, dynamics_reduced, model
 from wipdyn.model import LAYOUTS, rolling_residuals
 from wipdyn.oracle import CS_STEP
-from wipdyn.sim import u_from_tau
-from wipdyn.validation import _complex_step, _shift, _torque_rows, render_check_lines
+from wipdyn.sim import Trajectory, u_from_tau
+from wipdyn.validation import (_complex_step, _power_residuals, _shift, _torque_rows,
+                               render_check_lines)
 
 
 def test_constraint_residuals_zero_for_full_trajectories(p):
@@ -151,7 +152,7 @@ def test_rate_checks_read_the_new_row_at_a_segment_start(p):
     s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
     profile = TorqueProfile(((0.0, 0.05, -0.02), (0.01, 0.5, 0.3), (0.02, 0.05, -0.02)))
     traj = simulate("full", s, profile, 0.05, 1e-3, p)
-    v, tau = _complex_step(traj, profile, p)
+    [(_, v, tau)] = _complex_step(traj, profile, p)  # 51 samples: one block
     assert (traj.t[10], traj.t[20]) == (0.01, 0.02)
     assert tau[:, 9:12].T.tolist() == [[0.05, -0.02], [0.5, 0.3], [0.5, 0.3]]
     assert tau[:, 19:21].T.tolist() == [[0.5, 0.3], [0.05, -0.02]]
@@ -183,6 +184,24 @@ def test_rate_checks_do_not_depend_on_dt(p):
     traj = simulate("full", s, profile, 0.5, 4e-3, p)
     assert momentum_rate_error(traj, profile, p) <= 2e-11
     assert power_balance_error(traj, profile, p) <= 1e-9
+
+
+def test_power_residuals_do_not_depend_on_the_run_length(p):
+    # the check suite's forced run, 20 s long (20,001 samples): each block of
+    # 1,024 samples gives, bit for bit, the residuals it gives as a run of its
+    # own.  One complex-step table over the whole run rounded 4,738 samples
+    # otherwise (by up to 3.6e-13), where numpy buffers its products in chunks
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.12, 0.0, 0.0, 0.1, 0.8, 1.1, p)
+    profile = TorqueProfile.constant(0.05, -0.02)
+    traj = simulate("full", s, profile, 20.0, 1e-3, p)
+    whole = _power_residuals(traj, profile, p)
+    assert whole.shape == (len(traj),) == (20_001,)
+    for start in range(0, len(traj), 1024):
+        rows = slice(start, start + 1024)
+        alone = Trajectory("full", traj.t[rows], traj.states[rows], traj.shared[rows],
+                           traj.energy[rows], traj.residuals[rows])
+        assert _power_residuals(alone, profile, p).tobytes() == whole[rows].tobytes(), start
+    assert np.max(np.abs(whole)) <= 1e-9
 
 
 @pytest.mark.parametrize("to_forces", [None, u_from_tau])
