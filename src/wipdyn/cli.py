@@ -16,9 +16,9 @@ The initial block is auto-converted to whatever representation the chosen
 model needs.  :func:`_scenario` checks each block's shape and keys and reads
 the initial and sim values as finite numbers; ``Params``, the states,
 ``TorqueProfile`` (the one check of the torque values) and ``n_samples`` check
-the values they hold.  A bad value exits 2 and names its block.  ``check``
-reads every block but the tolerances, which only ``compare`` reads, and runs
-its fixed suite on the params block alone (exit 2 before any line).  Exit
+the values they hold; a tolerances block, which only ``compare`` requires, is
+read whenever present.  A bad value exits 2 and names its block.  ``check``
+runs its fixed suite on the params block alone (exit 2 before any line).  Exit
 codes: 0 success, 2 config error, 3 simulation failure, 4 tolerance exceeded /
 structural check failure, 5 output cannot be written.
 """
@@ -122,7 +122,7 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _scenario(cfg: dict) -> tuple:
-    """(p, full initial, reduced initial, profile, T, dt, model) of a config's blocks."""
+    """(p, full and reduced initial states, profile, T, dt, model, max_abs or None)."""
     with _Block("params"):
         p = Params.from_dict(_object(cfg["params"], "params block"))
     initial = _object(cfg["initial"], "initial block")
@@ -150,11 +150,17 @@ def _scenario(cfg: dict) -> tuple:
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
         n_samples(T, dt)
-    return p, full, red, profile, T, dt, model
+    tol = None
+    if "tolerances" in cfg:
+        with _Block("tolerances"):
+            tol = _floats(_object(cfg["tolerances"], "tolerances block"), ("max_abs",))["max_abs"]
+            if tol < 0.0:
+                raise ValueError(f"max_abs must be >= 0, got {tol!r}")
+    return p, full, red, profile, T, dt, model, tol
 
 
 def cmd_simulate(args) -> int:
-    p, full0, red0, profile, T, dt, model = _scenario(load_config(args.config))
+    p, full0, red0, profile, T, dt, model, _ = _scenario(load_config(args.config))
     model = args.model or model
     initial = red0 if model == "reduced" else full0
     traj = simulate(model, initial, profile, T, dt, p)
@@ -167,14 +173,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    p, full0, red0, profile, T, dt, _ = _scenario(cfg)
-    if "tolerances" not in cfg:
+    p, full0, red0, profile, T, dt, _, tol = _scenario(load_config(args.config))
+    if tol is None:
         raise ConfigError("compare needs a tolerances block with a max_abs entry")
-    with _Block("tolerances"):
-        tol = _floats(_object(cfg["tolerances"], "tolerances block"), ("max_abs",))["max_abs"]
-        if tol < 0.0:
-            raise ValueError(f"max_abs must be >= 0, got {tol!r}")
 
     runs = {model: simulate(model, red0 if model == "reduced" else full0, profile, T, dt, p)
             for model in ("full", "reduced", "oracle")}

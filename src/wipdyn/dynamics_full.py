@@ -22,10 +22,10 @@ constraints identically.
 momenta (p1, p2); the reduced model's ``ode_rhs`` holds its inverse.
 
 The right-hand side is scalar ``math`` code stated once, as the text
-``_BODY``; ``_kernel(p)`` binds its parameter-only constants per parameter
-set, as numpy's per-call overhead and re-reading ``Params`` cost more than the
-arithmetic.  It is compiled once per process as :func:`ode_rhs`'s single
-evaluation, and once inlined into the model's fused RK4 step in ``sim``.
+``_BODY``, the model's one patch point.  ``_kernel(p)`` compiles it behind its
+ode header, the one statement of the forces it reads, on p's parameter-only
+constants (numpy's per-call overhead and re-reading ``Params`` cost more than
+the arithmetic); ``sim`` inlines the same text into the fused RK4 step.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ __all__ = [
     "accelerations_q6",
 ]
 
-# y[j] reads state component j; other free names are the torques or
-# _kernel(p)'s constants.  No local may reuse a name of sim's fused step (f, y,
-# t, dt, y<i>, k<s>_<i>, half, w).  I_theta inline: model.i_theta cost 8 % a step.
+# y[j] reads state component j; other free names are the forces of _kernel's
+# header or _kernel(p)'s constants.  No local may reuse a name of sim's fused
+# step (f, y, t, dt, y<i>, k<s>_<i>, half, w).  I_theta inline: model.i_theta cost 8 % a step.
 _BODY = """
     th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]
     sa, ca = sin(al), cos(al)
@@ -73,16 +73,15 @@ _BODY = """
     return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
             add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
 """
-_ODE = "def ode(y, tau1, tau2):" + _BODY
 
 
 @lru_cache(maxsize=32)
 def _kernel(p: Params):
-    """ode(y, tau1, tau2), which is :func:`ode_rhs`: ``_BODY`` on p's inertia record
+    """ode(y, tau1, tau2), :func:`ode_rhs`: ``_BODY`` as it stands, on p's inertia record
     (``model._inertias``: one patch reaches every formulation) and its derived constants."""
     rec = model._inertias(p)
     rr_dd, s_0 = p.r * p.r / (p.d * p.d), 0.5 * rec["h"]
-    return FunctionType(model._code(_ODE), dict(
+    return FunctionType(model._code("def ode(y, tau1, tau2):" + _BODY), dict(
         rec, sin=sin, cos=cos, ithp_0=2.0 * (rec["i_s"] - rec["i_c"]), rr_dd=rr_dd,
         I_Wyy=p.I_Wyy, s_0=s_0, k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd,
         v_0=0.5 * p.r, r_d=p.r / p.d))

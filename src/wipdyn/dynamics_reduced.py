@@ -44,8 +44,8 @@ __all__ = [
     "reduced_to_full",
 ]
 
-# Read as dynamics_full._BODY, with forces u1 and u2.  f(alpha), f'(alpha) and
-# shape_mass inline: calling helpers kept this rhs at about 3 us against 1.2 us.
+# Read as dynamics_full._BODY, with the forces of _kernel's header.  f(alpha),
+# f'(alpha) and shape_mass inline: helpers kept this rhs at about 3 us, not 1.2 us.
 _BODY = """
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
     sa, ca = sin(al), cos(al)
@@ -62,17 +62,16 @@ _BODY = """
     return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
             kappa_0 * sa * xi3 * xi3 + u1, -kappa_0 * sa * xi3 * xi4 + u2)
 """
-_ODE = "def ode(y, u1, u2):" + _BODY
 
 
 @lru_cache(maxsize=32)
 def _kernel(p: Params):
-    """ode(y, u1, u2), which is :func:`ode_rhs`: ``_BODY`` on p's inertia record, as
+    """ode(y, u1, u2), :func:`ode_rhs`: ``_BODY`` as it stands, on p's inertia record, as
     the full kernel, bit-identical to ``model``'s formulas: f(alpha) = i_0 + i_c cos^2
     + i_s sin^2 + f_wy, f' = fp_0 sin(2 alpha), m(alpha) = m_0 - kappa^2 / h."""
     rec = model._inertias(p)
     kappa_0 = rec["kappa_0"]
-    return FunctionType(model._code(_ODE), dict(
+    return FunctionType(model._code("def ode(y, u1, u2):" + _BODY), dict(
         rec, sin=sin, cos=cos, r=p.r, fp_0=rec["i_s"] - rec["i_c"],
         neg_kappa2=-(kappa_0 * kappa_0), kappa2x2=2.0 * kappa_0 * kappa_0))
 

@@ -6,17 +6,16 @@ model integrates its group coordinates as ordinary ODE components (no exact
 exponential update); the O(dt^4) error that costs is covered by the
 comparison tolerances.
 
-RK4 runs on Python floats: on 8 or 9 components, lists and float tuples cost
-a fraction of numpy arrays.  ``rk4_step`` runs straight-line stages generated
-from one template per state length.  The oracle's stages call its rhs; the
-full and reduced models' fused steps inline the model's rhs body (``_BODY``)
-on its kernel's constants, so they make no rhs calls.  Each step runs on the
+RK4 runs on Python floats: on 8 or 9 components, lists and float tuples cost a
+fraction of numpy arrays.  ``rk4_step`` runs straight-line stages generated
+from one template per state length.  The oracle's stages call its rhs; the full
+and reduced models' fused steps inline the text their kernel compiles
+(``_BODY``) on its constants, and make no rhs calls.  Each step runs on the
 forces of the torque segment that holds its start time, mapped from
-``TorqueProfile.tau_at`` once per segment entered, and splits at a start
-inside it, so piecewise runs keep RK4's order.  Only the sampled trajectory
-is an array; the oracle converts at its boundary.  The diagnostics read it by
-name in fixed blocks of rows, and map it once to the shared observables
-(``Trajectory.shared``).
+``TorqueProfile.tau_at`` once per segment entered, and splits at a start inside
+it, so piecewise runs keep RK4's order.  Only the sampled trajectory is an
+array; the oracle converts at its boundary.  The diagnostics read it by name in
+blocks of rows and map it once to the shared observables, ``Trajectory.shared``.
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
 map-style; outputs are deterministic per scenario and no state is shared.
@@ -78,12 +77,10 @@ def u_from_tau(tau1: float, tau2: float, p: Params) -> tuple[float, float]:
 class TorqueProfile:
     """Piecewise-constant wheel torques.
 
-    segments: ordered (t_start, tau1, tau2) triples with strictly increasing
-    start times.  Torque lookup is left-closed: the segment starting at
-    t_start applies on [t_start, t_next); before the first start time the
-    torque is zero.  ``simulate`` runs each RK4 step on the segment that holds
-    its start time, splitting a step at a start inside it, and snaps a start
-    within 4 ulps of a grid time k dt onto it (k/50 is 20k dt at dt = 1e-3).
+    segments: ordered (t_start, tau1, tau2) triples of finite numbers with
+    strictly increasing start times; a ValueError names a bad segment or value.
+    Torque lookup is left-closed: the segment starting at t_start applies on
+    [t_start, t_next); before the first start time the torque is zero.
     _torques is the one table of the torques: row k holds (tau1, tau2) after
     k start times, so row 0 is the zero torque before the first.
     """
@@ -91,13 +88,18 @@ class TorqueProfile:
     segments: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        segs = tuple((_finite(t, f"segment {i} t_start"), _finite(a, f"segment {i} tau1"),
-                      _finite(b, f"segment {i} tau2"))
-                     for i, (t, a, b) in enumerate(self.segments))
+        segs, names = [], ("t_start", "tau1", "tau2")
+        for i, seg in enumerate(self.segments):
+            try:
+                t, a, b = seg
+            except (TypeError, ValueError):
+                raise ValueError(f"segment {i} must be a (t_start, tau1, tau2) triple, "
+                                 f"got {seg!r}") from None
+            segs.append(tuple(_finite(v, f"segment {i} {n}") for n, v in zip(names, (t, a, b))))
         starts = tuple(t for t, _, _ in segs)
         if any(t0 >= t1 for t0, t1 in zip(starts, starts[1:])):
             raise ValueError("segment start times must be strictly increasing")
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "segments", tuple(segs))
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_torques", ((0.0, 0.0), *((a, b) for _, a, b in segs)))
 
@@ -130,11 +132,11 @@ _STAGE = re.compile(r" +\[<(.+)>\] = f\(.+?, (?:y|\[<(.+)>\])\)")
 
 
 @functools.cache
-def _rk4_stages(n: int, body: str | None = None, forces: str | None = None):
+def _rk4_stages(n: int, body: str | None = None, ode=None):
     """stages(f, y, t, dt) for n components, compiled once per template and n:
-    f is a rhs f(t, y), or, given a model's rhs body, the forces line that
-    unpacks f opens the stages and each stage line [<k{i}>] = f(T, Y) becomes
-    the body with y[j] read as Y's component j and its result bound to k."""
+    f is a rhs f(t, y), or, given a model's rhs body and its kernel's code ode,
+    the forces, unpacked to ode's arguments after y, and each stage line
+    [<k{i}>] = f(T, Y) is the body with y[j] read as Y's component j, bound to k."""
     def terms(template):
         return ", ".join(template.format(i=i) for i in range(n))
 
@@ -144,9 +146,9 @@ def _rk4_stages(n: int, body: str | None = None, forces: str | None = None):
         if stage is None:
             lines.append(re.sub(r"<(.*?)>", lambda m: terms(m[1]), line))
             continue
-        if forces:
-            lines.append("    " + forces)
-            forces = None
+        if ode:
+            lines.append(f"    {', '.join(ode.co_varnames[1:ode.co_argcount])} = f")
+            ode = None
         slopes, state = stage[1], stage[2] or "y{i}"
         inlined = re.sub(r"\by\[(\d+)\]", lambda m: f"({state.format(i=int(m[1]))})", body)
         lines.append(inlined.replace("return ", f"{terms(slopes)} = "))
@@ -154,15 +156,12 @@ def _rk4_stages(n: int, body: str | None = None, forces: str | None = None):
 
 
 def rk4_step(stages, f, y, t: float, dt: float) -> list[float]:
-    """One classical fourth-order Runge-Kutta step on a sequence of floats.
-
-    stages(f, y, t, dt) is generated by ``_rk4_stages``: generic, calling a rhs
-    f(t, y) that maps a list of floats to dy/dt, or a model's fused step,
-    taking its segment's generalized forces as f, read once, and no time.
-    The new state is a list, combined per element as y + (dt/6)(((k1 + 2 k2)
-    + 2 k3) + k4), the array formula's order.  Raises ValueError unless dt > 0, if the rhs
-    returns a sequence of another length, or if the new state is not finite
-    (an overflowing stage may raise first, in the rhs's ``math`` calls)."""
+    """One classical fourth-order Runge-Kutta step on a sequence of floats, by
+    stages(f, y, t, dt) of ``_rk4_stages`` (f a rhs f(t, y), or a fused step's
+    forces).  The new state is a list, combined per element as y + (dt/6)(((k1
+    + 2 k2) + 2 k3) + k4), the array formula's order.  Raises ValueError unless
+    dt > 0, if the rhs returns a sequence of another length, or if the new state
+    is not finite (an overflowing stage may raise first, in its ``math`` calls)."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     out = stages(f, y, t, dt)
@@ -238,8 +237,9 @@ REDUCED_VARIABLES = LAYOUTS["reduced"]
 def _entries(profile: TorqueProfile, dt: float, steps: int):
     """Yield (k, t, start) for each torque segment that steps RK4 steps of dt
     enter, in order: start is the segment's own start time (-inf before the
-    first), and the segment holds from t, the start of step k (t = k dt,
-    snapped to within 4 ulps) or a time inside step k, which splits there."""
+    first), and the segment holds from t, the start of step k (t = k dt, onto
+    which a start within 4 ulps snaps: k/50 is 20k dt at dt = 1e-3) or a time
+    inside step k, which splits there."""
     last = (0, 0.0, -math.inf)
     for start in profile._starts[:bisect.bisect_right(profile._starts, steps * dt)]:
         k = round(max(start, 0.0) / dt)
@@ -264,19 +264,20 @@ def _oracle_ode(tau1: float, tau2: float, p: Params):
     return rhs
 
 
-# Each fused step's line that unpacks f, and the map from torques to that f.
-_FUSED = {"full": (dfull, "tau1, tau2 = f", lambda tau1, tau2, p: (tau1, tau2)),
-          "reduced": (dred, "u1, u2 = f", u_from_tau)}
+# Each fused model's module, whose _BODY and kernel the step inlines and binds,
+# and the map from torques to its f, the forces its kernel's ode header names.
+_FUSED = {"full": (dfull, lambda tau1, tau2, p: (tau1, tau2)), "reduced": (dred, u_from_tau)}
 
 
 def _stepper(model: str, p: Params, n: int):
-    """(stages, forces) for rk4_step: forces(tau1, tau2, p) is the f of every
-    step under those torques, the oracle's rhs or the fused step's forces."""
+    """(stages, forces) for rk4_step: forces(tau1, tau2, p) is the f of every step under
+    those torques, the oracle's rhs or the fused step's forces, named as the kernel's."""
     if model == "oracle":
         return _rk4_stages(n), _oracle_ode
-    module, line, forces = _FUSED[model]
-    return FunctionType(_rk4_stages(n, module._BODY, line).__code__,
-                        module._kernel(p).__globals__), forces
+    module, forces = _FUSED[model]
+    ode = module._kernel(p)
+    return FunctionType(_rk4_stages(n, module._BODY, ode.__code__).__code__,
+                        ode.__globals__), forces
 
 
 def _initial_vector(model: str, initial, p: Params) -> list[float]:

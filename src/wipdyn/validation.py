@@ -168,7 +168,7 @@ def equivariance_error(model: str, v: dict, tau, p: Params, shifts) -> float:
     columns (``model._on_columns``) under torques tau, with g_* rotating
     (x_dot, y_dot) by g's angle.  RK4 commutes with the affine group action, so
     a run is equivariant to rounding wherever its rhs is.  Raises KeyError for the oracle."""
-    module, _, forces = _FUSED[model]
+    module, forces = _FUSED[model]
     rhs, u = _on_columns(module._kernel(p)), forces(*tau, p)
     xd, yd, *rest = rhs([v[n] for n in LAYOUTS[model]], *u)
     worst = 0.0

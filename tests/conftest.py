@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wipdyn import (FullState, Params, ReducedState, dynamics_full, dynamics_reduced,
-                    ehresmann_at, lagrangian_full, model)
+                    ehresmann_at, lagrangian_full, model, sim)
 from wipdyn.oracle import lagrangian_derivatives
 
 
@@ -150,29 +150,43 @@ def kernel_fetches(monkeypatch):
     return watch
 
 
+def _clear_compiled():
+    """Clear both rhs kernel caches and ``sim._rk4_stages``: every cache of code
+    compiled from a model's ``_BODY`` or from ``sim._RK4_STAGES``."""
+    for cache in (dynamics_full._kernel, dynamics_reduced._kernel, sim._rk4_stages):
+        cache.cache_clear()
+
+
 @pytest.fixture()
-def fresh_kernels():
-    """Both rhs kernel caches cleared before and after the test, so no kernel
-    built under a patched model outlives it."""
-    caches = (dynamics_full._kernel, dynamics_reduced._kernel)
-    for kernel in caches:
-        kernel.cache_clear()
-    yield caches
-    for kernel in caches:
-        kernel.cache_clear()
+def fresh_kernels(monkeypatch):
+    """edit(owner, name, old, new) patches the text owner.name, a model's
+    ``_BODY`` or ``sim._RK4_STAGES``, with old, which occurs once, replaced by
+    new.  The compiled code is cleared before and after the test and at each
+    edit, so ``ode_rhs``, the column lines and the fused step all run the
+    current text whatever ran before, and no code built under an edit or a
+    patched model outlives the test."""
+
+    def edit(owner, name, old, new):
+        text = getattr(owner, name)
+        assert text.count(old) == 1
+        monkeypatch.setattr(owner, name, text.replace(old, new))
+        _clear_compiled()
+
+    _clear_compiled()
+    yield edit
+    _clear_compiled()
 
 
 @pytest.fixture()
 def scale_inertias(monkeypatch, fresh_kernels):
     """scale(**factors) patches ``model._inertias`` to scale the named inertia
-    scalars and clears both rhs kernel caches, so every reader of the record
-    sees the patch."""
+    scalars and clears the compiled code, so every reader of the record sees
+    the patch."""
     record = model._inertias
 
     def scale(**factors):
         monkeypatch.setattr(model, "_inertias", lambda params: MappingProxyType(
             {n: v * factors.get(n, 1.0) for n, v in record(params).items()}))
-        for kernel in fresh_kernels:
-            kernel.cache_clear()
+        _clear_compiled()
 
     return scale

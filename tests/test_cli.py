@@ -232,6 +232,20 @@ def test_compare_rejects_bad_tolerances_exit_2(tmp_path, capsys, tolerances):
     assert "tolerances block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "check"])
+def test_every_command_reads_the_tolerances_block(tmp_path, capsys, command):
+    # the one reader checks a tolerances block whenever it is present; only
+    # compare requires one
+    cfg, out = tmp_path / "c.json", ["--out", str(tmp_path / "o.csv")]
+    argv = [command, "--config", str(cfg), "--quiet", *(out if command != "check" else [])]
+    write_config(cfg, tolerances={"max_abs": -1})
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: tolerances block: max_abs must be >= 0, got -1.0")
+    write_config(cfg)
+    assert main(argv) == (2 if command == "compare" else 0)
+
+
 @pytest.mark.parametrize("initial, sim", [
     ({"x": 0.0, "y": 0.0, "theta": 0.0, "phi": 0.0, "alpha": float("nan"),
       "alpha_dot": 0.0, "p1": 0.0, "p2": 0.0}, None),

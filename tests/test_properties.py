@@ -156,10 +156,10 @@ def test_one_yaw_inertia_statement_feeds_all_three_formulations(
 
 
 def test_constrained_scalars_are_one_record_the_referee_checks(
-        p, random_constrained, scale_inertias, fresh_kernels):
+        p, random_constrained, scale_inertias):
     # both kernels bind the record's scalars by its names, read-only
     record = model._inertias(p)
-    full, reduced = (kernel(p).__globals__ for kernel in fresh_kernels)
+    full, reduced = (m._kernel(p).__globals__ for m in (dynamics_full, dynamics_reduced))
     for bound in (full, reduced):
         assert {n: bound[n] for n in record} == dict(record)
     assert full["mgb"] == reduced["mgb"]

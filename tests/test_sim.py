@@ -55,6 +55,12 @@ def test_torque_profile_names_a_bad_value_by_segment_and_field():
         TorqueProfile(((0.0, 0.1, 0.1), (1.0, float("nan"), 0.0)))
     with pytest.raises(ValueError, match="^segment 0 t_start must be a finite number, got True"):
         TorqueProfile(((True, 0.1, 0.1),))
+    with pytest.raises(ValueError, match=r"^segment 0 must be a \(t_start, tau1, tau2\) triple, "
+                       r"got \(0.0, 1.0\)$"):
+        TorqueProfile(((0.0, 1.0),))
+    with pytest.raises(ValueError, match=r"^segment 1 must be a \(t_start, tau1, tau2\) triple, "
+                       r"got 5$"):
+        TorqueProfile(((0.0, 1.0, 2.0), 5))
 
 
 def test_torque_profile_left_closed_lookup():

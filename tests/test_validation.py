@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from test_mutations import DRIFT, ORDER
 from wipdyn import (FullState, Params, ReducedState, TorqueProfile,
                     compare_trajectories, energy_drift,
                     equivariance_error, f_of_alpha, full_to_reduced, h_const,
@@ -242,110 +243,12 @@ def test_momentum_rate_error_fetches_rhs_kernel_once(p, kernel_fetches):
     assert calls == [p]
 
 
-def _patch_body(monkeypatch, module, *edits):
-    """Patch module._kernel to a factory of _BODY with each edit's old text,
-    which occurs once, replaced by its new text.  simulate inlines _BODY
-    itself, so only the lines that evaluate a body on columns read the edits."""
-    from types import FunctionType
-    body = module._BODY
-    for old, new in edits:
-        assert body.count(old) == 1
-        body = body.replace(old, new)
-    header = "def ode(y, tau1, tau2):" if module is dynamics_full else "def ode(y, u1, u2):"
-    kernel = module._kernel
-    monkeypatch.setattr(module, "_kernel", lambda params: FunctionType(
-        model._code(header + body), kernel(params).__globals__))
-
-
-_PUSHFORWARD = "full vector field vs reduced model (8 shared rates)"
-_EQUIVARIANCE = "SE(2) x S1 equivariance (full and reduced)"
-_DRIFT = "energy drift (zero torque, extrapolated to dt = 1e-4)"
-_ORDER = "energy drift order short of 4 (zero torque)"
-_WORK = "integrated power (forced)"
-
-
-@pytest.fixture()
-def edit_text(monkeypatch):
-    """edit(owner, name, old, new) patches the text owner.name with old, which
-    occurs once, replaced by new.  sim caches the stages it compiles on (n,
-    body, forces), not on ``_RK4_STAGES``, so the cache is cleared before and
-    after the test."""
-    from wipdyn import sim
-
-    def edit(owner, name, old, new):
-        text = getattr(owner, name)
-        assert text.count(old) == 1
-        monkeypatch.setattr(owner, name, text.replace(old, new))
-
-    sim._rk4_stages.cache_clear()
-    yield edit
-    sim._rk4_stages.cache_clear()
-
-
-def test_momentum_rate_line_fails_without_yaw_forcing(p, monkeypatch):
-    # a reduced body that drops u2 from the yaw momentum equation: the
-    # pushforward line, which holds the momentum rates, must fail (value
-    # 0.14, the forced run's |u2|)
-    _patch_body(monkeypatch, dynamics_reduced, (" + u2", ""))
-    assert [r.name for r in run_structural_checks(p) if not r.passed] == [_PUSHFORWARD]
-
-
-@pytest.mark.parametrize("old, new, value", [
-    ("\n                - kappa / h * u1", "", 3.9e-2),  # the tilt equation's u1 reaction
-    ("mgb * sa", "1.01 * mgb * sa", 1.5e-2),
-])
-def test_pushforward_line_fails_on_a_broken_tilt_equation(p, monkeypatch, old, new, value):
-    # edits of the reduced alpha_dd that keep the symmetry: the pushforward
-    # line is the only one that reads it
-    _patch_body(monkeypatch, dynamics_reduced, (old, new))
-    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
-    assert list(failed) == [_PUSHFORWARD]
-    assert failed[_PUSHFORWARD] == pytest.approx(value, rel=0.05)
-
-
-@pytest.mark.parametrize("name, old, new, value", [
-    ("full", "v * sin(th)", "v * sin(th + 1e-6)", 8.6e-8),
-    ("full", "mgb * sa", "mgb * sa * (1 + 1e-6 * cos(th))", 6.8e-5),
-    ("reduced", "xi1 * sin(th)", "xi1 * sin(th) + 1e-6 * y[1]", 2.9e-6),
-    ("reduced", "mgb * sa", "mgb * sa * (1 + 1e-6 * sin(th))", 5.9e-5),
-])
-def test_equivariance_line_fails_on_a_symmetry_breaking_body(p, monkeypatch,
-                                                             name, old, new, value):
-    # a body that reads the heading or the position where the symmetry
-    # forbids it fails the equivariance line, 1e-14 against 4.2e-17 unedited
-    module = dynamics_full if name == "full" else dynamics_reduced
-    _patch_body(monkeypatch, module, (old, new))
-    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
-    assert failed[_EQUIVARIANCE] == pytest.approx(value, rel=0.05)
-
-
-@pytest.mark.parametrize("name, old, new, failed", [
-    # k4 at y + dt k2: third order, with a drift of 1.1e-9 at dt = 1e-4 that the
-    # drift bound passes, as every other line does
-    ("_RK4_STAGES", "[<y{i} + dt * k3_{i}>]", "[<y{i} + dt * k2_{i}>]", {_ORDER: 1.00}),
-    ("_RK4_STAGES", "[<y{i} + half * k2_{i}>]", "[<y{i} + dt * k2_{i}>]",
-     {_DRIFT: 9.73e-4, _ORDER: 3.00, _WORK: 2.51}),
-    ("_RK4_STAGES", "((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i})",
-     "((k1_{i} + 3.0 * k2_{i}) + 1.0 * k3_{i})", {_DRIFT: 5.31e-8, _ORDER: 1.90, _WORK: 5.25e-3}),
-    # the full model's fused step alone: the column lines read the kernel
-    ("_BODY", "quad = k_0", "quad = -k_0", {_DRIFT: 10.6, _ORDER: 4.00, _WORK: 556}),
-    ("_BODY", "+ mgb * sa", "+ 1.01 * mgb * sa", {_DRIFT: 2.02e-2, _ORDER: 4.00, _WORK: 18.1}),
-])
-def test_drift_lines_fail_on_broken_stages_or_fused_body(p, edit_text, name, old, new, failed):
-    # an edit of the RK4 stages or of the fused step alone fails a drift line,
-    # and a lower order fails the order line whatever the drift's size
-    from wipdyn import sim
-    edit_text(sim if name == "_RK4_STAGES" else dynamics_full, name, old, new)
-    values = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
-    assert values == pytest.approx(failed, rel=0.05)
-
-
 def test_drift_lines_fail_on_a_drift_of_zero(p):
     # at g = 1e-20 the run from rest moves by rounding alone and both drifts
     # read 0: no order is observed, so both drift lines fail (nan), no error
     slow = Params.from_dict({**p.to_dict(), "g": 1e-20})
     failed = {r.name: r.value for r in run_structural_checks(slow) if not r.passed}
-    assert list(failed) == [_DRIFT, _ORDER]
+    assert list(failed) == [DRIFT, ORDER]
     assert all(math.isnan(v) for v in failed.values())
 
 
@@ -426,26 +329,13 @@ def test_structural_suite_runs_three_simulations(p, monkeypatch):
     assert calls == {"simulate": 3, "rk4_step": 2_000}
 
 
-def test_power_balance_line_fails_on_mismatched_torques(p, monkeypatch):
-    # a body that scales both torques by 0.998: only the rate lines read
-    # the patched field, which no longer matches the profile's power.  The
-    # power line reads 1.3e-3 against its bound 1e-9, the pushforward line
-    # 2.8e-4 (0.002 |u2|)
-    _patch_body(monkeypatch, dynamics_full, ("f_1 = tau1", "f_1 = 0.998 * tau1"),
-                ("f_2 = tau2", "f_2 = 0.998 * tau2"))
-    failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
-    assert list(failed) == [_PUSHFORWARD, "power balance (forced)"]
-    assert failed["power balance (forced)"] > 1e-3
-
-
 def test_integrated_power_line_fails_on_a_run_under_other_torques(p, monkeypatch):
     # simulate's full model integrates under the profile's torques x 0.998:
     # the rate lines evaluate the field under the profile at each sample, so
     # they pass; the integrated power line reads 2.0e-3 against its bound
     # 1e-3 (1.2e-6 on the run under the profile's own torques)
     from wipdyn import sim
-    module, line, _ = sim._FUSED["full"]
-    monkeypatch.setitem(sim._FUSED, "full", (module, line, lambda tau1, tau2, p: (
+    monkeypatch.setitem(sim._FUSED, "full", (dynamics_full, lambda tau1, tau2, p: (
         0.998 * tau1, 0.998 * tau2)))
     failed = {r.name: r.value for r in run_structural_checks(p) if not r.passed}
     assert list(failed) == ["integrated power (forced)"]
