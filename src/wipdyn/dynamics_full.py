@@ -75,13 +75,18 @@ _BODY = """
 """
 
 
-@lru_cache(maxsize=32)
 def _kernel(p: Params):
     """ode(y, tau1, tau2), :func:`ode_rhs`: ``_BODY`` as it stands, on p's inertia record
     (``model._inertias``: one patch reaches every formulation) and its derived constants."""
+    return _bind(p, _BODY)
+
+
+@lru_cache(maxsize=32)
+def _bind(p: Params, body: str):
+    """:func:`_kernel`, cached on the text it compiles as well as on p."""
     rec = model._inertias(p)
     rr_dd, s_0 = p.r * p.r / (p.d * p.d), 0.5 * rec["h"]
-    return FunctionType(model._code("def ode(y, tau1, tau2):" + _BODY), dict(
+    return FunctionType(model._code("def ode(y, tau1, tau2):" + body), dict(
         rec, sin=sin, cos=cos, ithp_0=2.0 * (rec["i_s"] - rec["i_c"]), rr_dd=rr_dd,
         I_Wyy=p.I_Wyy, s_0=s_0, k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd,
         v_0=0.5 * p.r, r_d=p.r / p.d))

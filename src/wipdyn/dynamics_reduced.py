@@ -64,14 +64,19 @@ _BODY = """
 """
 
 
-@lru_cache(maxsize=32)
 def _kernel(p: Params):
     """ode(y, u1, u2), :func:`ode_rhs`: ``_BODY`` as it stands, on p's inertia record, as
     the full kernel, bit-identical to ``model``'s formulas: f(alpha) = i_0 + i_c cos^2
     + i_s sin^2 + f_wy, f' = fp_0 sin(2 alpha), m(alpha) = m_0 - kappa^2 / h."""
+    return _bind(p, _BODY)
+
+
+@lru_cache(maxsize=32)
+def _bind(p: Params, body: str):
+    """:func:`_kernel`, cached on the text it compiles as well as on p."""
     rec = model._inertias(p)
     kappa_0 = rec["kappa_0"]
-    return FunctionType(model._code("def ode(y, u1, u2):" + _BODY), dict(
+    return FunctionType(model._code("def ode(y, u1, u2):" + body), dict(
         rec, sin=sin, cos=cos, r=p.r, fp_0=rec["i_s"] - rec["i_c"],
         neg_kappa2=-(kappa_0 * kappa_0), kappa2x2=2.0 * kappa_0 * kappa_0))
 

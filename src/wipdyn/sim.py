@@ -131,17 +131,22 @@ def stages(f, y, t, dt):
 _STAGE = re.compile(r" +\[<(.+)>\] = f\(.+?, (?:y|\[<(.+)>\])\)")
 
 
-@functools.cache
 def _rk4_stages(n: int, body: str | None = None, ode=None):
-    """stages(f, y, t, dt) for n components, compiled once per template and n:
+    """stages(f, y, t, dt) for n components from ``_RK4_STAGES`` as it stands:
     f is a rhs f(t, y), or, given a model's rhs body and its kernel's code ode,
     the forces, unpacked to ode's arguments after y, and each stage line
     [<k{i}>] = f(T, Y) is the body with y[j] read as Y's component j, bound to k."""
+    return _stages(_RK4_STAGES, n, body, ode)
+
+
+@functools.cache
+def _stages(text: str, n: int, body: str | None, ode):
+    """:func:`_rk4_stages` from the template text, compiled once per argument set."""
     def terms(template):
         return ", ".join(template.format(i=i) for i in range(n))
 
     lines = []
-    for line in _RK4_STAGES.splitlines():
+    for line in text.splitlines():
         stage = _STAGE.fullmatch(line) if body else None
         if stage is None:
             lines.append(re.sub(r"<(.*?)>", lambda m: terms(m[1]), line))

@@ -151,9 +151,9 @@ def kernel_fetches(monkeypatch):
 
 
 def _clear_compiled():
-    """Clear both rhs kernel caches and ``sim._rk4_stages``: every cache of code
-    compiled from a model's ``_BODY`` or from ``sim._RK4_STAGES``."""
-    for cache in (dynamics_full._kernel, dynamics_reduced._kernel, sim._rk4_stages):
+    """Clear both rhs kernel caches and the one behind ``sim._rk4_stages``: every
+    cache of code compiled from a model's ``_BODY`` or from ``sim._RK4_STAGES``."""
+    for cache in (dynamics_full._bind, dynamics_reduced._bind, sim._stages):
         cache.cache_clear()
 
 
@@ -161,18 +161,16 @@ def _clear_compiled():
 def fresh_kernels(monkeypatch):
     """edit(owner, name, old, new) patches the text owner.name, a model's
     ``_BODY`` or ``sim._RK4_STAGES``, with old, which occurs once, replaced by
-    new.  The compiled code is cleared before and after the test and at each
-    edit, so ``ode_rhs``, the column lines and the fused step all run the
-    current text whatever ran before, and no code built under an edit or a
-    patched model outlives the test."""
+    new.  Every cache of compiled code is keyed on the text it compiles, so
+    ``ode_rhs``, the column lines and the fused step all run the current text
+    with no cache cleared; the caches are cleared after the test, so no code
+    built under an edit or a patched model outlives it."""
 
     def edit(owner, name, old, new):
         text = getattr(owner, name)
         assert text.count(old) == 1
         monkeypatch.setattr(owner, name, text.replace(old, new))
-        _clear_compiled()
 
-    _clear_compiled()
     yield edit
     _clear_compiled()
 

@@ -88,6 +88,56 @@ def test_csv_cells_are_the_trajectory_values(tmp_path, p, model):
     assert out.read_text() == "\n".join([CSV_HEADER, *rows, ""])
 
 
+def _value_classes(rng):
+    """About 320,000 float64 values by class, the formatter's hard cases among them."""
+    powers = 10.0 ** np.arange(-323, 309)
+    return {
+        "log-normal": np.exp(rng.uniform(np.log(1e-25), np.log(1e25), 100_000))
+        * rng.choice([-1.0, 1.0], 100_000),
+        "time grid": np.arange(50_000) * 1e-3,
+        "integers": rng.integers(0, 2 ** 62, 30_000).astype(np.float64),
+        "powers of ten, 1 ulp either side": np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]),
+        "dyadic ties": np.concatenate(
+            [rng.integers(1, 2 ** 20, 1000) / 2.0 ** s for s in range(10, 51)]),
+        "any bit pattern": rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64),
+        "special": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308,
+                             1.7976931348623157e308, 1e16, 1e17, 99999999999999999.0]),
+    }
+
+
+def test_format_block_is_percent_17g_on_every_value_class():
+    from wipdyn import cli
+    x = np.concatenate(list(_value_classes(np.random.default_rng(35)).values()))
+    for i in range(0, len(x), 13 * 1024):
+        chunk = x[i:i + 13 * 1024]
+        block = np.concatenate([chunk, np.zeros(-len(chunk) % 13)]).reshape(-1, 13)
+        cells = cli._format_block(block).replace(b"\n", b",").split(b",")[:-1]
+        assert cells == [b"%.17g" % v for v in block.ravel().tolist()]
+    # each class of value whose digits only '%' can guarantee took it at least once
+    exact = cli._decimal(x)[2]
+    finite, ax = np.isfinite(x), np.abs(x)
+    in_range = (ax >= cli._FAST[0]) & (ax <= cli._FAST[1])
+    assert (~exact & in_range).any()  # within _TIE of a tie, exact ties included
+    assert (~exact & finite & ~in_range & (ax > 0.0)).any()  # subnormals among them
+    assert (~exact & ~finite).any()
+    assert exact.mean() > 0.9
+
+
+@pytest.mark.parametrize("model, T", [("full", 1.5), ("reduced", 1.5), ("oracle", 0.02)])
+def test_csv_is_the_same_with_every_nonzero_cell_through_percent(tmp_path, p, monkeypatch,
+                                                                  model, T):
+    from wipdyn import FullState, TorqueProfile, cli, full_to_reduced, simulate
+    s = FullState.constrained(0.1, -0.2, 0.3, 0.25, 0.4, -0.6, 0.3, 1.1, -0.7, p)
+    initial = full_to_reduced(s, p) if model == "reduced" else s
+    traj = simulate(model, initial, TorqueProfile.constant(0.02, -0.01), T, 1e-3, p)
+    fast, forced = tmp_path / "fast.csv", tmp_path / "forced.csv"
+    cli.write_trajectory_csv(traj, p, str(fast))
+    monkeypatch.setattr(cli, "_FAST", (1.0, 0.0))  # no |x| in range: only zeros stay
+    cli.write_trajectory_csv(traj, p, str(forced))
+    assert forced.read_bytes() == fast.read_bytes()
+
+
 def test_simulate_steady_roll_travels_r_times_T(tmp_path, p):
     from wipdyn import h_const
     cfg = write_config(

@@ -1,7 +1,8 @@
 """Kill table of ``wipdyn check``: text edits of a model's ``_BODY`` or of
 ``sim._RK4_STAGES``, each applied alone through ``fresh_kernels``, and the
 lines that each must fail, with their values at seed 0 on the default set.
-A body edit reaches ``ode_rhs``, the column lines and the fused step alike.
+A body edit reaches ``ode_rhs``, the column lines and the fused step alike,
+and an edit reaches them after a warm run with no cache cleared.
 Run alone: ``python -m pytest tests/test_mutations.py``."""
 
 import numpy as np
@@ -81,3 +82,21 @@ def test_a_body_edit_reaches_ode_rhs_the_columns_and_the_fused_step(p, fresh_ker
     f, ode = forces(*tau, p), full._kernel(p)
     ref = rk4_step(sim._rk4_stages(len(y)), lambda t, yy: ode(yy, *f), y, 0.0, 1e-3)
     assert np.array(rk4_step(stages, f, y, 0.0, 1e-3)).tobytes() == np.array(ref).tobytes()
+
+
+def test_edits_after_a_warm_run_reach_simulate_and_ode_rhs(p, fresh_kernels):
+    # no cache is cleared between the warm run and each edit
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
+    y, tau = [getattr(s, n) for n in model.LAYOUTS["full"]], (0.01, -0.02)
+
+    def run():
+        traj = simulate("full", s, TorqueProfile.constant(*tau), 0.01, 1e-3, p)
+        return traj.states[-1].tolist(), full.ode_rhs(y, *tau, p)
+
+    warm = run()
+    fresh_kernels(*KILLS["full-tilt-rate-squared-sign"][:4])
+    body = run()
+    assert body[0] != warm[0] and body[1] != warm[1]
+    fresh_kernels(*KILLS["stages-k4-at-k2"][:4])
+    stages = run()
+    assert stages[0] != body[0] and stages[1] == body[1]
