@@ -68,7 +68,7 @@ def curvature_at(theta, p: Params) -> np.ndarray:
     """
     theta = np.asarray(theta)
     B = np.zeros(theta.shape + (3, 3, 3), np.result_type(theta, float))
-    coeff = p.r ** 2 / p.d
+    coeff = p.r * p.r / p.d
     B[..., 0, 1, 2] = coeff * np.sin(theta)
     B[..., 1, 1, 2] = -coeff * np.cos(theta)
     B[..., 2, 1] = -B[..., 1, 2]

@@ -50,28 +50,31 @@ __all__ = [
 # y[j] reads state component j; other free names are the forces of _kernel's
 # header or _kernel(p)'s constants.  No local may reuse a name of sim's fused
 # step (f, y, t, dt, y<i>, k<s>_<i>, half, w).  I_theta inline: model.i_theta cost 8 % a step.
+# Constants fold only by powers of two and by naming a product once, so every
+# rounded value is that of M(alpha) a = F solved as stated (halves in the wheel rows).
 _BODY = """
     th, al, ald, f1d, f2d = y[2], y[3], y[6], y[7], y[8]
     sa, ca = sin(al), cos(al)
     i_th = i_0 + i_c * ca * ca + i_s * sa * sa
     k = k_0 * ca
     # solve M(alpha) a = F in closed form for (alpha_dd, phi1_dd, phi2_dd)
-    ithp = ithp_0 * sa * ca
+    rithp = rr_dd * (ithp_0 * sa * ca)  # (r/d)^2 I_theta'(alpha)
     dphi = f2d - f1d
     curv = curv_0 * sa * dphi
-    cor = rr_dd * ithp * ald * dphi
+    cor = rithp * ald * dphi
     quad = k_0 * sa * ald * ald
-    f_alpha = 0.5 * ithp * rr_dd * dphi * dphi + mgb * sa
+    f_alpha = 0.5 * rithp * dphi * dphi + mgb * sa
     f_1 = tau1 + curv * f2d + cor + quad
     f_2 = tau2 - curv * f1d - cor + quad
-    diff = (f_2 - f_1) / (2.0 * i_th * rr_dd + I_Wyy)  # a1 - a3; phi2_dd - phi1_dd
     f_s = f_1 + f_2
-    det = m_0 * s_0 - 2.0 * k * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
+    det = m_0s_0 - (k + k) * k  # = h m(alpha)/2; Params checks m at its minimum, alpha = 0
     add = (s_0 * f_alpha - k * f_s) / det
-    s_dd = (m_0 * f_s - 2.0 * k * f_alpha) / det  # phi1_dd + phi2_dd
+    # (phi1_dd + phi2_dd)/2 and (phi2_dd - phi1_dd)/2, over 2 (a1 - a3) = 4 i_th rr_dd + 2 I_Wyy
+    mean_dd = (m_0h * f_s - k * f_alpha) / det
+    half_dd = (f_2 - f_1) / (i_th * rr_4 + I_Wyy2)
     v = v_0 * (f1d + f2d)  # model.rolling_rates, inline
     return (v * cos(th), v * sin(th), r_d * dphi, ald, f1d, f2d,
-            add, 0.5 * (s_dd - diff), 0.5 * (s_dd + diff))
+            add, mean_dd - half_dd, mean_dd + half_dd)
 """
 
 
@@ -88,7 +91,8 @@ def _bind(p: Params, body: str):
     rr_dd, s_0 = p.r * p.r / (p.d * p.d), 0.5 * rec["h"]
     return FunctionType(model._code("def ode(y, tau1, tau2):" + body), dict(
         rec, sin=sin, cos=cos, ithp_0=2.0 * (rec["i_s"] - rec["i_c"]), rr_dd=rr_dd,
-        I_Wyy=p.I_Wyy, s_0=s_0, k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd,
+        rr_4=4.0 * rr_dd, I_Wyy2=2.0 * p.I_Wyy, s_0=s_0, m_0s_0=rec["m_0"] * s_0,
+        m_0h=0.5 * rec["m_0"], k_0=0.5 * rec["kappa_0"], curv_0=rec["kappa_0"] * rr_dd,
         v_0=0.5 * p.r, r_d=p.r / p.d))
 
 

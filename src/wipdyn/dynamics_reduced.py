@@ -44,8 +44,10 @@ __all__ = [
     "reduced_to_full",
 ]
 
-# Read as dynamics_full._BODY, with the forces of _kernel's header.  f(alpha),
-# f'(alpha) and shape_mass inline: helpers kept this rhs at about 3 us, not 1.2 us.
+# Read as dynamics_full._BODY, with the forces of _kernel's header.  f(alpha) and
+# m(alpha) inline, rounded as model.f_of_alpha and model.shape_mass round them:
+# helpers kept this rhs at about 3 us, not 1.2 us.  The tilt equation's alpha_dot^2
+# and xi3^2 terms share sin(2 alpha)/2 = sin cos alpha, on _bind's a_1 and a_2.
 _BODY = """
     th, al, ald, p1, p2 = y[2], y[4], y[5], y[6], y[7]
     sa, ca = sin(al), cos(al)
@@ -55,19 +57,18 @@ _BODY = """
     xi3 = p2 / fa
     xi4 = (p1 - kappa * ald) / h
     xi1 = r * xi4
-    alpha_dd = (neg_kappa2 * sa * ca / h * ald * ald
-                + 0.5 * (fp_0 * sin(2.0 * al) - kappa2x2 * sa * ca / h) * xi3 * xi3
-                + mgb * sa
-                - kappa / h * u1) / m_al
-    return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd,
-            kappa_0 * sa * xi3 * xi3 + u1, -kappa_0 * sa * xi3 * xi4 + u2)
+    kxi = kappa_0 * sa * xi3
+    alpha_dd = ((a_1 * ald * ald + a_2 * xi3 * xi3) * sa * ca + mgb * sa - kappa / h * u1) / m_al
+    return (xi1 * cos(th), xi1 * sin(th), xi3, xi4, ald, alpha_dd, kxi * xi3 + u1, u2 - kxi * xi4)
 """
 
 
 def _kernel(p: Params):
     """ode(y, u1, u2), :func:`ode_rhs`: ``_BODY`` as it stands, on p's inertia record, as
-    the full kernel, bit-identical to ``model``'s formulas: f(alpha) = i_0 + i_c cos^2
-    + i_s sin^2 + f_wy, f' = fp_0 sin(2 alpha), m(alpha) = m_0 - kappa^2 / h."""
+    the full kernel.  f(alpha) = i_0 + i_c cos^2 + i_s sin^2 + f_wy and m(alpha) = m_0 -
+    kappa^2 / h are bit-identical to ``model``'s formulas.  The tilt equation's
+    coefficients are a_1 = -kappa_0^2 / h and a_2 = (i_s - i_c) + a_1, by f'(alpha) =
+    2 (i_s - i_c) sin cos alpha."""
     return _bind(p, _BODY)
 
 
@@ -75,10 +76,9 @@ def _kernel(p: Params):
 def _bind(p: Params, body: str):
     """:func:`_kernel`, cached on the text it compiles as well as on p."""
     rec = model._inertias(p)
-    kappa_0 = rec["kappa_0"]
+    a_1 = -(rec["kappa_0"] * rec["kappa_0"]) / rec["h"]
     return FunctionType(model._code("def ode(y, u1, u2):" + body), dict(
-        rec, sin=sin, cos=cos, r=p.r, fp_0=rec["i_s"] - rec["i_c"],
-        neg_kappa2=-(kappa_0 * kappa_0), kappa2x2=2.0 * kappa_0 * kappa_0))
+        rec, sin=sin, cos=cos, r=p.r, a_1=a_1, a_2=(rec["i_s"] - rec["i_c"]) + a_1))
 
 
 def ode_rhs(y, u1: float, u2: float, p: Params) -> tuple:

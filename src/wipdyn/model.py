@@ -293,9 +293,9 @@ def _inertias(p: Params) -> MappingProxyType:
     """
     return MappingProxyType(dict(
         i_0=2.0 * p.I_Wzz + 0.5 * p.m_W * p.d * p.d, i_c=p.I_Bz,
-        i_s=p.I_Bxx + p.m_b * p.b * p.b, f_wy=p.d ** 2 / (2.0 * p.r ** 2) * p.I_Wyy,
-        h=(p.m_b + 2.0 * p.m_W) * p.r ** 2 + 2.0 * p.I_Wyy,
-        m_0=p.m_b * p.b ** 2 + p.I_Byy, kappa_0=p.m_b * p.b * p.r, mgb=p.m_b * p.g * p.b))
+        i_s=p.I_Bxx + p.m_b * p.b * p.b, f_wy=p.d * p.d / (2.0 * p.r * p.r) * p.I_Wyy,
+        h=(p.m_b + 2.0 * p.m_W) * (p.r * p.r) + 2.0 * p.I_Wyy,
+        m_0=p.m_b * (p.b * p.b) + p.I_Byy, kappa_0=p.m_b * p.b * p.r, mgb=p.m_b * p.g * p.b))
 
 
 def _i_theta(ca, sa, p: Params):
@@ -395,7 +395,7 @@ def lagrangian_full(q, q_dot, p: Params):
     cth, cal = cos[..., 0], cos[..., 1]
     xd, yd, thd, ald = (qd[..., i] for i in range(4))
     v2 = qd * qd
-    m_t, m_s = 0.5 * (p.m_b + 2.0 * p.m_W), 0.5 * (p.m_b * p.b ** 2 + p.I_Byy)
+    m_t, m_s = 0.5 * (p.m_b + 2.0 * p.m_W), 0.5 * (p.m_b * (p.b * p.b) + p.I_Byy)
     w = np.array([m_t, m_t, 0.0, m_s, 0.5 * p.I_Wyy, 0.5 * p.I_Wyy])
     return (np.einsum("...i,i->...", v2, w) + 0.5 * _i_theta(cal, sal, p) * v2[..., 2]
             + p.m_b * p.b * (sal * thd * (cth * yd - sth * xd)

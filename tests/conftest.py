@@ -168,7 +168,8 @@ def fresh_kernels(monkeypatch):
 
     def edit(owner, name, old, new):
         text = getattr(owner, name)
-        assert text.count(old) == 1
+        found = text.count(old)
+        assert found == 1, f"{owner.__name__}.{name} holds {old!r} {found} times, not once"
         monkeypatch.setattr(owner, name, text.replace(old, new))
 
     yield edit

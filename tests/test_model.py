@@ -86,6 +86,29 @@ def test_h_const(p):
     assert h_const(p) > 0.0
 
 
+# dimension (M, L, T) of each Params field, in field order
+_DIMENSIONS = ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0), (1, 2, 0), (1, 2, 0),
+               (1, 2, 0), (1, 2, 0), (1, 2, 0), (0, 1, -2))
+
+
+def test_inertia_scalars_scale_exactly_under_power_of_two_units():
+    # units of mass, length and time changed by powers of two scale every rounded
+    # product and sum exactly, so each scalar, an inertia M L^2 (mgb M L^2 T^-2),
+    # scales bit for bit; a square through libm's pow (x ** 2) does not always
+    rng = np.random.default_rng(26)
+    base = np.array(list(Params.default().to_dict().values()))
+    sets = base * np.exp(rng.uniform(-3.0, 3.0, (1000, base.size)))
+    exponents = rng.integers((-4, -4, -4), (6, 5, 3), (len(sets), 16, 3))
+    for values, changes in zip(sets.tolist(), (2.0 ** exponents).tolist()):
+        rec = _inertias.__wrapped__(Params(*values))
+        for lm, ll, lt in changes:
+            q = Params(*(v * lm ** dm * ll ** dl * lt ** dt
+                         for v, (dm, dl, dt) in zip(values, _DIMENSIONS)))
+            expected = {n: v * lm * ll * ll / (lt * lt if n == "mgb" else 1.0)
+                        for n, v in rec.items()}
+            assert dict(_inertias.__wrapped__(q)) == expected, (values, (lm, ll, lt))
+
+
 def test_h_const_mass_free_limit():
     # formula collapses to 2 I_Wyy when the masses vanish
     tiny = Params(m_b=1e-12, m_W=1e-12, b=0.2, r=0.1, d=0.4,
