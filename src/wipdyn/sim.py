@@ -6,16 +6,17 @@ model integrates its group coordinates as ordinary ODE components (no exact
 exponential update); the O(dt^4) error that costs is covered by the
 comparison tolerances.
 
-RK4 runs on Python floats: on 8 or 9 components, lists and float tuples cost a
-fraction of numpy arrays.  ``rk4_step`` runs straight-line stages generated
-from one template per state length.  The oracle's stages call its rhs; the full
-and reduced models' fused steps inline the text their kernel compiles
-(``_BODY``) on its constants, and make no rhs calls.  Each step runs on the
-forces of the torque segment that holds its start time, mapped from
-``TorqueProfile.tau_at`` once per segment entered, and splits at a start inside
-it, so piecewise runs keep RK4's order.  Only the sampled trajectory is an
-array; the oracle converts at its boundary.  The diagnostics read it by name in
-blocks of rows and map it once to the shared observables, ``Trajectory.shared``.
+RK4 runs on Python floats: on 8 or 9 components, lists cost a fraction of numpy
+arrays.  ``rk4_step`` runs straight-line stages generated from one template per
+state length.  The oracle's stages call its rhs; the full and reduced models'
+fused steps inline the text their kernel compiles (``_BODY``) on its constants,
+one assignment per name (``_single``), and make no rhs calls and no tuples.
+Each step runs on the forces of the torque segment that holds its start time,
+mapped from ``TorqueProfile.tau_at`` once per segment entered, and splits at a
+start inside it, so piecewise runs keep RK4's order.  Only the sampled
+trajectory is an array, each row packed in place by ``struct``; the oracle
+converts at its boundary.  The diagnostics read it by name in blocks of rows
+and map it once to the shared observables, ``Trajectory.shared``.
 
 simulate() is pure per call.  Independent scenarios may be run concurrently
 map-style; outputs are deterministic per scenario and no state is shared.
@@ -23,10 +24,13 @@ map-style; outputs are deterministic per scenario and no state is shared.
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import math
 import re
+import struct
+import textwrap
 from dataclasses import dataclass
 from types import FunctionType
 
@@ -135,7 +139,7 @@ def _rk4_stages(n: int, body: str | None = None, ode=None):
     """stages(f, y, t, dt) for n components from ``_RK4_STAGES`` as it stands:
     f is a rhs f(t, y), or, given a model's rhs body and its kernel's code ode,
     the forces, unpacked to ode's arguments after y, and each stage line
-    [<k{i}>] = f(T, Y) is the body with y[j] read as Y's component j, bound to k."""
+    [<k{i}>] = f(T, Y) is ``_single``(body) with y[j] read as Y's component j, bound to k."""
     return _stages(_RK4_STAGES, n, body, ode)
 
 
@@ -155,9 +159,37 @@ def _stages(text: str, n: int, body: str | None, ode):
             lines.append(f"    {', '.join(ode.co_varnames[1:ode.co_argcount])} = f")
             ode = None
         slopes, state = stage[1], stage[2] or "y{i}"
-        inlined = re.sub(r"\by\[(\d+)\]", lambda m: f"({state.format(i=int(m[1]))})", body)
+        inlined = re.sub(r"\by\[(\d+)\]|\breturn\[(\d+)\]", lambda m: slopes.format(i=int(m[2]))
+                         if m[2] else f"({state.format(i=int(m[1]))})", _single(body))
         lines.append(inlined.replace("return ", f"{terms(slopes)} = "))
     return FunctionType(_code("\n".join(lines)), {})
+
+
+def _elements(node) -> list:
+    """The elements of a tuple display with none starred, else []."""
+    starred = any(isinstance(e, ast.Starred) for e in getattr(node, "elts", ()))
+    return node.elts if isinstance(node, ast.Tuple) and not starred else []
+
+
+@functools.cache
+def _single(body: str) -> str:
+    """body with one assignment per name, from its own ast, so its stages build
+    and unpack no tuples: a tuple assignment of names splits into one line per
+    target unless its right side reads one of them, and a returned tuple into
+    lines return[i] = <element i>.  Any other statement is kept whole."""
+    lines = []
+    for node in ast.parse(textwrap.dedent(body)).body:
+        pairs = []
+        if isinstance(node, ast.Return):
+            pairs = [(f"return[{i}]", e) for i, e in enumerate(_elements(node.value))]
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            targets, values = _elements(node.targets[0]), _elements(node.value)
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            read = {r.id for r in ast.walk(node.value) if isinstance(r, ast.Name)}
+            if len(names) == len(targets) == len(values) and read.isdisjoint(names):
+                pairs = list(zip(names, values))
+        lines += [f"{t} = {ast.unparse(e)}" for t, e in pairs] or ast.unparse(node).splitlines()
+    return "\n".join("    " + line for line in lines)
 
 
 def rk4_step(stages, f, y, t: float, dt: float) -> list[float]:
@@ -170,7 +202,7 @@ def rk4_step(stages, f, y, t: float, dt: float) -> list[float]:
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     out = stages(f, y, t, dt)
-    if not all(map(math.isfinite, out)):
+    if not (math.isfinite(sum(out)) or all(map(math.isfinite, out))):
         raise ValueError("non-finite state in RK4 step")
     return out
 
@@ -344,6 +376,8 @@ def simulate(model: str, initial, profile: TorqueProfile,
     Y = np.empty((steps + 1, len(y)))
     Y[0] = y
     stages, forces = _stepper(model, p, len(y))
+    # each new state's bytes straight into its row: half the time of Y[k + 1] = y
+    store, row = struct.Struct(f"{len(y)}d").pack_into, Y.strides[0]
     entries = _entries(profile, dt, steps)
     ek, s, start = next(entries)
     # overflow in a diverging run is detected and raised; silence the warnings
@@ -360,7 +394,7 @@ def simulate(model: str, initial, profile: TorqueProfile,
                 y = rk4_step(stages, f, y, t, h)
             except Exception as exc:
                 raise SimulationError(exc, k, k * dt, Y[k]) from exc
-            Y[k + 1] = y
+            store(Y, (k + 1) * row, *y)
     Y.setflags(write=False)
     energy, shared, res = _diagnostics(model, Y, p)
     t = np.arange(steps + 1, dtype=float)

@@ -151,9 +151,9 @@ def kernel_fetches(monkeypatch):
 
 
 def _clear_compiled():
-    """Clear both rhs kernel caches and the one behind ``sim._rk4_stages``: every
-    cache of code compiled from a model's ``_BODY`` or from ``sim._RK4_STAGES``."""
-    for cache in (dynamics_full._bind, dynamics_reduced._bind, sim._stages):
+    """Clear both rhs kernel caches and the two behind ``sim._rk4_stages``: every
+    cache of code or text built from a model's ``_BODY`` or ``sim._RK4_STAGES``."""
+    for cache in (dynamics_full._bind, dynamics_reduced._bind, sim._stages, sim._single):
         cache.cache_clear()
 
 

@@ -18,6 +18,7 @@ DRIFT = "energy drift (zero torque, extrapolated to dt = 1e-4)"
 ORDER = "energy drift order short of 4 (zero torque)"
 POWER = "power balance (forced)"
 WORK = "integrated power (forced)"
+YAW = "integrated yaw relation"
 
 # id: (owner, name, old, new, {failing line: value}); every other line passes
 KILLS = {
@@ -32,6 +33,11 @@ KILLS = {
                                       {EQUI: 5.92e-5, PUSH: 4.0e-7}),
     "reduced-tilt-rate-squared-sign": (reduced, "_BODY", "a_1 * ald", "-a_1 * ald",
                                        {PUSH: 73.5}),
+    # A(alpha) without its factor r: x and y move at the wheel-angle rate
+    "reduced-connection-drops-r": (reduced, "_BODY", "xi1 = r * xi4", "xi1 = xi4", {PUSH: 0.9}),
+    # phi1 and phi2 swapped in the yaw row
+    "full-yaw-wheels-swapped": (full, "_BODY", "r_d * dphi", "-r_d * dphi",
+                                {PUSH: 0.674, YAW: 0.135}),
     "full-heading-shifted": (full, "_BODY", "v * sin(th)", "v * sin(th + 1e-6)",
                              {EQUI: 8.61e-8, PUSH: 2.03e-6}),
     "full-gravity-reads-heading": (full, "_BODY", "mgb * sa", "mgb * sa * (1 + 1e-6 * cos(th))",

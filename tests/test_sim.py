@@ -1,4 +1,5 @@
 import collections
+import dis
 import inspect
 import math
 import random
@@ -135,6 +136,47 @@ def test_rk4_rejects_bad_inputs():
     with pytest.raises(ValueError, match="unpack"):
         rk4_step(_rk4_stages(0), lambda t, s: [1.0], [], 0.0, 0.1)
     assert rk4_step(_rk4_stages(0), lambda t, s: [], [], 0.0, 0.1) == []
+
+
+def test_rk4_step_finiteness_fast_path_is_exact():
+    # a finite state whose sum overflows is finite all the same
+    big = [1e308, 1e308]
+    assert sum(big) == math.inf
+    assert rk4_step(_rk4_stages(2), lambda t, s: [0.0, 0.0], big, 0.0, 0.1) == big
+    # a state of inf and -inf sums to nan, as does one that holds a nan
+    for slope in ([math.inf, -math.inf], [math.nan, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            rk4_step(_rk4_stages(2), lambda t, s: slope, [0.0, 0.0], 0.0, 0.1)
+
+
+@pytest.mark.parametrize("model", ["full", "reduced"])
+def test_fused_stages_build_and_unpack_no_tuples(p, model):
+    # the body's tuple assignments and its returned tuple are one assignment per
+    # name in the fused stages: the only unpacks left are of the state and the forces
+    code = list(dis.get_instructions(sim._stepper(model, p, len(LAYOUTS[model]))[0]))
+    assert "BUILD_TUPLE" not in {i.opname for i in code}
+    unpacked = [a.argval for a, b in zip(code, code[1:]) if b.opname == "UNPACK_SEQUENCE"]
+    assert sorted(unpacked) == ["f", "y"]
+
+
+def test_a_tuple_assignment_that_reads_its_targets_stays_whole(p, fresh_kernels):
+    # sa, ca = ca, sa split into sa = ca; ca = sa would read the new sa: kept
+    # whole, the fused step is still the generic stages around the edited kernel
+    from wipdyn import dynamics_full
+    s = FullState.constrained(0.0, 0.0, 0.3, 0.2, 0.0, 0.0, 0.1, 0.5, -0.4, p)
+    y, tau = [getattr(s, n) for n in LAYOUTS["full"]], (0.01, -0.02)
+
+    def steps():
+        stages, forces = sim._stepper("full", p, len(y))
+        f, ode = forces(*tau, p), dynamics_full._kernel(p)
+        generic = rk4_step(_rk4_stages(len(y)), lambda t, yy: ode(yy, *f), y, 0.0, 1e-3)
+        return np.array(rk4_step(stages, f, y, 0.0, 1e-3)).tobytes(), np.array(generic).tobytes()
+
+    unedited = steps()
+    line = "sa, ca = sin(al), cos(al)\n"
+    fresh_kernels(dynamics_full, "_BODY", line, line + "    sa, ca = ca, sa\n")
+    fused, generic = steps()
+    assert fused == generic != unedited[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
@@ -275,18 +317,24 @@ def test_simulate_failure_carries_timestamp(p):
 @pytest.mark.parametrize("model", ["full", "reduced", "oracle"])
 def test_simulation_failure_names_step_cause_and_last_state(p, model):
     # from rest the first step under 1e305 N m overflows; a run that first
-    # finishes some steps names the later step and the state it reached
+    # finishes some steps names the later step and, byte for byte, the state it
+    # reached: 1e305 N m from step 2, from steps 140 and 256, past many stored
+    # rows, or from inside step 200, which its start splits
     s = FullState.constrained(0, 0, 0, 0.1, 0, 0, 0, 0, 0, p)
     initial = full_to_reduced(s, p) if model == "reduced" else s
-    prof = TorqueProfile(((0.0, 0.0, 0.0), (0.025, 1e305, 1e305)))
-    with pytest.raises(SimulationError) as err:
-        simulate(model, initial, prof, 1.0, 1e-2, p)
-    e = err.value
-    assert (e.step, e.t) == (2, 0.02)
-    assert isinstance(e.__cause__, ValueError)
-    assert str(e).startswith("step 2 (t = 0.02 s) failed: ValueError: ")
-    first = simulate(model, initial, prof, 0.02, 1e-2, p)
-    assert np.array_equal(e.state, first.states[-1])
+    for start, dt, step in ((0.025, 1e-2, 2), (0.14, 1e-3, 140), (0.256, 1e-3, 256),
+                            (0.2005, 1e-3, 200)):
+        prof = TorqueProfile(((0.0, 0.0, 0.0), (start, 1e305, 1e305)))
+        with pytest.raises(SimulationError) as err:
+            simulate(model, initial, prof, 0.3, dt, p)
+        e = err.value
+        assert (e.step, e.t) == (step, step * dt)
+        assert isinstance(e.__cause__, ValueError)
+        assert str(e).startswith(f"step {step} (t = {step * dt:.6g} s) failed: ValueError: ")
+        first = simulate(model, initial, prof, step * dt, dt, p)
+        assert len(first) == step + 1
+        assert e.state.tobytes() == first.states[-1].tobytes()
+
 
 
 def test_full_vs_reduced_error_shrinks_fourth_order(p):
